@@ -4,7 +4,8 @@ The rejector models the upper tail of the classifier's entropy
 distribution on source samples with a generalized extreme value (GEV)
 distribution: block maxima of the entropies are fitted by maximum
 likelihood, and a target sample is rejected as unknown when the fitted
-CDF of its prediction entropy exceeds 0.5. This script round-trips the
+CDF of its prediction entropy exceeds 0.5, i.e. when the entropy exceeds
+the GEV median tau. This script round-trips the
 machinery on synthetic draws where the ground truth is known.
 """
 
@@ -38,7 +39,8 @@ def main():
     print(f"tail fit: l={gev.l:.4f}, s={gev.s:.4f}, c={gev.c:.4f}")
 
     print()
-    print("=== the rejection rule: CDF(entropy) > 0.5 ===")
+    print("=== the rejection rule: CDF(entropy) > 0.5, i.e. entropy > tau ===")
+    print(f"tau (the GEV median) = {evt.rejection_threshold(gev):.4f}")
     for h in (0.6, gev.l, 1.0, 1.2):
         verdict = "REJECT (unknown)" if evt.reject_unknown(h, gev) else "keep (known)"
         print(f"  entropy {h:.3f}: cdf={evt.gev_cdf(h, gev):.3f} -> {verdict}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -29,21 +30,38 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
-GEN_DEFAULTS = {
-    "classes": 10, "dim": 2, "std": 0.35, "rotation_deg": 25.0,
-    "translate": "0.3,-0.2", "source_per_class": 200, "target_per_class": 150,
-    "seed": 0,
+# One config key: its built-in default, its argparse type (or list of
+# choices), and its help text. The flag is the key with dashes, so
+# "source_per_class" is --source-per-class.
+Flag = namedtuple("Flag", "default kind help", defaults=(str, None))
+
+GEN_FLAGS = {
+    "classes": Flag(10, int), "dim": Flag(2, int), "std": Flag(0.35, float),
+    "rotation_deg": Flag(25.0, float), "translate": Flag("0.3,-0.2"),
+    "source_per_class": Flag(200, int), "target_per_class": Flag(150, int),
+    "seed": Flag(0, int),
 }
-SPLIT_DEFAULTS = {
-    "known": "0,1,2,3", "source_unknown": "4,5,6", "target_unknown": "7,8,9",
+SPLIT_FLAGS = {
+    "known": Flag("0,1,2,3", help="comma-separated known class ids"),
+    "source_unknown": Flag("4,5,6"), "target_unknown": Flag("7,8,9"),
 }
-TRAIN_DEFAULTS = {
-    "epochs": 20, "batch": 64, "lr": 1e-3, "optimizer": "adam",
-    "lambda_d": 0.5, "lambda_e": 1.0, "lambda_c": 1.0,
-    "weight_mode": "neg-entropy", "z_mode": "same-batch",
-    "tail": "block:20", "tail_pool": "known-only",
-    "hidden": "64,64", "seed": 0,
+TRAIN_FLAGS = {
+    "epochs": Flag(20, int), "batch": Flag(64, int), "lr": Flag(1e-3, float),
+    "optimizer": Flag("adam", ["adam", "sgd-momentum"]),
+    "lambda_d": Flag(0.5, float), "lambda_e": Flag(1.0, float), "lambda_c": Flag(1.0, float),
+    "weight_mode": Flag("neg-entropy", ["neg-entropy", "paper-literal", "uniform"]),
+    "z_mode": Flag("same-batch", ["same-batch", "fresh-batch", "combined"]),
+    "tail": Flag("block:20", help="block:<size>, top:<fraction>, or none"),
+    "tail_pool": Flag("known-only", ["known-only", "known-plus-unknown"]),
+    "hidden": Flag("64,64", help="feature extractor hidden widths, e.g. 64,64"),
+    "seed": Flag(0, int),
 }
+DATA_FLAGS = {
+    "data": Flag(None, help="synthetic blobs CSV (adagev-blobs v1)"),
+    "source_images": Flag(None), "source_labels": Flag(None),
+    "target_images": Flag(None), "target_labels": Flag(None),
+}
+OUT_FLAG = {"out": Flag(None)}
 
 
 class UsageError(ValueError):
@@ -83,62 +101,28 @@ def _parse_tail(text, pool):
     raise UsageError(f"--tail must be block:<size>, top:<fraction>, or none, got {text!r}")
 
 
-def _resolve(args, defaults):
-    """builtin defaults < --config file < explicit flags."""
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
+def _resolve(args, command):
+    """builtin defaults < --config file < explicit flags; then the required keys."""
+    merged = {key: flag.default for group in command.groups for key, flag in group.items()}
+    config_path = args.config
     if config_path:
         try:
             with open(config_path, "r", encoding="utf-8") as f:
                 file_values = json.load(f)
         except (OSError, ValueError) as e:
             raise dt.DataError(f"cannot read config {config_path}: {e}") from e
-        unknown = set(file_values) - set(defaults)
+        unknown = set(file_values) - set(merged)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
         merged.update(file_values)
-    for key in defaults:
-        flag_value = getattr(args, key, None)
+    for key in merged:
+        flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
+    missing = [f"--{key.replace('_', '-')}" for key in command.required if not merged[key]]
+    if missing:
+        raise UsageError(f"{' and '.join(missing)} required")
     return merged
-
-
-def _add_config_flag(p):
-    p.add_argument("--config", help="JSON file of defaults; flags override it")
-
-
-def _add_split_flags(p):
-    p.add_argument("--known", help="comma-separated known class ids")
-    p.add_argument("--source-unknown", dest="source_unknown")
-    p.add_argument("--target-unknown", dest="target_unknown")
-
-
-def _add_data_flags(p):
-    p.add_argument("--data", help="synthetic blobs CSV (adagev-blobs v1)")
-    p.add_argument("--source-images", dest="source_images")
-    p.add_argument("--source-labels", dest="source_labels")
-    p.add_argument("--target-images", dest="target_images")
-    p.add_argument("--target-labels", dest="target_labels")
-
-
-def _add_train_flags(p):
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--optimizer", choices=["adam", "sgd-momentum"])
-    p.add_argument("--lambda-d", dest="lambda_d", type=float)
-    p.add_argument("--lambda-e", dest="lambda_e", type=float)
-    p.add_argument("--lambda-c", dest="lambda_c", type=float)
-    p.add_argument("--weight-mode", dest="weight_mode",
-                   choices=["neg-entropy", "paper-literal", "uniform"])
-    p.add_argument("--z-mode", dest="z_mode",
-                   choices=["same-batch", "fresh-batch", "combined"])
-    p.add_argument("--tail", help="block:<size>, top:<fraction>, or none")
-    p.add_argument("--tail-pool", dest="tail_pool",
-                   choices=["known-only", "known-plus-unknown"])
-    p.add_argument("--hidden", help="feature extractor hidden widths, e.g. 64,64")
-    p.add_argument("--seed", type=int)
 
 
 def _split_from(cfg) -> dt.RoleSplit:
@@ -149,8 +133,8 @@ def _split_from(cfg) -> dt.RoleSplit:
     )
 
 
-def _load_pool(cfg, split_cfg):
-    rs = _split_from(split_cfg)
+def _load_pool(cfg):
+    rs = _split_from(cfg)
     if cfg.get("data"):
         src_x, src_y, tgt_x, tgt_y = dt.load_blobs(cfg["data"])
     else:
@@ -176,42 +160,39 @@ def _train_config(cfg) -> pl.TrainConfig:
     )
 
 
-def _specs_from(cfg, input_dim, num_known):
+def _training_setup(cfg):
+    """The pool and network specs that train, ablate and sweep share."""
+    pool, rs = _load_pool(cfg)
     hidden = _parse_int_list(cfg["hidden"])
-    spec_g = md.MlpSpec((input_dim, *hidden), activation="relu")
-    feat = hidden[-1]
-    spec_c = md.MlpSpec((feat, num_known), head="softmax")
-    spec_d = md.MlpSpec((feat, 32, 1), activation="relu", head="sigmoid")
-    return spec_g, spec_c, spec_d
+    spec_g = md.MlpSpec((pool.feature_dim, *hidden), activation="relu")
+    spec_c = md.MlpSpec((hidden[-1], rs.num_known), head="softmax")
+    spec_d = md.MlpSpec((hidden[-1], 32, 1), activation="relu", head="sigmoid")
+    return pool, (spec_g, spec_c, spec_d)
 
 
 def _write_json(path, payload):
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
 
 
-def _echo_config(outdir: Path, command: str, cfg: dict, extra: dict | None = None):
-    payload = {"command": command, **cfg}
-    if extra:
-        payload.update(extra)
-    _write_json(outdir / "config.json", payload)
-
-
 def _report_payload(report: pl.EvalReport, gev, tc_cfg, label=None):
+    """The report, the rejector (l, s, c, tau and the upper endpoint when c < 0),
+    log K (the largest possible entropy) and the resolved config."""
     payload = report.to_dict()
-    if gev is not None:
-        payload["gev"] = {"l": gev.l, "s": gev.s, "c": gev.c}
+    payload["gev"] = {"l": gev.l, "s": gev.s, "c": gev.c, "tau": evt.rejection_threshold(gev)}
+    if gev.c <= -evt.GUMBEL_EPS:
+        payload["gev"]["upper_endpoint"] = gev.l - gev.s / gev.c
+    payload["log_K"] = float(np.log(len(report.confusion) - 1))
     payload["config"] = tc_cfg
     if label:
         payload["variant"] = label
     return payload
 
 
-def cmd_gen_data(args) -> int:
-    cfg = _resolve(args, {**GEN_DEFAULTS, **SPLIT_DEFAULTS, "out": None})
-    if not cfg["out"]:
-        raise UsageError("--out is required")
+def cmd_gen_data(cfg) -> int:
     rs = _split_from(cfg)
     all_role_ids = set(rs.known) | set(rs.source_unknown) | set(rs.target_unknown)
     if max(all_role_ids) >= cfg["classes"]:
@@ -236,15 +217,9 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    cfg = _resolve(args, {**TRAIN_DEFAULTS, **SPLIT_DEFAULTS, "out": None,
-                          "data": None, "source_images": None, "source_labels": None,
-                          "target_images": None, "target_labels": None})
-    if not cfg["out"]:
-        raise UsageError("--out is required")
-    pool, rs = _load_pool(cfg, cfg)
+def cmd_train(cfg) -> int:
+    pool, specs = _training_setup(cfg)
     tc = _train_config(cfg)
-    specs = _specs_from(cfg, pool.feature_dim, rs.num_known)
     result = pl.train(pool, specs, tc)
 
     outdir = Path(cfg["out"])
@@ -253,7 +228,7 @@ def cmd_train(args) -> int:
     with open(outdir / "train_log.jsonl", "w", encoding="utf-8") as f:
         for record in result.log:
             f.write(json.dumps(record) + "\n")
-    _echo_config(outdir, "train", cfg)
+    _write_json(outdir / "config.json", {"command": "train", **cfg})
     last = result.log[-1]
     print(f"trained {tc.epochs} epochs; final L_d={last['L_d']:.4f} "
           f"L_e={last['L_e']:.4f} L_c={last['L_c']:.4f}; "
@@ -262,87 +237,49 @@ def cmd_train(args) -> int:
     return 0
 
 
-def cmd_eval(args) -> int:
-    cfg = _resolve(args, {**SPLIT_DEFAULTS, "checkpoint": None, "out": None,
-                          "data": None, "source_images": None, "source_labels": None,
-                          "target_images": None, "target_labels": None})
-    if not cfg["checkpoint"] or not cfg["out"]:
-        raise UsageError("--checkpoint and --out are required")
+def cmd_eval(cfg) -> int:
     params, gev = md.load_checkpoint(cfg["checkpoint"])
     if gev is None:
         raise dt.DataError(f"{cfg['checkpoint']}: no GEV section; cannot evaluate")
-    pool, _ = _load_pool(cfg, cfg)
+    pool, rs = _load_pool(cfg)
+    if (params.num_classes, params.spec_g.widths[0]) != (rs.num_known, pool.feature_dim):
+        raise dt.DataError(
+            f"{cfg['checkpoint']} has {params.num_classes} classes and input width "
+            f"{params.spec_g.widths[0]}; the data has {rs.num_known} known classes "
+            f"and width {pool.feature_dim}")
     report = pl.evaluate(params, gev, pool)
-    out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, _report_payload(report, gev, cfg))
+    _write_json(cfg["out"], _report_payload(report, gev, cfg))
     print(f"OS={report.os_score:.4f} OS*={report.os_star:.4f} UNK={report.unk_recall}")
     return 0
 
 
-def cmd_ablate(args) -> int:
-    cfg = _resolve(args, {**TRAIN_DEFAULTS, **SPLIT_DEFAULTS, "out": None,
-                          "variant": "full", "tau": None,
-                          "data": None, "source_images": None, "source_labels": None,
-                          "target_images": None, "target_labels": None})
-    if not cfg["out"]:
-        raise UsageError("--out is required")
-    pool, rs = _load_pool(cfg, cfg)
-    tc = _train_config(cfg)
-    specs = _specs_from(cfg, pool.feature_dim, rs.num_known)
+def cmd_ablate(cfg) -> int:
+    pool, specs = _training_setup(cfg)
     mode = pl.AblationMode(variant=cfg["variant"].replace("-", "_"),
                            hard_threshold=cfg["tau"])
-    report, result = pl.run_ablation(pool, specs, tc, mode)
+    report, result = pl.run_ablation(pool, specs, _train_config(cfg), mode)
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "report.json",
                 _report_payload(report, result.gev, cfg, label=cfg["variant"]))
-    _echo_config(outdir, "ablate", cfg)
+    _write_json(outdir / "config.json", {"command": "ablate", **cfg})
     print(f"variant={cfg['variant']} OS={report.os_score:.4f} "
           f"OS*={report.os_star:.4f} UNK={report.unk_recall}")
     return 0
 
 
-def cmd_fit_gev(args) -> int:
-    cfg = _resolve(args, {"input": None, "out": None, "tail": "none",
-                          "tail_pool": "known-only", "seed": 0})
-    if not cfg["input"] or not cfg["out"]:
-        raise UsageError("--input and --out are required")
-    values = []
-    try:
-        with open(cfg["input"], "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                try:
-                    values.append(float(line))
-                except ValueError as e:
-                    raise dt.DataError(f"{cfg['input']}:{lineno}: not a real: {line!r}") from e
-    except OSError as e:
-        raise dt.DataError(f"cannot read {cfg['input']}: {e}") from e
-    values = np.asarray(values)
+def cmd_fit_gev(cfg) -> int:
+    values = dt.load_reals(cfg["input"])
     tail = _parse_tail(cfg["tail"], cfg["tail_pool"])
     if tail is not None:
         values = evt.extract_tail(values, tail, rng_seed=cfg["seed"])
     fitted = evt.fit_gev_mle(values)
-    out = Path(cfg["out"])
-    out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, {"l": fitted.l, "s": fitted.s, "c": fitted.c,
-                      "n_fit": int(values.size), "config": cfg})
+    _write_json(cfg["out"], {"l": fitted.l, "s": fitted.s, "c": fitted.c,
+                             "n_fit": int(values.size), "config": cfg})
     print(f"l={fitted.l:.6f} s={fitted.s:.6f} c={fitted.c:.6f} (n={values.size})")
     return 0
 
 
-def cmd_sweep(args) -> int:
-    cfg = _resolve(args, {**TRAIN_DEFAULTS, **SPLIT_DEFAULTS, "out": None,
-                          "grid_lambda_d": None, "grid_lambda_e": None,
-                          "grid_lambda_c": None,
-                          "data": None, "source_images": None, "source_labels": None,
-                          "target_images": None, "target_labels": None})
-    if not cfg["out"]:
-        raise UsageError("--out is required")
-
+def cmd_sweep(cfg) -> int:
     def axis(key, fallback):
         raw = cfg[key]
         if raw is None:
@@ -353,19 +290,16 @@ def cmd_sweep(args) -> int:
     grid_e = axis("grid_lambda_e", cfg["lambda_e"])
     grid_c = axis("grid_lambda_c", cfg["lambda_c"])
 
-    pool, rs = _load_pool(cfg, cfg)
-    specs = _specs_from(cfg, pool.feature_dim, rs.num_known)
+    pool, specs = _training_setup(cfg)
     outdir = Path(cfg["out"])
-    outdir.mkdir(parents=True, exist_ok=True)
     summary = []
     idx = 0
     for ld in grid_d:
         for le in grid_e:
             for lc in grid_c:
                 point = dict(cfg, lambda_d=ld, lambda_e=le, lambda_c=lc)
-                tc = _train_config(point)
-                result = pl.train(pool, specs, tc)
-                report = pl.evaluate(result.params, result.gev, pool)
+                report, result = pl.run_ablation(pool, specs, _train_config(point),
+                                                 pl.AblationMode())
                 _write_json(outdir / f"report_{idx:03d}.json",
                             _report_payload(report, result.gev, point))
                 summary.append({"index": idx, "lambda_d": ld, "lambda_e": le,
@@ -373,7 +307,7 @@ def cmd_sweep(args) -> int:
                                 "OS_star": report.os_star, "UNK": report.unk_recall})
                 idx += 1
     _write_json(outdir / "summary.json", {"points": summary})
-    _echo_config(outdir, "sweep", cfg)
+    _write_json(outdir / "config.json", {"command": "sweep", **cfg})
     print(f"{'idx':>4} {'l_d':>6} {'l_e':>6} {'l_c':>6} {'OS':>8} {'OS*':>8} {'UNK':>8}")
     for row in summary:
         unk = f"{row['UNK']:.4f}" if row["UNK"] is not None else "  n/a"
@@ -382,80 +316,56 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+# Each subcommand: its handler, its help line, its flag groups (in the
+# order config.json echoes them) and the keys it cannot run without.
+Command = namedtuple("Command", "handler help groups required")
+COMMANDS = {
+    "gen-data": Command(cmd_gen_data, "generate the synthetic blob benchmark",
+                        (GEN_FLAGS, SPLIT_FLAGS, OUT_FLAG), ("out",)),
+    "train": Command(cmd_train, "run the training loop and fit the GEV rejector",
+                     (TRAIN_FLAGS, SPLIT_FLAGS, OUT_FLAG, DATA_FLAGS), ("out",)),
+    "eval": Command(cmd_eval, "evaluate a checkpoint on a target pool",
+                    (SPLIT_FLAGS, {"checkpoint": Flag(None)}, OUT_FLAG, DATA_FLAGS),
+                    ("checkpoint", "out")),
+    "ablate": Command(cmd_ablate, "train and evaluate an ablation variant",
+                      (TRAIN_FLAGS, SPLIT_FLAGS, OUT_FLAG, {
+                          "variant": Flag("full", ["full", "no-reweight", "no-evt-binary",
+                                                   "hard-threshold"]),
+                          "tau": Flag(None, float, "entropy threshold for hard-threshold"),
+                      }, DATA_FLAGS), ("out",)),
+    "fit-gev": Command(cmd_fit_gev, "fit a GEV to a file of entropy values", ({
+        "input": Flag(None), **OUT_FLAG,
+        "tail": Flag("none", help="block:<size>, top:<fraction>, or none (default)"),
+        "tail_pool": TRAIN_FLAGS["tail_pool"], "seed": Flag(0, int),
+    },), ("input", "out")),
+    "sweep": Command(cmd_sweep, "grid sweep over the loss weights",
+                     (TRAIN_FLAGS, SPLIT_FLAGS, OUT_FLAG, {
+                         "grid_lambda_d": Flag(None), "grid_lambda_e": Flag(None),
+                         "grid_lambda_c": Flag(None),
+                     }, DATA_FLAGS), ("out",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="adagev",
                                      description="open-set domain adaptation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-data", help="generate the synthetic blob benchmark")
-    _add_config_flag(p)
-    p.add_argument("--out")
-    p.add_argument("--classes", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--std", type=float)
-    p.add_argument("--rotation-deg", dest="rotation_deg", type=float)
-    p.add_argument("--translate")
-    p.add_argument("--source-per-class", dest="source_per_class", type=int)
-    p.add_argument("--target-per-class", dest="target_per_class", type=int)
-    p.add_argument("--seed", type=int)
-    _add_split_flags(p)
-    p.set_defaults(func=cmd_gen_data)
-
-    p = sub.add_parser("train", help="run the training loop and fit the GEV rejector")
-    _add_config_flag(p)
-    p.add_argument("--out")
-    _add_data_flags(p)
-    _add_split_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a target pool")
-    _add_config_flag(p)
-    p.add_argument("--checkpoint")
-    p.add_argument("--out")
-    _add_data_flags(p)
-    _add_split_flags(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="train and evaluate an ablation variant")
-    _add_config_flag(p)
-    p.add_argument("--out")
-    p.add_argument("--variant", choices=["full", "no-reweight", "no-evt-binary",
-                                         "hard-threshold"])
-    p.add_argument("--tau", type=float, help="entropy threshold for hard-threshold")
-    _add_data_flags(p)
-    _add_split_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("fit-gev", help="fit a GEV to a file of entropy values")
-    _add_config_flag(p)
-    p.add_argument("--input")
-    p.add_argument("--out")
-    p.add_argument("--tail", help="block:<size>, top:<fraction>, or none (default)")
-    p.add_argument("--tail-pool", dest="tail_pool",
-                   choices=["known-only", "known-plus-unknown"])
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_fit_gev)
-
-    p = sub.add_parser("sweep", help="grid sweep over the loss weights")
-    _add_config_flag(p)
-    p.add_argument("--out")
-    p.add_argument("--grid-lambda-d", dest="grid_lambda_d")
-    p.add_argument("--grid-lambda-e", dest="grid_lambda_e")
-    p.add_argument("--grid-lambda-c", dest="grid_lambda_c")
-    _add_data_flags(p)
-    _add_split_flags(p)
-    _add_train_flags(p)
-    p.set_defaults(func=cmd_sweep)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        p.add_argument("--config", help="JSON file of defaults; flags override it")
+        for group in command.groups:
+            for key, flag in group.items():
+                kind = {"choices": flag.kind} if isinstance(flag.kind, list) else {"type": flag.kind}
+                p.add_argument("--" + key.replace("_", "-"), dest=key, help=flag.help, **kind)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.func(args)
+        return command.handler(_resolve(args, command))
     except (UsageError, ValueError) as e:
         if isinstance(e, dt.DataError):
             print(f"data error: {e}", file=sys.stderr)

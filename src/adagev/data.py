@@ -11,6 +11,7 @@ trainer-visible accessor.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -153,24 +154,35 @@ def save_blobs(path, source_x, source_y, target_x, target_y) -> None:
 
 
 def load_blobs(path):
-    """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y)."""
+    """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y).
+
+    Every row must have the first row's width and finite features.
+    """
     with open(path, "r", encoding="utf-8") as f:
         header = f.readline().rstrip("\n")
         if header != EXPORT_HEADER:
             raise DataError(f"{path}: bad header {header!r}")
         rows = {"source": ([], []), "target": ([], [])}
+        width = None
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            width = width or len(parts)
             if len(parts) < 3 or parts[0] not in rows:
                 raise DataError(f"{path}:{lineno}: malformed row")
+            if len(parts) != width:
+                raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
+                                f"the first row has {width - 2}")
             try:
-                rows[parts[0]][0].append([float(v) for v in parts[2:]])
+                feats = [float(v) for v in parts[2:]]
                 rows[parts[0]][1].append(int(parts[1]))
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from e
+            if not all(map(math.isfinite, feats)):
+                raise DataError(f"{path}:{lineno}: non-finite feature")
+            rows[parts[0]][0].append(feats)
     out = []
     for domain in ("source", "target"):
         xs, ys = rows[domain]
@@ -178,6 +190,23 @@ def load_blobs(path):
             raise DataError(f"{path}: no {domain} rows")
         out.extend([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64)])
     return tuple(out)
+
+
+def load_reals(path) -> np.ndarray:
+    """One finite real per line; blank lines and '#' comments are skipped."""
+    values = []
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                values.append(float(line))
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: not a real: {line!r}") from e
+            if not math.isfinite(values[-1]):
+                raise DataError(f"{path}:{lineno}: not a finite real: {line!r}")
+    return np.asarray(values)
 
 
 def _read_idx(path, expected_magic, expected_ndim):
@@ -220,6 +249,9 @@ def apply_roles(source_x, source_y, target_x, target_y, rs: RoleSplit) -> Datase
     """
     source_y = np.asarray(source_y, dtype=np.int64)
     target_y = np.asarray(target_y, dtype=np.int64)
+    if np.shape(source_x)[1:] != np.shape(target_x)[1:]:
+        raise DataError(f"source samples have shape {np.shape(source_x)[1:]}, "
+                        f"target samples {np.shape(target_x)[1:]}")
     src_classes, tgt_classes = set(source_y.tolist()), set(target_y.tolist())
     for c in rs.known:
         if c not in src_classes or c not in tgt_classes:

@@ -4,7 +4,9 @@ Provides the GEV density/CDF in the unified (location, scale, shape)
 parameterization with a Gumbel code path near shape zero, inverse-CDF
 sampling, tail extraction from entropy samples (block maxima or top
 fraction), maximum-likelihood fitting via Nelder-Mead over
-(l, log s, c), and the CDF > 0.5 rejection rule for target samples.
+(l, log s, c), and the rejection threshold for target samples. The rule
+CDF(h) > 0.5 is the same as h > tau, with tau the GEV median, because
+the CDF is monotone.
 """
 
 from __future__ import annotations
@@ -97,15 +99,24 @@ def gev_cdf(x, p: GevParams):
     return out if out.ndim else float(out)
 
 
+def gev_quantile(u, p: GevParams):
+    """Inverse CDF: l + s((-ln u)^(-c) - 1)/c; l - s ln(-ln u) in the Gumbel limit."""
+    if abs(p.c) < GUMBEL_EPS:
+        return p.l - p.s * np.log(-np.log(u))
+    return p.l + p.s * (np.power(-np.log(u), -p.c) - 1.0) / p.c
+
+
+def rejection_threshold(p: GevParams) -> float:
+    """The GEV median tau: CDF(h) > 0.5 exactly when h > tau."""
+    return float(gev_quantile(0.5, p))
+
+
 def gev_sample(p: GevParams, n: int, seed: int) -> np.ndarray:
     """Inverse-CDF sampling, deterministic per seed."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = np.random.default_rng(seed)
-    u = rng.uniform(size=n)
-    if abs(p.c) < GUMBEL_EPS:
-        return p.l - p.s * np.log(-np.log(u))
-    return p.l + p.s * (np.power(-np.log(u), -p.c) - 1.0) / p.c
+    return gev_quantile(rng.uniform(size=n), p)
 
 
 def extract_tail(entropies, tc: TailConfig, rng_seed: int = 0) -> np.ndarray:
@@ -174,5 +185,5 @@ def fit_gev_mle(values) -> GevParams:
 
 
 def reject_unknown(h: float, p: GevParams) -> bool:
-    """True iff the fitted CDF at entropy h strictly exceeds 0.5."""
-    return bool(gev_cdf(h, p) > 0.5)
+    """True iff entropy h strictly exceeds tau, i.e. the fitted CDF exceeds 0.5."""
+    return bool(h > rejection_threshold(p))

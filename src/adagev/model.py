@@ -89,8 +89,7 @@ def _init_group(spec: MlpSpec, rng: np.random.Generator) -> list[np.ndarray]:
     return params
 
 
-def init_params(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int) -> ModelParams:
-    """Scaled uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+def _check_specs(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec) -> None:
     if spec_g.widths[-1] != spec_c.widths[0] or spec_g.widths[-1] != spec_d.widths[0]:
         raise ValueError(
             f"feature width {spec_g.widths[-1]} does not match classifier input "
@@ -98,6 +97,16 @@ def init_params(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int) ->
         )
     if spec_d.widths[-1] != 1:
         raise ValueError("domain discriminator must have output width 1")
+
+
+def _group_shapes(spec: MlpSpec) -> list[list[int]]:
+    """Shapes of the flat [W0, b0, W1, b1, ...] group for ``spec``."""
+    return [s for fi, fo in zip(spec.widths[:-1], spec.widths[1:]) for s in ([fi, fo], [fo])]
+
+
+def init_params(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int) -> ModelParams:
+    """Scaled uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+    _check_specs(spec_g, spec_c, spec_d)
     rng = np.random.default_rng(seed)
     return ModelParams(
         spec_g, spec_c, spec_d,
@@ -128,13 +137,6 @@ def mlp_graph(spec: MlpSpec, param_nodes: list[Node], x: Node) -> Node:
     return h
 
 
-def domain_graph(spec_d: MlpSpec, d_nodes: list[Node], features: Node,
-                 use_grl: bool = False, grl_scale: float = 1.0) -> Node:
-    """Domain discriminator graph; optional gradient reversal as first layer."""
-    h = ad.grad_reverse(features, grl_scale) if use_grl else features
-    return mlp_graph(spec_d, d_nodes, h)
-
-
 def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.spec_g.widths[0]:
@@ -149,13 +151,12 @@ def forward_classifier(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return mlp_graph(params.spec_c, group_nodes(params.theta_c), ad.leaf(features)).value
 
 
-def forward_domain(params: ModelParams, features: np.ndarray,
-                   use_grl: bool = False, grl_scale: float = 1.0) -> np.ndarray:
+def forward_domain(params: ModelParams, features: np.ndarray) -> np.ndarray:
+    """Discriminator output; the gradient reversal layer is the identity forward."""
     features = np.atleast_2d(np.asarray(features, dtype=np.float64))
     if features.shape[1] != params.spec_d.widths[0]:
         raise ValueError(f"feature width {features.shape[1]} != {params.spec_d.widths[0]}")
-    return domain_graph(params.spec_d, group_nodes(params.theta_d),
-                        ad.leaf(features), use_grl, grl_scale).value
+    return mlp_graph(params.spec_d, group_nodes(params.theta_d), ad.leaf(features)).value
 
 
 def _spec_dict(spec: MlpSpec) -> dict:
@@ -163,7 +164,10 @@ def _spec_dict(spec: MlpSpec) -> dict:
 
 
 def _spec_from_dict(d: dict) -> MlpSpec:
-    return MlpSpec(tuple(d["widths"]), d["activation"], d["head"])
+    widths = tuple(d["widths"])
+    if not all(type(w) is int for w in widths):
+        raise ValueError(f"widths must be integers, got {widths}")
+    return MlpSpec(widths, d["activation"], d["head"])
 
 
 def save_checkpoint(params: ModelParams, path, gev=None) -> None:
@@ -192,7 +196,11 @@ def save_checkpoint(params: ModelParams, path, gev=None) -> None:
 
 
 def load_checkpoint(path):
-    """Returns (ModelParams, GevParams | None). Round trip is bit-exact."""
+    """Returns (ModelParams, GevParams | None). Round trip is bit-exact.
+
+    Every defect of the file (bad magic, corrupt or inconsistent manifest,
+    missing or trailing bytes, non-finite values) raises CheckpointError.
+    """
     from .evt import GevParams
 
     with open(path, "rb") as f:
@@ -205,34 +213,38 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(data[off:off + mlen].decode("utf-8"))
-        specs = manifest["specs"]
-        shapes = manifest["groups"]
+        specs = [_spec_from_dict(manifest["specs"][k]) for k in ("g", "c", "d")]
+        _check_specs(*specs)
+        params = ModelParams(*specs)
+        for name, spec in zip(params.groups(), specs):
+            if manifest["groups"][name] != _group_shapes(spec):
+                raise CheckpointError(f"{path}: shape manifest mismatch in {name}")
         gev_present = manifest["gev_present"]
-    except (ValueError, KeyError) as e:
-        raise CheckpointError(f"{path}: corrupt manifest: {e}") from e
+        if not isinstance(gev_present, bool):
+            raise ValueError("gev_present must be a boolean")
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: corrupt manifest: {e!r}") from e
     off += mlen
 
-    params = ModelParams(
-        _spec_from_dict(specs["g"]), _spec_from_dict(specs["c"]), _spec_from_dict(specs["d"])
-    )
-    for name, group in params.groups().items():
-        for shape in shapes[name]:
-            n = int(np.prod(shape)) * 8
-            if len(data) < off + n:
-                raise CheckpointError(f"{path}: truncated tensor data in {name}")
-            group.append(np.frombuffer(data[off:off + n], dtype="<f8").reshape(shape).copy())
-            off += n
-    for name, spec in (("theta_g", params.spec_g), ("theta_c", params.spec_c),
-                       ("theta_d", params.spec_d)):
-        expected = [s for fi, fo in zip(spec.widths[:-1], spec.widths[1:])
-                    for s in ([fi, fo], [fo])]
-        if shapes[name] != expected:
-            raise CheckpointError(f"{path}: shape manifest mismatch in {name}")
+    count = sum(int(np.prod(shape)) for spec in specs for shape in _group_shapes(spec))
+    count += 3 if gev_present else 0
+    if len(data) - off != 8 * count:
+        raise CheckpointError(
+            f"{path}: {len(data) - off} data bytes, the manifest needs {8 * count}")
+    values = np.frombuffer(data, dtype="<f8", count=count, offset=off)
+    if not np.all(np.isfinite(values)):
+        raise CheckpointError(f"{path}: non-finite parameter values")
+    for spec, group in zip(specs, params.groups().values()):
+        for shape in _group_shapes(spec):
+            n = int(np.prod(shape))
+            group.append(values[:n].reshape(shape).copy())
+            values = values[n:]
 
     gev = None
     if gev_present:
-        if len(data) < off + 24:
-            raise CheckpointError(f"{path}: truncated GEV section")
-        l, s, c = np.frombuffer(data[off:off + 24], dtype="<f8")
-        gev = GevParams(float(l), float(s), float(c))
+        l, s, c = values
+        try:
+            gev = GevParams(float(l), float(s), float(c))
+        except ValueError as e:
+            raise CheckpointError(f"{path}: invalid GEV section: {e}") from e
     return params, gev

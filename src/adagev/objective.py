@@ -190,8 +190,8 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
         aux_h = entropy(aux_probs)
     w = batch_weights(h_t, wc, aux_h)
 
-    d_src = md.domain_graph(params.spec_d, d_nodes, feat_s, use_grl=True)
-    d_tgt = md.domain_graph(params.spec_d, d_nodes, feat_t, use_grl=True)
+    d_src = md.mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
+    d_tgt = md.mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
     l_d = loss_domain(d_src, d_tgt, w, require_normalized=wc.z_mode == "same_batch")
 
     probs_u = md.mlp_graph(params.spec_c, c_nodes, feat_u)

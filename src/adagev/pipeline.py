@@ -4,18 +4,19 @@ The training loop draws a source-known / source-unknown / target batch
 triple each iteration, applies the joint saddle-point gradient step, and
 after the final epoch fits a GEV to the tail of the source entropy
 distribution. Inference rejects a target sample as unknown when the
-fitted CDF of its prediction entropy exceeds 0.5, otherwise takes the
-argmax class. Evaluation reports OS (macro recall over K+1 classes),
+fitted CDF of its prediction entropy exceeds 0.5, i.e. when the entropy
+exceeds tau (the GEV median), otherwise takes the argmax class. Evaluation reports OS (macro recall over K+1 classes),
 OS* (over the K known classes), and UNK recall.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as dt
 from . import evt
 from . import model as md
@@ -26,7 +27,7 @@ ABLATION_VARIANTS = ("full", "no_reweight", "no_evt_binary", "hard_threshold")
 
 
 class NumericalError(RuntimeError):
-    """Training diverged (non-finite loss or parameters)."""
+    """Training diverged (non-finite values in the training step)."""
 
 
 @dataclass(frozen=True)
@@ -163,48 +164,49 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     flat_params = params.theta_g + params.theta_c + params.theta_d
     iters = math.ceil(len(pool.source_known_x) / tc.batch_size)
     log = []
-    for epoch in range(1, tc.epochs + 1):
-        stats = {"L_d": 0.0, "L_e": 0.0, "L_c": 0.0, "total": 0.0,
-                 "mean_weight": 0.0, "max_weight": 0.0}
-        for _ in range(iters):
-            batch = dt.sample_batch_triple(pool, tc.batch_size, rng, with_aux=need_aux)
-            step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_config)
-            if not all(map(np.isfinite, (step.loss_d, step.loss_e, step.loss_c))):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}: "
-                    f"L_d={step.loss_d}, L_e={step.loss_e}, L_c={step.loss_c}"
-                )
-            flat_grads = step.grads["theta_g"] + step.grads["theta_c"] + step.grads["theta_d"]
-            optimizer.step(flat_params, flat_grads)
-            stats["L_d"] += step.loss_d
-            stats["L_e"] += step.loss_e
-            stats["L_c"] += step.loss_c
-            stats["total"] += step.total
-            stats["mean_weight"] += step.weights.mean()
-            stats["max_weight"] += step.weights.max()
-        h_known = obj.entropy(md.forward_classifier(
-            params, md.forward_features(params, pool.source_known_x)))
-        h_unknown = obj.entropy(md.forward_classifier(
-            params, md.forward_features(params, pool.source_unknown_x)))
-        log.append({"epoch": epoch,
-                    **{k: v / iters for k, v in stats.items()},
-                    "mean_known_entropy": float(h_known.mean()),
-                    "mean_unknown_entropy": float(h_unknown.mean())})
+    epoch = it = 0
+    try:
+        for epoch in range(1, tc.epochs + 1):
+            stats = {"L_d": 0.0, "L_e": 0.0, "L_c": 0.0, "total": 0.0,
+                     "mean_weight": 0.0, "max_weight": 0.0}
+            for it in range(1, iters + 1):
+                batch = dt.sample_batch_triple(pool, tc.batch_size, rng, with_aux=need_aux)
+                step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_config)
+                flat_grads = step.grads["theta_g"] + step.grads["theta_c"] + step.grads["theta_d"]
+                optimizer.step(flat_params, flat_grads)
+                stats["L_d"] += step.loss_d
+                stats["L_e"] += step.loss_e
+                stats["L_c"] += step.loss_c
+                stats["total"] += step.total
+                stats["mean_weight"] += step.weights.mean()
+                stats["max_weight"] += step.weights.max()
+            h_known = obj.entropy(md.forward_classifier(
+                params, md.forward_features(params, pool.source_known_x)))
+            h_unknown = obj.entropy(md.forward_classifier(
+                params, md.forward_features(params, pool.source_unknown_x)))
+            log.append({"epoch": epoch,
+                        **{k: v / iters for k, v in stats.items()},
+                        "mean_known_entropy": float(h_known.mean()),
+                        "mean_unknown_entropy": float(h_unknown.mean())})
+    except ad.NonFiniteError as e:
+        raise NumericalError(f"training diverged at epoch {epoch}, iteration {it}: {e}") from e
 
     gev = fit_rejector(params, pool, tc.tail_config, seed=int(tail_seed))
     return TrainResult(params, gev, log)
 
 
-def infer_batch(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> np.ndarray:
-    """Predictions for a batch of samples; UNKNOWN (-1) marks rejection.
+def predict(probs: np.ndarray, tau: float) -> np.ndarray:
+    """The argmax class of each row, or UNKNOWN (-1) where its entropy exceeds tau.
 
     Ties in the argmax break toward the lowest class index.
     """
+    return np.where(obj.entropy(probs) > tau, UNKNOWN, probs.argmax(axis=1))
+
+
+def infer_batch(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> np.ndarray:
+    """Predictions for a batch of samples, rejecting above the GEV median."""
     probs = md.forward_classifier(params, md.forward_features(params, x))
-    h = obj.entropy(probs)
-    preds = probs.argmax(axis=1)
-    rejected = np.asarray(evt.gev_cdf(h, gev)) > 0.5
-    return np.where(rejected, UNKNOWN, preds)
+    return predict(probs, evt.rejection_threshold(gev))
 
 
 def infer(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> int:
@@ -257,8 +259,6 @@ def evaluate(params: md.ModelParams, gev: evt.GevParams, pool: dt.DatasetPool) -
 def _train_binary_head(features: np.ndarray, labels: np.ndarray, seed: int,
                        steps: int = 300, lr: float = 1e-2):
     """Post-hoc known-vs-unknown head on frozen features: [f,16,1] MLP, BCE."""
-    from . import autodiff as ad
-
     spec = md.MlpSpec((features.shape[1], 16, 1), activation="relu", head="sigmoid")
     rng = np.random.default_rng(seed)
     theta = md._init_group(spec, rng)
@@ -277,8 +277,6 @@ def _train_binary_head(features: np.ndarray, labels: np.ndarray, seed: int,
 
 
 def binary_head_predict(spec, theta, features: np.ndarray) -> np.ndarray:
-    from . import autodiff as ad
-
     return md.mlp_graph(spec, md.group_nodes(theta), ad.leaf(features)).value[:, 0]
 
 
@@ -292,15 +290,12 @@ def run_ablation(pool: dt.DatasetPool, specs, tc: TrainConfig,
     when entropy exceeds a fixed threshold (default 0.5*log K).
     """
     if mode.variant == "no_reweight":
-        tc = TrainConfig(**{**asdict_shallow(tc),
-                            "weight_config": obj.WeightConfig("uniform", tc.weight_config.z_mode)})
+        tc = replace(tc, weight_config=obj.WeightConfig("uniform", tc.weight_config.z_mode))
     result = train(pool, specs, tc)
-    params, gev = result.params, result.gev
+    params = result.params
     k = params.num_classes
 
-    if mode.variant in ("full", "no_reweight"):
-        report = evaluate(params, gev, pool)
-    elif mode.variant == "no_evt_binary":
+    if mode.variant == "no_evt_binary":
         feats_known = md.forward_features(params, pool.source_known_x)
         feats_unknown = md.forward_features(params, pool.source_unknown_x)
         feats = np.concatenate([feats_known, feats_unknown])
@@ -310,18 +305,10 @@ def run_ablation(pool: dt.DatasetPool, specs, tc: TrainConfig,
         p_unknown = binary_head_predict(spec, theta, tgt_feats)
         probs = md.forward_classifier(params, tgt_feats)
         preds = np.where(p_unknown > 0.5, UNKNOWN, probs.argmax(axis=1))
-        report = compute_report(pool.eval_target_roles(), preds, k)
-    else:  # hard_threshold
-        tau = mode.hard_threshold if mode.hard_threshold is not None else 0.5 * np.log(k)
+    else:
+        tau = evt.rejection_threshold(result.gev)
+        if mode.variant == "hard_threshold":
+            tau = mode.hard_threshold if mode.hard_threshold is not None else 0.5 * np.log(k)
         probs = md.forward_classifier(params, md.forward_features(params, pool.target_x))
-        h = obj.entropy(probs)
-        preds = np.where(h > tau, UNKNOWN, probs.argmax(axis=1))
-        report = compute_report(pool.eval_target_roles(), preds, k)
-    return report, result
-
-
-def asdict_shallow(tc: TrainConfig) -> dict:
-    return {"epochs": tc.epochs, "batch_size": tc.batch_size,
-            "learning_rate": tc.learning_rate, "optimizer": tc.optimizer,
-            "loss_weights": tc.loss_weights, "weight_config": tc.weight_config,
-            "tail_config": tc.tail_config, "seed": tc.seed}
+        preds = predict(probs, tau)
+    return compute_report(pool.eval_target_roles(), preds, k), result

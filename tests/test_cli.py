@@ -113,6 +113,24 @@ class TestTrain:
         assert echo["epochs"] == 1   # from config file
         assert echo["batch"] == 8    # flag wins over config file
 
+    def test_divergence_is_numerical_failure(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        rc = run("train", "--out", str(tmp_path / "run"), *flags, "--lr", "1e150")
+        assert rc == 4
+        assert "diverged at epoch 1, iteration" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feature_is_data_error(self, small_data, tmp_path, capsys, value):
+        path, _ = small_data
+        lines = path.read_text().splitlines()
+        domain, label, *feats = lines[5].split(",")
+        lines[5] = ",".join([domain, label, value, *feats[1:]])
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        rc = run("train", "--out", str(tmp_path / "run"), "--data", str(bad))
+        assert rc == 3
+        assert "bad.csv:6: non-finite feature" in capsys.readouterr().err
+
     def test_unknown_config_key(self, small_data, tmp_path):
         path, _ = small_data
         config = tmp_path / "cfg.json"
@@ -143,6 +161,42 @@ class TestEval:
 
     def test_missing_required_flags(self):
         assert run("eval") == 2
+
+    def test_report_locates_threshold(self, small_data, trained_dir, tmp_path):
+        path, _ = small_data
+        out = tmp_path / "report.json"
+        run("eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--data", str(path), "--out", str(out))
+        report = json.loads(out.read_text())
+        gev = evt.GevParams(report["gev"]["l"], report["gev"]["s"], report["gev"]["c"])
+        assert report["gev"]["tau"] == evt.rejection_threshold(gev)
+        assert report["log_K"] == pytest.approx(np.log(4))
+        assert ("upper_endpoint" in report["gev"]) == (gev.c < 0)
+
+    def test_class_count_mismatch(self, small_data, trained_dir, tmp_path, capsys):
+        path, _ = small_data
+        rc = run("eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--data", str(path), "--out", str(tmp_path / "r.json"), "--known", "0,1,2")
+        assert rc == 3
+        assert "4 classes" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_input_width_mismatch(self, trained_dir, tmp_path, capsys):
+        wide = tmp_path / "wide.csv"
+        run("gen-data", "--out", str(wide), "--dim", "3",
+            "--source-per-class", "5", "--target-per-class", "4")
+        rc = run("eval", "--checkpoint", str(trained_dir / "checkpoint.bin"),
+                 "--data", str(wide), "--out", str(tmp_path / "r.json"))
+        assert rc == 3
+        assert "width 3" in capsys.readouterr().err
+
+    def test_trailing_checkpoint_bytes(self, small_data, trained_dir, tmp_path):
+        path, _ = small_data
+        ckpt = tmp_path / "ckpt.bin"
+        ckpt.write_bytes((trained_dir / "checkpoint.bin").read_bytes() + b"junk")
+        rc = run("eval", "--checkpoint", str(ckpt), "--data", str(path),
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 3
 
 
 class TestAblate:
@@ -192,6 +246,15 @@ class TestFitGev:
         src.write_text("1.0\nbanana\n")
         rc = run("fit-gev", "--input", str(src), "--out", str(tmp_path / "o.json"))
         assert rc == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_line(self, tmp_path, capsys, value):
+        values = evt.gev_sample(evt.GevParams(0.5, 0.2, 0.1), 100, seed=0)
+        src = tmp_path / "v.txt"
+        src.write_text("\n".join([*map(repr, values.tolist()), value]) + "\n")
+        rc = run("fit-gev", "--input", str(src), "--out", str(tmp_path / "o.json"))
+        assert rc == 3
+        assert "v.txt:101: not a finite real" in capsys.readouterr().err
 
     def test_degenerate_values(self, tmp_path):
         src = tmp_path / "v.txt"

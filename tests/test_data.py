@@ -107,6 +107,39 @@ class TestBlobCsv:
         with pytest.raises(dt.DataError):
             dt.load_blobs(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"adagev-blobs v1\nsource,0,1.0,2.0\ntarget,0,1.0,{value}\n")
+        with pytest.raises(dt.DataError, match=r"bad\.csv:3: non-finite"):
+            dt.load_blobs(path)
+
+    def test_ragged_rows_rejected(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("adagev-blobs v1\nsource,0,1.0,2.0\ntarget,0,1.0,2.0,3.0\n")
+        with pytest.raises(dt.DataError, match=r"bad\.csv:3: 3 features"):
+            dt.load_blobs(path)
+
+
+class TestLoadReals:
+    def test_skips_comments_and_blanks(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("# header\n1.5\n\n-2\n")
+        np.testing.assert_array_equal(dt.load_reals(path), [1.5, -2.0])
+
+    def test_non_numeric_line(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("1.0\nbanana\n")
+        with pytest.raises(dt.DataError, match=r"v\.txt:2: not a real"):
+            dt.load_reals(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_line(self, tmp_path, value):
+        path = tmp_path / "v.txt"
+        path.write_text(f"1.0\n{value}\n")
+        with pytest.raises(dt.DataError, match=r"v\.txt:2: not a finite real"):
+            dt.load_reals(path)
+
 
 def write_idx_pair(tmp_path, images, labels):
     n, rows, cols = images.shape
@@ -200,6 +233,11 @@ class TestApplyRoles:
         rs = dt.RoleSplit(known=(0, 1))
         with pytest.raises(dt.DataError):
             dt.apply_roles(np.zeros((2, 2)), [0, 0], np.zeros((2, 2)), [0, 1], rs)
+
+    def test_width_mismatch(self):
+        with pytest.raises(dt.DataError, match="shape"):
+            dt.apply_roles(np.zeros((4, 3)), [0, 0, 1, 1], np.zeros((4, 2)), [0, 0, 1, 1],
+                           dt.RoleSplit(known=(0, 1)))
 
     def test_source_target_unknowns_dropped(self, blob_pool):
         pool, (sx, sy, tx, ty) = blob_pool

@@ -181,6 +181,21 @@ class TestFit:
         assert np.isfinite(fitted.l) and fitted.s > 0
 
 
+class TestThreshold:
+    def test_gumbel_closed_form(self):
+        p = evt.GevParams(0.3, 0.7, 0.0)
+        assert evt.rejection_threshold(p) == 0.3 - 0.7 * np.log(np.log(2))
+
+    @pytest.mark.parametrize("p", PARAM_GRID)
+    def test_is_median(self, p):
+        np.testing.assert_allclose(evt.gev_cdf(evt.rejection_threshold(p), p), 0.5, atol=1e-12)
+
+    @pytest.mark.parametrize("p", PARAM_GRID)
+    def test_quantile_inverts_cdf(self, p):
+        u = np.array([1e-6, 0.1, 0.5, 0.9, 1 - 1e-6])
+        np.testing.assert_allclose(evt.gev_cdf(evt.gev_quantile(u, p), p), u, rtol=1e-9)
+
+
 class TestReject:
     def test_above_median_rejected(self):
         p = evt.GevParams(0.0, 1.0, 0.0)

@@ -1,5 +1,10 @@
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adagev import model as md
 from adagev.evt import GevParams
@@ -96,12 +101,6 @@ class TestForward:
         out = md.forward_domain(params, np.ones((4, params.feature_dim)))
         np.testing.assert_allclose(out, 0.5)
 
-    def test_grl_does_not_change_forward(self, params):
-        feats = np.random.default_rng(3).standard_normal((5, params.feature_dim))
-        with_grl = md.forward_domain(params, feats, use_grl=True)
-        without = md.forward_domain(params, feats, use_grl=False)
-        np.testing.assert_array_equal(with_grl, without)
-
     def test_domain_output_open_interval(self, params):
         feats = np.random.default_rng(4).standard_normal((50, params.feature_dim)) * 10
         out = md.forward_domain(params, feats)
@@ -144,3 +143,97 @@ class TestCheckpoint:
         path.write_bytes(b"NOTADAGEV" + b"\x00" * 64)
         with pytest.raises(md.CheckpointError):
             md.load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, params, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        md.save_checkpoint(params, path, gev=GevParams(0.5, 0.2, 0.1))
+        path.write_bytes(path.read_bytes() + b"junk")
+        with pytest.raises(md.CheckpointError, match="data bytes"):
+            md.load_checkpoint(path)
+
+    def test_non_finite_values_rejected(self, params, tmp_path):
+        params.theta_c[1][0] = np.nan
+        path = tmp_path / "ckpt.bin"
+        md.save_checkpoint(params, path)
+        with pytest.raises(md.CheckpointError, match="non-finite"):
+            md.load_checkpoint(path)
+
+
+def rewrite_manifest(path, edit):
+    """Re-encode the manifest of a saved checkpoint after ``edit(manifest)``."""
+    data = path.read_bytes()
+    (mlen,) = struct.unpack_from("<I", data, len(md.MAGIC))
+    start = len(md.MAGIC) + 4
+    manifest = json.loads(data[start:start + mlen])
+    edit(manifest)
+    blob = json.dumps(manifest).encode("utf-8")
+    path.write_bytes(md.MAGIC + struct.pack("<I", len(blob)) + blob + data[start + mlen:])
+
+
+class TestCheckpointManifest:
+    @pytest.mark.parametrize("edit", [
+        lambda m: m["specs"].pop("g"),
+        lambda m: m.pop("groups"),
+        lambda m: m["specs"]["g"].update(widths=[3, 0]),
+        lambda m: m["specs"]["g"].update(widths=[3.0, 64.0, 64.0]),
+        lambda m: m["specs"]["g"].update(widths="3,64,64"),
+        lambda m: m["specs"]["c"].update(widths=[32, 4]),
+        lambda m: m["specs"]["d"].update(head="softmax2"),
+        lambda m: m["groups"].update(theta_c=[[64, 4]]),
+        lambda m: m.update(gev_present="yes"),
+    ], ids=["no-spec-g", "no-groups", "zero-width", "float-widths", "string-widths",
+            "spec-chain-mismatch", "bad-head", "group-shape-mismatch", "gev-present-not-bool"])
+    def test_bad_manifest_raises_checkpoint_error(self, params, tmp_path, edit):
+        path = tmp_path / "ckpt.bin"
+        md.save_checkpoint(params, path)
+        rewrite_manifest(path, edit)
+        with pytest.raises(md.CheckpointError):
+            md.load_checkpoint(path)
+
+    def test_rewritten_manifest_still_loads(self, params, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        md.save_checkpoint(params, path)
+        rewrite_manifest(path, lambda m: None)
+        loaded, _ = md.load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.theta_d[0], params.theta_d[0])
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory):
+    params = md.init_params(*md.default_specs(input_dim=3, num_classes=4), seed=7)
+    path = tmp_path_factory.mktemp("ckpt") / "valid.bin"
+    md.save_checkpoint(params, path, gev=GevParams(1.3, 0.03, -0.35))
+    return path.read_bytes()
+
+
+# A damaged copy of a valid checkpoint: truncated, extended, or one byte
+# flipped. Half the positions fall in the first 512 bytes, the header and
+# the JSON manifest; the rest anywhere, mostly in the tensor data.
+position = st.one_of(st.integers(0, 511), st.integers(0, 2**31))
+damage = st.one_of(
+    st.tuples(st.just("truncate"), position, st.just(0)),
+    st.tuples(st.just("extend"), st.binary(min_size=1, max_size=16), st.just(0)),
+    st.tuples(st.just("flip"), position, st.integers(1, 255)),
+)
+
+
+@given(damage)
+@settings(max_examples=200, deadline=None)
+def test_damaged_checkpoint_loads_or_raises_checkpoint_error(saved_checkpoint, tmp_path_factory, how):
+    kind, arg, mask = how
+    data = bytearray(saved_checkpoint)
+    if kind == "truncate":
+        data = data[:arg % len(data)]
+    elif kind == "extend":
+        data += arg
+    else:
+        data[arg % len(data)] ^= mask
+    path = tmp_path_factory.mktemp("fuzz") / "damaged.bin"
+    path.write_bytes(bytes(data))
+    try:
+        params, gev = md.load_checkpoint(path)
+    except md.CheckpointError:
+        return
+    assert kind == "flip"
+    assert all(np.all(np.isfinite(t)) for group in params.groups().values() for t in group)
+    assert gev is not None and gev.s > 0

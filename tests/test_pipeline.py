@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adagev import data as dt
 from adagev import evt
@@ -120,6 +122,42 @@ class TestInfer:
         np.testing.assert_array_equal(preds == -1, rejected)
 
 
+shape = st.one_of(st.floats(-0.9, -1e-3), st.floats(1e-3, 0.9),
+                  st.floats(-9.9e-7, 9.9e-7))
+
+
+@given(l=st.floats(0.0, np.log(5)), s=st.floats(1e-3, 0.5), c=shape,
+       seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=200, deadline=None)
+def test_predict_matches_cdf_rule(l, s, c, seed):
+    """Entropy above tau rejects exactly the rows whose GEV CDF exceeds 0.5."""
+    gev = evt.GevParams(l, s, c)
+    tau = evt.rejection_threshold(gev)
+    rng = np.random.default_rng(seed)
+    probs = rng.dirichlet(np.full(5, rng.uniform(0.05, 5.0)), size=200)
+    h = obj.entropy(probs)
+    preds = pl.predict(probs, tau)
+    clear = np.abs(h - tau) > 1e-9 * max(1.0, abs(tau))
+    cdf_rule = np.asarray(evt.gev_cdf(h, gev)) > 0.5
+    np.testing.assert_array_equal((preds == -1)[clear], cdf_rule[clear])
+    kept = preds != -1
+    np.testing.assert_array_equal(preds[kept], probs.argmax(axis=1)[kept])
+
+
+class TestPredict:
+    def test_hand_case(self):
+        probs = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
+        np.testing.assert_array_equal(pl.predict(probs, tau=0.6), [0, -1, 1])
+
+    def test_argmax_tie_breaks_low(self):
+        probs = np.array([[0.4, 0.4, 0.2]])
+        assert pl.predict(probs, tau=10.0)[0] == 0
+
+    def test_threshold_strict(self):
+        probs = np.array([[0.5, 0.5]])
+        assert pl.predict(probs, tau=np.log(2))[0] == 0
+
+
 def brute_force_metrics(true_roles, preds, k):
     """Independent O(N*K) oracle for the macro-recall metrics."""
     recalls = {}
@@ -238,3 +276,7 @@ class TestDivergence:
         with pytest.raises((pl.NumericalError, evt.FitError)):
             pl.train(tiny_pool(), tiny_specs(),
                      tiny_config(epochs=10, learning_rate=10.0, optimizer="sgd_momentum"))
+
+    def test_non_finite_step_names_epoch_and_iteration(self):
+        with pytest.raises(pl.NumericalError, match=r"epoch 1, iteration 2: op 'matmul'"):
+            pl.train(tiny_pool(), md.default_specs(2, 4), tiny_config(learning_rate=1e150))
