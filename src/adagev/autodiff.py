@@ -30,18 +30,19 @@ class Node:
     """One vertex of the computation graph.
 
     ``value`` is the cached forward tensor, ``grad`` the accumulated
-    gradient of the same shape (zeroed at the start of every backward
-    pass). Leaves have no parents.
+    gradient of the same shape: None until :func:`backward` reaches the
+    node, and reset at the start of every backward pass. Leaves have no
+    parents.
     """
 
     __slots__ = ("value", "grad", "parents", "_vjp", "op")
 
     def __init__(self, value, parents=(), vjp=None, op="leaf"):
         value = np.asarray(value, dtype=np.float64)
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise NonFiniteError(f"op '{op}' produced non-finite values")
         self.value = value
-        self.grad = np.zeros_like(value)
+        self.grad = None
         self.parents = tuple(parents)
         self._vjp = vjp
         self.op = op
@@ -74,6 +75,21 @@ def matmul(a: Node, b: Node) -> Node:
         return g @ b.value.T, a.value.T @ g
 
     return Node(a.value @ b.value, (a, b), vjp, op="matmul")
+
+
+def linear(x: Node, w: Node, b: Node) -> Node:
+    """Affine layer x @ w + b: one node for matmul followed by add_bias."""
+    x, w, b = as_node(x), as_node(w), as_node(b)
+    if (x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]
+            or b.value.shape != (w.value.shape[1],)):
+        raise AutodiffError(
+            f"linear shape mismatch: {x.value.shape} x {w.value.shape} + {b.value.shape}"
+        )
+
+    def vjp(g):
+        return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
+
+    return Node(x.value @ w.value + b.value, (x, w, b), vjp, op="linear")
 
 
 def add(a: Node, b) -> Node:
@@ -258,7 +274,7 @@ def grad_reverse(x: Node, grl_scale: float = 1.0) -> Node:
         raise AutodiffError("grad_reverse scale must be positive")
     node = Node.__new__(Node)
     node.value = x.value  # bit-identical forward, no copy
-    node.grad = np.zeros_like(x.value)
+    node.grad = None
     node.parents = (x,)
     node._vjp = lambda g: (-grl_scale * g,)
     node.op = "grad_reverse"
@@ -303,14 +319,16 @@ def topo_order(root: Node) -> list[Node]:
 def backward(loss: Node) -> None:
     """Reverse-accumulate d(loss)/d(node) into .grad over the whole graph.
 
-    All gradients in the reachable graph are zeroed first, so repeated
-    calls yield identical gradients.
+    All gradients in the reachable graph are reset first, so repeated
+    calls yield identical gradients. A node's first contribution is stored
+    as is and later ones are added out of place: a vjp may hand back its
+    upstream array, so gradients may share memory and none is written to.
     """
     if loss.value.size != 1:
         raise AutodiffError(f"backward needs a scalar loss, got shape {loss.value.shape}")
     order = topo_order(loss)
     for node in order:
-        node.grad = np.zeros_like(node.value)
+        node.grad = None
     loss.grad = np.ones_like(loss.value)
     for node in reversed(order):
         if node._vjp is None:
@@ -318,4 +336,5 @@ def backward(loss: Node) -> None:
         g = node.grad if node.value.ndim > 0 else node.grad[()]
         parent_grads = node._vjp(g)
         for parent, pg in zip(node.parents, parent_grads):
-            parent.grad = parent.grad + np.asarray(pg, dtype=np.float64).reshape(parent.value.shape)
+            pg = np.asarray(pg, dtype=np.float64).reshape(parent.value.shape)
+            parent.grad = pg if parent.grad is None else parent.grad + pg

@@ -101,9 +101,30 @@ def _parse_tail(text, pool):
     raise UsageError(f"--tail must be block:<size>, top:<fraction>, or none, got {text!r}")
 
 
+def _config_value(key, flag, value):
+    """A --config file value checked against its flag's kind.
+
+    int kinds take integral numbers, float kinds any number, choice kinds a
+    listed member and the other kinds a string.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(flag.kind, list):
+        ok, expected = value in flag.kind, f"one of {flag.kind}"
+    elif flag.kind is int:
+        ok, expected = number and (isinstance(value, int) or value.is_integer()), "an integer"
+    elif flag.kind is float:
+        ok, expected = number, "a number"
+    else:
+        ok, expected = isinstance(value, str), "a string"
+    if not ok:
+        raise UsageError(f"config key {key!r} must be {expected}, got {value!r}")
+    return int(value) if flag.kind is int else value
+
+
 def _resolve(args, command):
     """builtin defaults < --config file < explicit flags; then the required keys."""
-    merged = {key: flag.default for group in command.groups for key, flag in group.items()}
+    flags = {key: flag for group in command.groups for key, flag in group.items()}
+    merged = {key: flag.default for key, flag in flags.items()}
     config_path = args.config
     if config_path:
         try:
@@ -111,10 +132,14 @@ def _resolve(args, command):
                 file_values = json.load(f)
         except (OSError, ValueError) as e:
             raise dt.DataError(f"cannot read config {config_path}: {e}") from e
+        if not isinstance(file_values, dict):
+            raise UsageError(f"config {config_path} must hold a JSON object")
         unknown = set(file_values) - set(merged)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        merged.update(file_values)
+        # null leaves the key at its default, as an omitted key does
+        merged.update({key: _config_value(key, flags[key], value)
+                       for key, value in file_values.items() if value is not None})
     for key in merged:
         flag_value = getattr(args, key)
         if flag_value is not None:

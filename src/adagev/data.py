@@ -153,36 +153,50 @@ def save_blobs(path, source_x, source_y, target_x, target_y) -> None:
                 f.write(f"{domain},{int(label)},{feats}\n")
 
 
+def _numbered_lines(path):
+    """(line number, line) of a UTF-8 text file; text that is not UTF-8 is a DataError."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            yield from enumerate(f, start=1)
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
+
+
 def load_blobs(path):
     """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y).
 
-    Every row must have the first row's width and finite features.
+    Every row must have the first row's width, finite features and an
+    int64 class label.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        header = f.readline().rstrip("\n")
-        if header != EXPORT_HEADER:
-            raise DataError(f"{path}: bad header {header!r}")
-        rows = {"source": ([], []), "target": ([], [])}
-        width = None
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            width = width or len(parts)
-            if len(parts) < 3 or parts[0] not in rows:
-                raise DataError(f"{path}:{lineno}: malformed row")
-            if len(parts) != width:
-                raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
-                                f"the first row has {width - 2}")
-            try:
-                feats = [float(v) for v in parts[2:]]
-                rows[parts[0]][1].append(int(parts[1]))
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from e
-            if not all(map(math.isfinite, feats)):
-                raise DataError(f"{path}:{lineno}: non-finite feature")
-            rows[parts[0]][0].append(feats)
+    lines = _numbered_lines(path)
+    _, header = next(lines, (1, ""))
+    header = header.rstrip("\n")
+    if header != EXPORT_HEADER:
+        raise DataError(f"{path}: bad header {header!r}")
+    rows = {"source": ([], []), "target": ([], [])}
+    width = None
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        width = width or len(parts)
+        if len(parts) < 3 or parts[0] not in rows:
+            raise DataError(f"{path}:{lineno}: malformed row")
+        if len(parts) != width:
+            raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
+                            f"the first row has {width - 2}")
+        try:
+            feats = [float(v) for v in parts[2:]]
+            label = int(parts[1])
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from e
+        if not all(map(math.isfinite, feats)):
+            raise DataError(f"{path}:{lineno}: non-finite feature")
+        if not -2 ** 63 <= label < 2 ** 63:
+            raise DataError(f"{path}:{lineno}: class label out of range")
+        rows[parts[0]][0].append(feats)
+        rows[parts[0]][1].append(label)
     out = []
     for domain in ("source", "target"):
         xs, ys = rows[domain]
@@ -195,17 +209,16 @@ def load_blobs(path):
 def load_reals(path) -> np.ndarray:
     """One finite real per line; blank lines and '#' comments are skipped."""
     values = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                values.append(float(line))
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: not a real: {line!r}") from e
-            if not math.isfinite(values[-1]):
-                raise DataError(f"{path}:{lineno}: not a finite real: {line!r}")
+    for lineno, line in _numbered_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            values.append(float(line))
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: not a real: {line!r}") from e
+        if not math.isfinite(values[-1]):
+            raise DataError(f"{path}:{lineno}: not a finite real: {line!r}")
     return np.asarray(values)
 
 
@@ -219,7 +232,7 @@ def _read_idx(path, expected_magic, expected_ndim):
         raise DataError(f"{path}: bad magic {magic:#010x}, expected {expected_magic:#010x}")
     dims = struct.unpack_from(f">{expected_ndim}I", data, 4)
     payload = data[4 * (1 + expected_ndim):]
-    count = int(np.prod(dims))
+    count = math.prod(dims)  # exact: a product of three uint32 can exceed int64
     if len(payload) < count:
         raise DataError(f"{path}: truncated payload ({len(payload)} bytes, need {count})")
     return dims, np.frombuffer(payload[:count], dtype=np.uint8)

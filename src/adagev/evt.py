@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 GUMBEL_EPS = 1e-6
 EULER_GAMMA = 0.5772156649015329
@@ -163,8 +162,12 @@ def fit_gev_mle(values) -> GevParams:
 
     Moment-based Gumbel init: s0 = sqrt(6)*std/pi, l0 = mean - gamma*s0,
     c0 = 0.1. Log-parameterizing the scale keeps it positive; points with
-    any observation outside the support score -inf likelihood.
+    any observation outside the support score -inf likelihood. scipy is
+    imported here, not at module load, so the commands that fit nothing
+    start without it.
     """
+    from scipy.optimize import minimize
+
     values = np.asarray(values, dtype=np.float64)
     if values.size < 30:
         raise FitError(f"need >= 30 values to fit, got {values.size}")

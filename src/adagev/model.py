@@ -127,7 +127,7 @@ def mlp_graph(spec: MlpSpec, param_nodes: list[Node], x: Node) -> Node:
     n_layers = len(spec.widths) - 1
     h = x
     for i in range(n_layers):
-        h = ad.add_bias(ad.matmul(h, param_nodes[2 * i]), param_nodes[2 * i + 1])
+        h = ad.linear(h, param_nodes[2 * i], param_nodes[2 * i + 1])
         if i < n_layers - 1:
             h = act(h)
     if spec.head == "softmax":
@@ -137,26 +137,58 @@ def mlp_graph(spec: MlpSpec, param_nodes: list[Node], x: Node) -> Node:
     return h
 
 
-def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+def mlp_forward(spec: MlpSpec, group: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """The values of ``mlp_graph`` without building a graph.
+
+    Each layer computes the graph op's expression, in place where the graph
+    allocates a new array, so the result is the same bit for bit. Only the
+    input and the output are checked for non-finite values.
+    """
+    if not np.isfinite(x).all():
+        raise ad.NonFiniteError("forward input has non-finite values")
+    n_layers = len(spec.widths) - 1
+    h = x
+    for i in range(n_layers):
+        h = h @ group[2 * i]
+        h += group[2 * i + 1]
+        if i < n_layers - 1:
+            if spec.activation == "relu":
+                h = np.where(h > 0, h, 0.0)
+            else:
+                np.tanh(h, out=h)
+    if spec.head == "softmax":
+        h -= h.max(axis=1, keepdims=True)
+        np.exp(h, out=h)
+        h /= h.sum(axis=1, keepdims=True)
+    elif spec.head == "sigmoid":
+        np.negative(h, out=h)
+        with np.errstate(over="ignore"):
+            np.exp(h, out=h)
+        h += 1.0
+        np.divide(1.0, h, out=h)
+    if not np.isfinite(h).all():
+        raise ad.NonFiniteError("forward produced non-finite values")
+    return h
+
+
+def _forward(spec: MlpSpec, group: list[np.ndarray], x, what: str) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if x.shape[1] != params.spec_g.widths[0]:
-        raise ValueError(f"input width {x.shape[1]} != {params.spec_g.widths[0]}")
-    return mlp_graph(params.spec_g, group_nodes(params.theta_g), ad.leaf(x)).value
+    if x.shape[1] != spec.widths[0]:
+        raise ValueError(f"{what} width {x.shape[1]} != {spec.widths[0]}")
+    return mlp_forward(spec, group, x)
+
+
+def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
+    return _forward(params.spec_g, params.theta_g, x, "input")
 
 
 def forward_classifier(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[1] != params.spec_c.widths[0]:
-        raise ValueError(f"feature width {features.shape[1]} != {params.spec_c.widths[0]}")
-    return mlp_graph(params.spec_c, group_nodes(params.theta_c), ad.leaf(features)).value
+    return _forward(params.spec_c, params.theta_c, features, "feature")
 
 
 def forward_domain(params: ModelParams, features: np.ndarray) -> np.ndarray:
     """Discriminator output; the gradient reversal layer is the identity forward."""
-    features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-    if features.shape[1] != params.spec_d.widths[0]:
-        raise ValueError(f"feature width {features.shape[1]} != {params.spec_d.widths[0]}")
-    return mlp_graph(params.spec_d, group_nodes(params.theta_d), ad.leaf(features)).value
+    return _forward(params.spec_d, params.theta_d, features, "feature")
 
 
 def _spec_dict(spec: MlpSpec) -> dict:

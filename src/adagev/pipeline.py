@@ -101,12 +101,24 @@ class _Adam:
             self.m = [np.zeros_like(p) for p in params]
             self.v = [np.zeros_like(p) for p in params]
         self.t += 1
+        bias1, bias2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
+        # In place, with the operands of m = b1*m + (1-b1)*g,
+        # v = b2*v + (1-b2)*g*g and p -= lr*m_hat / (sqrt(v_hat) + eps)
+        # combined in that order, so every value is the same bit for bit.
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m[:] = self.beta1 * m + (1 - self.beta1) * g
-            v[:] = self.beta2 * v + (1 - self.beta2) * g * g
-            m_hat = m / (1 - self.beta1 ** self.t)
-            v_hat = v / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            v *= self.beta2
+            gg = (1 - self.beta2) * g
+            gg *= g
+            v += gg
+            step = m / bias1
+            step *= self.lr
+            den = v / bias2
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            p -= step
 
 
 class _SgdMomentum:
@@ -220,12 +232,15 @@ def compute_report(true_roles: np.ndarray, preds: np.ndarray, num_known: int) ->
     Roles and predictions use UNKNOWN (-1) for the collapsed unknown
     class; it occupies the last row/column of the matrix.
     """
-    true_roles = np.asarray(true_roles, dtype=np.int64)
-    preds = np.asarray(preds, dtype=np.int64)
     k = num_known
-    confusion = np.zeros((k + 1, k + 1), dtype=np.int64)
-    for t, p in zip(true_roles, preds):
-        confusion[k if t == UNKNOWN else t, k if p == UNKNOWN else p] += 1
+    t, p = (np.asarray(a, dtype=np.int64) for a in (true_roles, preds))
+    if t.shape != p.shape or t.ndim != 1:
+        raise ValueError(f"roles {t.shape} and predictions {p.shape} must be equal-length vectors")
+    for a in (t, p):
+        if a.size and (a.min() < UNKNOWN or a.max() >= k):
+            raise ValueError(f"roles and predictions must lie in [{UNKNOWN}, {k})")
+    t, p = (np.where(a == UNKNOWN, k, a) for a in (t, p))
+    confusion = np.bincount((k + 1) * t + p, minlength=(k + 1) ** 2).reshape(k + 1, k + 1)
 
     recalls, included, excluded = [], [], []
     for c in range(k + 1):
@@ -277,7 +292,7 @@ def _train_binary_head(features: np.ndarray, labels: np.ndarray, seed: int,
 
 
 def binary_head_predict(spec, theta, features: np.ndarray) -> np.ndarray:
-    return md.mlp_graph(spec, md.group_nodes(theta), ad.leaf(features)).value[:, 0]
+    return md.mlp_forward(spec, theta, features)[:, 0]
 
 
 def run_ablation(pool: dt.DatasetPool, specs, tc: TrainConfig,

@@ -51,6 +51,39 @@ class TestMatmul:
         assert rel_err(a.grad, finite_diff(f, a0)) < 1e-4
 
 
+class TestLinear:
+    def test_value_is_matmul_then_add_bias(self):
+        rng = np.random.default_rng(3)
+        x, w, b = rng.standard_normal((5, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
+        fused = ad.linear(ad.leaf(x), ad.leaf(w), ad.leaf(b))
+        unfused = ad.add_bias(ad.matmul(ad.leaf(x), ad.leaf(w)), ad.leaf(b))
+        np.testing.assert_array_equal(fused.value, unfused.value)
+        assert fused.op == "linear"
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ad.AutodiffError):
+            ad.linear(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((3, 4))), ad.leaf(np.ones(3)))
+        with pytest.raises(ad.AutodiffError):
+            ad.linear(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 4))), ad.leaf(np.ones(4)))
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(5)
+        values = [rng.standard_normal((4, 3)), rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        c = rng.standard_normal((4, 2))
+
+        def loss(x, w, b):
+            return ad.reduce_sum(ad.mul(ad.tanh(ad.linear(x, w, b)), ad.leaf(c)))
+
+        leaves = [ad.leaf(v) for v in values]
+        ad.backward(loss(*leaves))
+        for i, (node, v0) in enumerate(zip(leaves, values)):
+            def f(v, i=i):
+                args = [ad.leaf(a) for a in values]
+                args[i] = ad.leaf(v)
+                return float(loss(*args).value)
+            assert rel_err(node.grad, finite_diff(f, v0)) < 1e-6, f"operand {i}"
+
+
 class TestSoftmax:
     def test_equal_logits_uniform(self):
         out = ad.stable_softmax(ad.leaf(np.full((2, 5), 3.0)))
@@ -154,6 +187,13 @@ class TestBackward:
         with pytest.raises(ad.AutodiffError):
             ad.backward(ad.leaf([1.0, 2.0]))
 
+    def test_grad_unset_until_backward(self):
+        x = ad.leaf(np.array([1.0, 2.0]))
+        loss = ad.reduce_sum(ad.mul(x, x))
+        assert x.grad is None and ad.grad_reverse(x).grad is None
+        ad.backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
     def test_repeated_backward_idempotent(self):
         x = ad.leaf(np.array([1.0, 2.0]))
         loss = ad.reduce_sum(ad.mul(x, x))
@@ -167,6 +207,15 @@ class TestBackward:
         y = ad.mul(x, x)  # x^2, dx = 2x
         ad.backward(ad.reduce_sum(y))
         np.testing.assert_allclose(x.grad, [6.0])
+
+    def test_accumulation_leaves_shared_upstream_intact(self):
+        # add's vjp hands its upstream array to both parents, here the same node
+        x = ad.leaf(np.array([1.0, -2.0]))
+        y = ad.add(x, x)
+        c = np.array([3.0, 5.0])
+        ad.backward(ad.reduce_sum(ad.mul(y, ad.leaf(c))))
+        np.testing.assert_array_equal(y.grad, c)
+        np.testing.assert_array_equal(x.grad, 2 * c)
 
     def test_two_layer_mlp_matches_finite_differences(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +143,48 @@ class TestTrain:
                  "--config", str(config))
         assert rc == 2
 
+    @pytest.mark.parametrize("values,key", [
+        ({"epochs": "2"}, "epochs"), ({"epochs": 2.5}, "epochs"), ({"epochs": True}, "epochs"),
+        ({"lr": "0.1"}, "lr"), ({"optimizer": "sgd"}, "optimizer"),
+        ({"hidden": [8, 8]}, "hidden"), ({"data": 5}, "data"),
+    ])
+    def test_config_value_of_wrong_kind(self, small_data, tmp_path, capsys, values, key):
+        path, _ = small_data
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(values))
+        rc = run("train", "--out", str(tmp_path / "o"), "--data", str(path),
+                 "--config", str(config))
+        assert rc == 2
+        assert f"config key '{key}'" in capsys.readouterr().err
+
+    def test_config_not_an_object(self, small_data, tmp_path):
+        path, _ = small_data
+        config = tmp_path / "cfg.json"
+        config.write_text("[1, 2]")
+        rc = run("train", "--out", str(tmp_path / "o"), "--data", str(path),
+                 "--config", str(config))
+        assert rc == 2
+
+    def test_config_kinds_accepted(self, small_data, tmp_path):
+        path, _ = small_data
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"epochs": 1.0, "batch": 16, "lr": 1, "hidden": "8",
+                                      "tail": "top:0.5", "optimizer": "sgd-momentum",
+                                      "seed": None}))
+        outdir = tmp_path / "run"
+        rc = run("train", "--out", str(outdir), "--data", str(path), "--config", str(config))
+        assert rc == 0
+        echo = json.loads((outdir / "config.json").read_text())
+        assert (echo["epochs"], echo["lr"], echo["seed"]) == (1, 1, 0)
+        assert type(echo["epochs"]) is int
+
+    def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bin.csv"
+        bad.write_bytes(b"adagev-blobs v1\nsource,0,1.0,\xff\xfe\n")
+        rc = run("train", "--out", str(tmp_path / "run"), "--data", str(bad))
+        assert rc == 3
+        assert "bin.csv: not UTF-8" in capsys.readouterr().err
+
 
 class TestEval:
     def test_report(self, small_data, trained_dir, tmp_path, capsys):
@@ -256,6 +302,13 @@ class TestFitGev:
         assert rc == 3
         assert "v.txt:101: not a finite real" in capsys.readouterr().err
 
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bin.txt"
+        bad.write_bytes(b"1.0\n\x80\x81\n")
+        rc = run("fit-gev", "--input", str(bad), "--out", str(tmp_path / "g.json"))
+        assert rc == 3
+        assert "bin.txt: not UTF-8" in capsys.readouterr().err
+
     def test_degenerate_values(self, tmp_path):
         src = tmp_path / "v.txt"
         src.write_text("\n".join(["2.0"] * 100))
@@ -281,3 +334,12 @@ class TestSweep:
         assert (outdir / "report_000.json").exists()
         assert (outdir / "report_001.json").exists()
         assert "OS" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, adagev.cli; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

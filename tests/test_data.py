@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adagev import data as dt
 
@@ -187,6 +189,76 @@ class TestIdx:
         lbl_path.write_bytes(struct.pack(">II", 0x00000801, 3) + b"\x00\x00\x00")
         with pytest.raises(dt.DataError):
             dt.load_idx(img_path, lbl_path)
+
+
+HEADER = (dt.EXPORT_HEADER + "\n").encode()
+# Row-shaped text from a small alphabet reaches the row parser more often
+# than arbitrary bytes do.
+blob_rows = st.lists(
+    st.tuples(st.sampled_from([b"source", b"target", b"src", b""]),
+              st.sampled_from([b"0", b"1", b"-3", b"x", b"9" * 25, b""]),
+              st.lists(st.sampled_from([b"1.5", b"-0", b"nan", b"1e999", b"2_0", b"",
+                                        b"\xff", b"\x00"]), max_size=3))
+    .map(lambda r: b",".join([r[0], r[1], *r[2]])),
+    max_size=6).map(b"\n".join)
+
+
+@given(st.one_of(st.binary(max_size=200), st.binary(max_size=200).map(HEADER.__add__),
+                 blob_rows.map(HEADER.__add__)))
+@settings(max_examples=300, deadline=None)
+def test_any_bytes_load_as_blobs_or_raise_data_error(tmp_path_factory, raw):
+    path = tmp_path_factory.mktemp("fuzz") / "blobs.csv"
+    path.write_bytes(raw)
+    try:
+        src_x, src_y, tgt_x, tgt_y = dt.load_blobs(path)
+    except dt.DataError:
+        return
+    for x, y in ((src_x, src_y), (tgt_x, tgt_y)):
+        assert x.dtype == np.float64 and y.dtype == np.int64
+        assert x.ndim == 2 and x.shape[1] >= 1 and len(x) == len(y) >= 1
+        assert np.isfinite(x).all()
+    assert src_x.shape[1] == tgt_x.shape[1]
+
+
+@given(st.sampled_from([(dt.IDX_IMAGE_MAGIC, 3), (dt.IDX_LABEL_MAGIC, 1)]),
+       st.one_of(st.binary(max_size=64),
+                 st.tuples(st.lists(st.integers(0, 2 ** 32 - 1), min_size=3, max_size=3),
+                           st.binary(max_size=64))
+                 .map(lambda t: struct.pack(">IIII", dt.IDX_IMAGE_MAGIC, *t[0]) + t[1]),
+                 st.tuples(st.integers(0, 70), st.binary(max_size=80))
+                 .map(lambda t: struct.pack(">II", dt.IDX_LABEL_MAGIC, t[0]) + t[1])))
+@settings(max_examples=300, deadline=None)
+def test_any_bytes_read_as_idx_or_raise_data_error(tmp_path_factory, kind, raw):
+    magic, ndim = kind
+    path = tmp_path_factory.mktemp("fuzz") / "file.idx"
+    path.write_bytes(raw)
+    try:
+        dims, values = dt._read_idx(path, magic, ndim)
+    except dt.DataError:
+        return
+    assert len(dims) == ndim and values.dtype == np.uint8
+    assert values.size == int(np.prod(dims, dtype=object))
+
+
+def test_non_utf8_blobs_are_data_error(tmp_path):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(HEADER + b"source,0,\xff\n")
+    with pytest.raises(dt.DataError, match=r"bin\.csv: not UTF-8"):
+        dt.load_blobs(path)
+
+
+def test_label_beyond_int64_is_data_error(tmp_path):
+    path = tmp_path / "big.csv"
+    path.write_bytes(HEADER + b"source,0,1.0\ntarget," + b"9" * 25 + b",1.0\n")
+    with pytest.raises(dt.DataError, match=r"big\.csv:3: class label out of range"):
+        dt.load_blobs(path)
+
+
+def test_idx_dims_product_beyond_int64_is_truncation(tmp_path):
+    path = tmp_path / "huge.idx"
+    path.write_bytes(struct.pack(">IIII", dt.IDX_IMAGE_MAGIC, 2 ** 32 - 1, 2 ** 32 - 1, 2 ** 31))
+    with pytest.raises(dt.DataError, match="truncated payload"):
+        dt._read_idx(path, dt.IDX_IMAGE_MAGIC, 3)
 
 
 @pytest.fixture

@@ -1,3 +1,4 @@
+import itertools
 import json
 import struct
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adagev import autodiff as ad
 from adagev import model as md
 from adagev.evt import GevParams
 
@@ -111,6 +113,34 @@ class TestForward:
         a = md.forward_features(params, x)
         b = md.forward_features(params, x)
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("activation,head", itertools.product(("relu", "tanh"),
+                                                              ("none", "softmax", "sigmoid")))
+def test_graph_free_forward_equals_graph_bit_for_bit(activation, head):
+    spec = md.MlpSpec((5, 16, 8, 3 if head == "softmax" else 1), activation, head)
+    group = md._init_group(spec, np.random.default_rng(6))
+    group[1] += 0.1  # nonzero biases, so the bias add is exercised
+    x = np.random.default_rng(7).standard_normal((40, 5)) * 3
+    x_before = x.copy()
+    graph = md.mlp_graph(spec, md.group_nodes(group), ad.leaf(x)).value
+    plain = md.mlp_forward(spec, group, x)
+    assert plain.tobytes() == graph.tobytes()
+    np.testing.assert_array_equal(x, x_before)  # the in-place layers leave the input alone
+
+
+class TestGraphFreeForwardNonFinite:
+    def test_non_finite_input(self, params):
+        x = np.ones((2, 3))
+        x[1, 2] = np.nan
+        with pytest.raises(ad.NonFiniteError):
+            md.forward_features(params, x)
+
+    def test_overflowing_output(self, params):
+        params.theta_c[0] = np.full_like(params.theta_c[0], 1e300)
+        params.theta_c[0][:, 0] = -1e300
+        with pytest.raises(ad.NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
+            md.forward_classifier(params, np.full((2, params.feature_dim), 1e10))
 
 
 class TestCheckpoint:

@@ -265,3 +265,23 @@ class TestTotalStepGradients:
                                          obj.WeightConfig())
         for a, b in zip(step1.grads["theta_d"], step2.grads["theta_d"]):
             np.testing.assert_allclose(a, b, atol=1e-12)
+
+    def test_nodes_per_step(self, monkeypatch):
+        # the benchmark's specs: two extractor layers, one classifier layer,
+        # two discriminator layers; each affine layer is one fused linear node
+        counts = []
+        backward = ad.backward
+
+        def counting_backward(loss):
+            counts.append(len(ad.topo_order(loss)))
+            backward(loss)
+
+        monkeypatch.setattr(ad, "backward", counting_backward)
+        rng = np.random.default_rng(0)
+        params = md.init_params(*md.default_specs(2, 4), seed=0)
+        batch = dt.DomainBatch(source_x=rng.standard_normal((8, 2)),
+                               source_y=rng.integers(0, 4, 8),
+                               unknown_x=rng.standard_normal((8, 2)),
+                               target_x=rng.standard_normal((8, 2)))
+        obj.total_step_gradients(batch, params, obj.LossWeights(), obj.WeightConfig())
+        assert counts == [59]

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adagev import data as dt
@@ -229,6 +229,41 @@ class TestComputeReport:
         assert rep.sample_count == 50
 
 
+def loop_confusion(true, pred, k):
+    """The confusion matrix one row at a time: the reference for compute_report."""
+    confusion = np.zeros((k + 1, k + 1), dtype=np.int64)
+    for t, p in zip(true, pred):
+        confusion[k if t == pl.UNKNOWN else t, k if p == pl.UNKNOWN else p] += 1
+    return confusion
+
+
+@st.composite
+def roles_and_predictions(draw):
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(0, 80))
+    # a subset of the K+1 labels, so some classes are absent; [-1] is all-UNKNOWN
+    labels = draw(st.lists(st.integers(-1, k - 1), min_size=1, unique=True))
+    column = st.lists(st.sampled_from(labels), min_size=n, max_size=n)
+    return k, np.array(draw(column), dtype=np.int64), np.array(draw(column), dtype=np.int64)
+
+
+@given(roles_and_predictions())
+@example((3, np.full(5, -1), np.full(5, -1)))  # all UNKNOWN
+@settings(max_examples=200, deadline=None)
+def test_confusion_matches_row_loop(case):
+    k, true, pred = case
+    rep = pl.compute_report(true, pred, k)
+    np.testing.assert_array_equal(rep.confusion, loop_confusion(true, pred, k))
+    assert rep.confusion.dtype == np.int64 and rep.sample_count == len(true)
+
+
+@pytest.mark.parametrize("true,pred", [([0, 3], [0, 0]), ([0, -2], [0, 0]),
+                                       ([0, 1], [0, 3]), ([0, 1], [0])])
+def test_compute_report_rejects_out_of_range(true, pred):
+    with pytest.raises(ValueError):
+        pl.compute_report(np.array(true), np.array(pred), 3)
+
+
 @pytest.fixture(scope="module")
 def pool():
     return tiny_pool()
@@ -271,6 +306,28 @@ class TestBinaryHead:
         assert ((p > 0.5) == labels.astype(bool)).mean() > 0.95
 
 
+def test_adam_step_equals_out_of_place_expressions_bit_for_bit():
+    rng = np.random.default_rng(0)
+    shapes = [(3, 4), (4,), (4, 1)]
+    params = [rng.standard_normal(s) for s in shapes]
+    ref = [p.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    adam = pl._Adam(1e-2)
+    b1, b2, eps = adam.beta1, adam.beta2, adam.eps
+    for t in range(1, 6):
+        grads = [rng.standard_normal(s) for s in shapes]
+        adam.step(params, grads)
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1 - b1) * g
+            v[i] = b2 * v[i] + (1 - b2) * g * g
+            m_hat = m[i] / (1 - b1 ** t)
+            v_hat = v[i] / (1 - b2 ** t)
+            ref[i] = ref[i] - 1e-2 * m_hat / (np.sqrt(v_hat) + eps)
+        for p, r in zip(params, ref):
+            assert p.tobytes() == r.tobytes()
+
+
 class TestDivergence:
     def test_huge_lr_raises(self):
         with pytest.raises((pl.NumericalError, evt.FitError)):
@@ -278,5 +335,5 @@ class TestDivergence:
                      tiny_config(epochs=10, learning_rate=10.0, optimizer="sgd_momentum"))
 
     def test_non_finite_step_names_epoch_and_iteration(self):
-        with pytest.raises(pl.NumericalError, match=r"epoch 1, iteration 2: op 'matmul'"):
+        with pytest.raises(pl.NumericalError, match=r"epoch 1, iteration 2: op 'linear'"):
             pl.train(tiny_pool(), md.default_specs(2, 4), tiny_config(learning_rate=1e150))
