@@ -64,32 +64,25 @@ def as_node(x) -> Node:
     return x if isinstance(x, Node) else leaf(x)
 
 
-def matmul(a: Node, b: Node) -> Node:
-    a, b = as_node(a), as_node(b)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise AutodiffError(
-            f"matmul shape mismatch: {a.value.shape} x {b.value.shape}"
-        )
+def linear(x, w: Node, b: Node) -> Node:
+    """Affine layer x @ w + b, the engine's only matrix product.
 
-    def vjp(g):
-        return g @ b.value.T, a.value.T @ g
-
-    return Node(a.value @ b.value, (a, b), vjp, op="matmul")
-
-
-def linear(x: Node, w: Node, b: Node) -> Node:
-    """Affine layer x @ w + b: one node for matmul followed by add_bias."""
-    x, w, b = as_node(x), as_node(w), as_node(b)
-    if (x.value.ndim != 2 or w.value.ndim != 2 or x.value.shape[1] != w.value.shape[0]
+    A plain array ``x`` (a data batch) gets no parent edge, so its
+    gradient, which nothing reads, is never computed.
+    """
+    w, b = as_node(w), as_node(b)
+    data = not isinstance(x, Node)
+    xv = np.asarray(x, dtype=np.float64) if data else x.value
+    if (xv.ndim != 2 or w.value.ndim != 2 or xv.shape[1] != w.value.shape[0]
             or b.value.shape != (w.value.shape[1],)):
         raise AutodiffError(
-            f"linear shape mismatch: {x.value.shape} x {w.value.shape} + {b.value.shape}"
+            f"linear shape mismatch: {xv.shape} x {w.value.shape} + {b.value.shape}"
         )
-
-    def vjp(g):
-        return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
-
-    return Node(x.value @ w.value + b.value, (x, w, b), vjp, op="linear")
+    value = xv @ w.value + b.value
+    if data:
+        return Node(value, (w, b), lambda g: (xv.T @ g, g.sum(axis=0)), op="linear")
+    return Node(value, (x, w, b), lambda g: (g @ w.value.T, xv.T @ g, g.sum(axis=0)),
+                op="linear")
 
 
 def add(a: Node, b) -> Node:
@@ -118,20 +111,6 @@ def scale(a: Node, k: float) -> Node:
     """Multiply by a python constant (no graph node for the constant)."""
     a = as_node(a)
     return Node(a.value * k, (a,), lambda g: (g * k,), op="scale")
-
-
-def add_bias(x: Node, b: Node) -> Node:
-    """Add a bias row vector to every row of a matrix."""
-    x, b = as_node(x), as_node(b)
-    if x.value.ndim != 2 or b.value.shape != (x.value.shape[1],):
-        raise AutodiffError(
-            f"add_bias shape mismatch: {x.value.shape} + {b.value.shape}"
-        )
-
-    def vjp(g):
-        return g, g.sum(axis=0)
-
-    return Node(x.value + b.value, (x, b), vjp, op="add_bias")
 
 
 def relu(x: Node) -> Node:
@@ -272,13 +251,8 @@ def grad_reverse(x: Node, grl_scale: float = 1.0) -> Node:
     x = as_node(x)
     if grl_scale <= 0:
         raise AutodiffError("grad_reverse scale must be positive")
-    node = Node.__new__(Node)
-    node.value = x.value  # bit-identical forward, no copy
-    node.grad = None
-    node.parents = (x,)
-    node._vjp = lambda g: (-grl_scale * g,)
-    node.op = "grad_reverse"
-    return node
+    # np.asarray does not copy a float64 array: the forward is x.value itself
+    return Node(x.value, (x,), lambda g: (-grl_scale * g,), op="grad_reverse")
 
 
 def _check_broadcast(a: Node, b: Node, op: str) -> None:

@@ -134,6 +134,10 @@ def _resolve(args, command):
             raise dt.DataError(f"cannot read config {config_path}: {e}") from e
         if not isinstance(file_values, dict):
             raise UsageError(f"config {config_path} must hold a JSON object")
+        # a run's config.json echo names its subcommand; it replays only that one
+        echoed = file_values.pop("command", args.command)
+        if echoed != args.command:
+            raise UsageError(f"config {config_path} is for {echoed!r}, not {args.command!r}")
         unknown = set(file_values) - set(merged)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")

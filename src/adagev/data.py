@@ -38,10 +38,10 @@ class RoleSplit:
     def __post_init__(self):
         if not self.known:
             raise DataError("known class list must be nonempty")
-        pools = [set(self.known), set(self.source_unknown), set(self.target_unknown)]
-        total = sum(len(p) for p in pools)
-        if len(set().union(*pools)) != total:
-            raise DataError("role class lists must be pairwise disjoint")
+        ids = [*self.known, *self.source_unknown, *self.target_unknown]
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            raise DataError(f"class ids {repeated} appear more than once in the role lists")
 
     @property
     def num_known(self) -> int:
@@ -106,12 +106,14 @@ class BlobShiftConfig:
     def __post_init__(self):
         if self.class_count < 1 or self.dim < 2:
             raise DataError("need class_count >= 1 and dim >= 2")
-        if self.cluster_std <= 0:
-            raise DataError("cluster_std must be positive")
+        if not (np.isfinite(self.cluster_std) and self.cluster_std > 0):
+            raise DataError("cluster_std must be a positive finite real")
         if self.source_per_class < 1 or self.target_per_class < 1:
             raise DataError("per-class counts must be positive")
         if len(self.translation) != 2:
             raise DataError("translation applies to the circle plane, give 2 components")
+        if not np.isfinite([self.rotation, *self.translation]).all():
+            raise DataError("rotation and translation must be finite")
 
 
 def _class_means(cfg: BlobShiftConfig) -> np.ndarray:

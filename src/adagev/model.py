@@ -80,7 +80,8 @@ def default_specs(input_dim: int, num_classes: int) -> tuple[MlpSpec, MlpSpec, M
     return spec_g, spec_c, spec_d
 
 
-def _init_group(spec: MlpSpec, rng: np.random.Generator) -> list[np.ndarray]:
+def init_group(spec: MlpSpec, rng: np.random.Generator) -> list[np.ndarray]:
+    """One network's [W0, b0, W1, b1, ...]: scaled uniform weights, zero biases."""
     params = []
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
         bound = np.sqrt(6.0 / (fan_in + fan_out))
@@ -110,9 +111,9 @@ def init_params(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int) ->
     rng = np.random.default_rng(seed)
     return ModelParams(
         spec_g, spec_c, spec_d,
-        theta_g=_init_group(spec_g, rng),
-        theta_c=_init_group(spec_c, rng),
-        theta_d=_init_group(spec_d, rng),
+        theta_g=init_group(spec_g, rng),
+        theta_c=init_group(spec_c, rng),
+        theta_d=init_group(spec_d, rng),
     )
 
 
@@ -121,8 +122,8 @@ def group_nodes(group: list[np.ndarray]) -> list[Node]:
     return [ad.leaf(p) for p in group]
 
 
-def mlp_graph(spec: MlpSpec, param_nodes: list[Node], x: Node) -> Node:
-    """Forward an MLP as a graph: affine layers, hidden activation, head."""
+def mlp_graph(spec: MlpSpec, param_nodes: list[Node], x) -> Node:
+    """Forward an MLP as a graph; ``x`` is a node, or an array for a data batch."""
     act = _ACTIVATIONS[spec.activation]
     n_layers = len(spec.widths) - 1
     h = x

@@ -176,9 +176,9 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
     c_nodes = md.group_nodes(params.theta_c)
     d_nodes = md.group_nodes(params.theta_d)
 
-    feat_s = md.mlp_graph(params.spec_g, g_nodes, ad.leaf(batch.source_x))
-    feat_u = md.mlp_graph(params.spec_g, g_nodes, ad.leaf(batch.unknown_x))
-    feat_t = md.mlp_graph(params.spec_g, g_nodes, ad.leaf(batch.target_x))
+    feat_s = md.mlp_graph(params.spec_g, g_nodes, batch.source_x)
+    feat_u = md.mlp_graph(params.spec_g, g_nodes, batch.unknown_x)
+    feat_t = md.mlp_graph(params.spec_g, g_nodes, batch.target_x)
 
     probs_t = md.mlp_graph(params.spec_c, c_nodes, feat_t)
     h_t = entropy(probs_t.value)  # detached: weights carry no gradient

@@ -42,8 +42,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate < 0:
-            raise ValueError("need epochs >= 1, batch_size >= 1, learning_rate >= 0")
+        if self.epochs < 1 or self.batch_size < 1 or not 0 <= self.learning_rate < np.inf:
+            raise ValueError("need epochs >= 1, batch_size >= 1, finite learning_rate >= 0")
         if self.optimizer not in ("adam", "sgd_momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
@@ -56,6 +56,8 @@ class AblationMode:
     def __post_init__(self):
         if self.variant not in ABLATION_VARIANTS:
             raise ValueError(f"variant must be one of {ABLATION_VARIANTS}")
+        if self.hard_threshold is not None and not np.isfinite(self.hard_threshold):
+            raise ValueError(f"hard_threshold must be finite, got {self.hard_threshold}")
 
 
 @dataclass
@@ -140,23 +142,9 @@ def _make_optimizer(tc: TrainConfig):
     return _SgdMomentum(tc.learning_rate)
 
 
-def source_entropies(params: md.ModelParams, pool: dt.DatasetPool,
-                     source_pool: str = "known_only") -> np.ndarray:
-    """Prediction entropies of the source samples used for the GEV fit."""
-    xs = [pool.source_known_x]
-    if source_pool == "known_plus_unknown":
-        xs.append(pool.source_unknown_x)
-    probs = np.concatenate([
-        md.forward_classifier(params, md.forward_features(params, x)) for x in xs
-    ])
-    return obj.entropy(probs)
-
-
-def fit_rejector(params: md.ModelParams, pool: dt.DatasetPool,
-                 tail: evt.TailConfig, seed: int = 0) -> evt.GevParams:
+def fit_rejector(entropies: np.ndarray, tail: evt.TailConfig, seed: int = 0) -> evt.GevParams:
     """Fit the GEV to the extracted tail of the source entropy distribution."""
-    h = source_entropies(params, pool, tail.source_pool)
-    return evt.fit_gev_mle(evt.extract_tail(h, tail, rng_seed=seed))
+    return evt.fit_gev_mle(evt.extract_tail(entropies, tail, rng_seed=seed))
 
 
 def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
@@ -203,7 +191,10 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     except ad.NonFiniteError as e:
         raise NumericalError(f"training diverged at epoch {epoch}, iteration {it}: {e}") from e
 
-    gev = fit_rejector(params, pool, tc.tail_config, seed=int(tail_seed))
+    # the last epoch's entropies come from the final parameters; entropy is row-wise
+    if tc.tail_config.source_pool == "known_plus_unknown":
+        h_known = np.concatenate([h_known, h_unknown])
+    gev = fit_rejector(h_known, tc.tail_config, seed=int(tail_seed))
     return TrainResult(params, gev, log)
 
 
@@ -276,12 +267,12 @@ def _train_binary_head(features: np.ndarray, labels: np.ndarray, seed: int,
     """Post-hoc known-vs-unknown head on frozen features: [f,16,1] MLP, BCE."""
     spec = md.MlpSpec((features.shape[1], 16, 1), activation="relu", head="sigmoid")
     rng = np.random.default_rng(seed)
-    theta = md._init_group(spec, rng)
+    theta = md.init_group(spec, rng)
     optimizer = _Adam(lr)
     y = labels.astype(np.float64)[:, None]
     for _ in range(steps):
         nodes = md.group_nodes(theta)
-        p = md.mlp_graph(spec, nodes, ad.leaf(features))
+        p = md.mlp_graph(spec, nodes, features)
         # BCE: -mean(y log p + (1-y) log(1-p))
         term1 = ad.mul(ad.log_clamped(p), y)
         term2 = ad.mul(ad.log_clamped(ad.add(ad.scale(p, -1.0), 1.0)), 1.0 - y)

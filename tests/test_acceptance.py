@@ -80,7 +80,7 @@ def test_criterion_1_gradient_correctness():
         nodes = [ad.leaf(t) for t in tensors]
         i = 0
         for act in acts:
-            h = ad.add_bias(ad.matmul(h, nodes[i]), nodes[i + 1])
+            h = ad.linear(h, nodes[i], nodes[i + 1])
             i += 2
             if act == "relu":
                 h = ad.relu(h)

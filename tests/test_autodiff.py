@@ -24,18 +24,24 @@ def rel_err(a, b):
 
 
 class TestMatmul:
+    """The matrix product of ``linear``, the engine's only one, with a zero bias."""
+
+    @staticmethod
+    def product(a, b):
+        return ad.linear(a, b, ad.leaf(np.zeros(b.shape[1])))
+
     def test_identity(self):
         m = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = ad.matmul(ad.leaf(np.eye(2)), ad.leaf(m))
+        out = self.product(ad.leaf(np.eye(2)), ad.leaf(m))
         np.testing.assert_array_equal(out.value, m)
 
     def test_hand_product(self):
-        out = ad.matmul(ad.leaf([[1.0, 2.0]]), ad.leaf([[3.0], [4.0]]))
+        out = self.product(ad.leaf([[1.0, 2.0]]), ad.leaf([[3.0], [4.0]]))
         assert out.value[0, 0] == 11.0
 
     def test_shape_mismatch(self):
         with pytest.raises(ad.AutodiffError):
-            ad.matmul(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))))
+            self.product(ad.leaf(np.ones((2, 3))), ad.leaf(np.ones((2, 3))))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -43,10 +49,10 @@ class TestMatmul:
         b0 = rng.standard_normal((4, 2))
 
         def f(a):
-            return float(ad.reduce_sum(ad.matmul(ad.leaf(a), ad.leaf(b0))).value)
+            return float(ad.reduce_sum(self.product(ad.leaf(a), ad.leaf(b0))).value)
 
         a = ad.leaf(a0)
-        loss = ad.reduce_sum(ad.matmul(a, ad.leaf(b0)))
+        loss = ad.reduce_sum(self.product(a, ad.leaf(b0)))
         ad.backward(loss)
         assert rel_err(a.grad, finite_diff(f, a0)) < 1e-4
 
@@ -56,8 +62,7 @@ class TestLinear:
         rng = np.random.default_rng(3)
         x, w, b = rng.standard_normal((5, 4)), rng.standard_normal((4, 3)), rng.standard_normal(3)
         fused = ad.linear(ad.leaf(x), ad.leaf(w), ad.leaf(b))
-        unfused = ad.add_bias(ad.matmul(ad.leaf(x), ad.leaf(w)), ad.leaf(b))
-        np.testing.assert_array_equal(fused.value, unfused.value)
+        np.testing.assert_array_equal(fused.value, x @ w + b)
         assert fused.op == "linear"
 
     def test_shape_mismatch(self):
@@ -82,6 +87,20 @@ class TestLinear:
                 args[i] = ad.leaf(v)
                 return float(loss(*args).value)
             assert rel_err(node.grad, finite_diff(f, v0)) < 1e-6, f"operand {i}"
+
+    def test_array_input_gets_no_edge_and_same_parameter_gradients(self):
+        rng = np.random.default_rng(9)
+        x, w0, b0 = rng.standard_normal((6, 3)), rng.standard_normal((3, 2)), rng.standard_normal(2)
+        c = rng.standard_normal((6, 2))
+        grads = []
+        for inp in (ad.leaf(x), x):
+            w, b = ad.leaf(w0), ad.leaf(b0)
+            out = ad.linear(inp, w, b)
+            ad.backward(ad.reduce_sum(ad.mul(ad.tanh(out), ad.leaf(c))))
+            grads.append((w.grad, b.grad, len(out.parents)))
+        (wl, bl, nl), (wa, ba, na) = grads
+        assert (nl, na) == (3, 2)  # the array is data: no parent edge, no input gradient
+        assert wl.tobytes() == wa.tobytes() and bl.tobytes() == ba.tobytes()
 
 
 class TestSoftmax:
@@ -224,13 +243,13 @@ class TestBackward:
         x0 = rng.standard_normal((4, 3))
 
         def net(w1v, b1v, w2v, b2v):
-            h = ad.tanh(ad.add_bias(ad.matmul(ad.leaf(x0), ad.leaf(w1v)), ad.leaf(b1v)))
-            out = ad.stable_softmax(ad.add_bias(ad.matmul(h, ad.leaf(w2v)), ad.leaf(b2v)))
+            h = ad.tanh(ad.linear(ad.leaf(x0), ad.leaf(w1v), ad.leaf(b1v)))
+            out = ad.stable_softmax(ad.linear(h, ad.leaf(w2v), ad.leaf(b2v)))
             return ad.reduce_mean(ad.log_clamped(out))
 
         leaves = [ad.leaf(p) for p in (w1, b1, w2, b2)]
-        h = ad.tanh(ad.add_bias(ad.matmul(ad.leaf(x0), leaves[0]), leaves[1]))
-        out = ad.stable_softmax(ad.add_bias(ad.matmul(h, leaves[2]), leaves[3]))
+        h = ad.tanh(ad.linear(ad.leaf(x0), leaves[0], leaves[1]))
+        out = ad.stable_softmax(ad.linear(h, leaves[2], leaves[3]))
         ad.backward(ad.reduce_mean(ad.log_clamped(out)))
 
         params = [w1, b1, w2, b2]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adagev import cli, evt
+from adagev import cli, data as dt, evt, model as md, pipeline as pl
 
 
 def run(*argv):
@@ -55,6 +55,24 @@ class TestGenData:
     def test_too_few_classes_for_split(self, tmp_path):
         rc = run("gen-data", "--out", str(tmp_path / "x.csv"), "--classes", "5")
         assert rc == 2
+
+    @pytest.mark.parametrize("flag,value", [("--std", "nan"), ("--std", "inf"),
+                                            ("--rotation-deg", "nan"), ("--translate", "nan,0")])
+    def test_non_finite_setting_is_data_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.csv"
+        assert run("gen-data", "--out", str(out), flag, value) == 3
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_echo_replays(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("gen-data", "--out", str(a), "--seed", "5", "--std", "0.2",
+                   "--source-per-class", "5", "--target-per-class", "4") == 0
+        echo = tmp_path / "a.csv.config.json"
+        assert run("gen-data", "--out", str(b), "--config", str(echo)) == 0
+        assert a.read_bytes() == b.read_bytes()
+        replayed = json.loads((tmp_path / "b.csv.config.json").read_text())
+        assert replayed == dict(json.loads(echo.read_text()), out=str(b))
 
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -134,6 +152,36 @@ class TestTrain:
         rc = run("train", "--out", str(tmp_path / "run"), "--data", str(bad))
         assert rc == 3
         assert "bad.csv:6: non-finite feature" in capsys.readouterr().err
+
+    def test_echo_replays_byte_identical(self, trained_dir, tmp_path):
+        outdir = tmp_path / "replay"
+        rc = run("train", "--out", str(outdir), "--config", str(trained_dir / "config.json"))
+        assert rc == 0
+        for name in ("checkpoint.bin", "train_log.jsonl"):
+            assert (outdir / name).read_bytes() == (trained_dir / name).read_bytes()
+
+    def test_config_of_another_command(self, small_data, tmp_path, capsys):
+        path, _ = small_data
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"command": "gen-data", "seed": 1}))
+        rc = run("train", "--out", str(tmp_path / "o"), "--data", str(path),
+                 "--config", str(config))
+        assert rc == 2
+        assert "is for 'gen-data', not 'train'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_learning_rate_is_usage_error(self, small_data, tmp_path, capsys, value):
+        _, flags = small_data
+        rc = run("train", "--out", str(tmp_path / "run"), *flags, "--lr", value)
+        assert rc == 2
+        assert "learning_rate" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_repeated_role_id_is_data_error(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        rc = run("train", "--out", str(tmp_path / "run"), *flags, "--known", "0,0")
+        assert rc == 3
+        assert "class ids [0] appear more than once" in capsys.readouterr().err
 
     def test_unknown_config_key(self, small_data, tmp_path):
         path, _ = small_data
@@ -263,6 +311,15 @@ class TestAblate:
         report = json.loads((outdir / "report.json").read_text())
         assert report["UNK"] == 1.0  # tau 0 rejects everything
 
+    def test_non_finite_tau_is_usage_error(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        outdir = tmp_path / "abl"
+        rc = run("ablate", "--out", str(outdir), "--variant", "hard-threshold",
+                 "--tau", "nan", *flags)
+        assert rc == 2
+        assert "hard_threshold must be finite" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 class TestFitGev:
     def test_fit_from_file(self, tmp_path, capsys):
@@ -334,6 +391,34 @@ class TestSweep:
         assert (outdir / "report_000.json").exists()
         assert (outdir / "report_001.json").exists()
         assert "OS" in capsys.readouterr().out
+
+
+def test_cli_defaults_match_library_defaults():
+    """Every CLI default is also a library default; the two must not drift apart."""
+    gen = {key: flag.default for key, flag in cli.GEN_FLAGS.items()}
+    bc = dt.BlobShiftConfig()
+    assert (gen["classes"], gen["dim"], gen["std"], gen["source_per_class"],
+            gen["target_per_class"], gen["seed"]) == (
+        bc.class_count, bc.dim, bc.cluster_std, bc.source_per_class,
+        bc.target_per_class, bc.seed)
+    assert np.deg2rad(gen["rotation_deg"]) == bc.rotation
+    assert cli._parse_float_pair(gen["translate"]) == bc.translation
+
+    split = {key: flag.default for key, flag in cli.SPLIT_FLAGS.items()}
+    assert cli._split_from(split) == dt.digits_split()
+
+    train = {key: flag.default for key, flag in cli.TRAIN_FLAGS.items()}
+    # _train_config maps --batch, --lr, the three lambdas, the weight and z
+    # modes and --tail/--tail-pool onto TrainConfig and its nested configs
+    assert cli._train_config(train) == pl.TrainConfig()
+    spec_g = md.default_specs(input_dim=2, num_classes=4)[0]
+    assert cli._parse_int_list(train["hidden"]) == spec_g.widths[1:]
+
+    ablate = {key: flag for group in cli.COMMANDS["ablate"].groups
+              for key, flag in group.items()}
+    mode = pl.AblationMode()
+    assert ablate["variant"].default.replace("-", "_") == mode.variant
+    assert ablate["tau"].default == mode.hard_threshold
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

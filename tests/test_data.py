@@ -26,6 +26,12 @@ class TestRoleSplit:
         with pytest.raises(dt.DataError):
             dt.RoleSplit(known=(0,), source_unknown=(1,), target_unknown=(1,))
 
+    @pytest.mark.parametrize("lists", [dict(known=(0, 0)), dict(known=(0,), source_unknown=(1, 1)),
+                                       dict(known=(0,), target_unknown=(2, 3, 2))])
+    def test_repeated_id_within_a_list_rejected(self, lists):
+        with pytest.raises(dt.DataError, match="appear more than once"):
+            dt.RoleSplit(**lists)
+
 
 class TestBlobGeneration:
     def test_shapes_and_labels(self):
@@ -66,6 +72,13 @@ class TestBlobGeneration:
             dt.BlobShiftConfig(dim=1)
         with pytest.raises(dt.DataError):
             dt.BlobShiftConfig(translation=(1.0,))
+
+    @pytest.mark.parametrize("setting", [dict(cluster_std=np.nan), dict(cluster_std=np.inf),
+                                         dict(rotation=np.nan), dict(translation=(np.nan, 0.0)),
+                                         dict(translation=(0.0, -np.inf))])
+    def test_non_finite_setting_rejected(self, setting):
+        with pytest.raises(dt.DataError):
+            dt.BlobShiftConfig(**setting)
 
 
 class TestBlobCsv:

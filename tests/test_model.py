@@ -119,7 +119,7 @@ class TestForward:
                                                               ("none", "softmax", "sigmoid")))
 def test_graph_free_forward_equals_graph_bit_for_bit(activation, head):
     spec = md.MlpSpec((5, 16, 8, 3 if head == "softmax" else 1), activation, head)
-    group = md._init_group(spec, np.random.default_rng(6))
+    group = md.init_group(spec, np.random.default_rng(6))
     group[1] += 0.1  # nonzero biases, so the bias add is exercised
     x = np.random.default_rng(7).standard_normal((40, 5)) * 3
     x_before = x.copy()

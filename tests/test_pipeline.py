@@ -44,6 +44,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             pl.AblationMode("nope")
 
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate"):
+            pl.TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hard_threshold(self, tau):
+        with pytest.raises(ValueError, match="hard_threshold"):
+            pl.AblationMode("hard_threshold", hard_threshold=tau)
+
 
 class TestTrain:
     def test_returns_log_per_epoch(self):
