@@ -78,7 +78,8 @@ def linear(x, w: Node, b: Node) -> Node:
         raise AutodiffError(
             f"linear shape mismatch: {xv.shape} x {w.value.shape} + {b.value.shape}"
         )
-    value = xv @ w.value + b.value
+    with np.errstate(over="ignore", invalid="ignore"):  # Node reports a non-finite value
+        value = xv @ w.value + b.value
     if data:
         return Node(value, (w, b), lambda g: (xv.T @ g, g.sum(axis=0)), op="linear")
     return Node(value, (x, w, b), lambda g: (g @ w.value.T, xv.T @ g, g.sum(axis=0)),

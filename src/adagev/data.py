@@ -7,6 +7,13 @@ into known classes (re-indexed 0..K-1), source-unknown classes, and
 target-unknown classes; applying it yields the three pools the training
 loop draws from. Target ground-truth roles are kept out of every
 trainer-visible accessor.
+
+The blobs CSV reader checks and converts whole columns at once, with
+``float`` and ``int`` as the converters, so it accepts exactly the files
+that a row-at-a-time reader with the same checks accepts. Every rejection
+is a DataError naming the file and the first defective line
+(``file:line``). Inference over a loaded pool runs in row blocks of a
+fixed minimum size (``pipeline.INFER_BLOCK_ROWS``).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -155,35 +163,57 @@ def save_blobs(path, source_x, source_y, target_x, target_y) -> None:
                 f.write(f"{domain},{int(label)},{feats}\n")
 
 
-def _numbered_lines(path):
-    """(line number, line) of a UTF-8 text file; text that is not UTF-8 is a DataError."""
+def _read_text(path) -> str:
+    """The whole of a UTF-8 text file, with '\\r\\n' and '\\r' read as '\\n';
+    text that is not UTF-8 is a DataError."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            yield from enumerate(f, start=1)
+            return f.read()
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
 
 
-def load_blobs(path):
-    """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y).
+def _parse_rows(rows: list[str]):
+    """(features, labels, is_source) of stripped nonblank rows, or None if any
+    row is defective.
 
-    Every row must have the first row's width, finite features and an
-    int64 class label.
+    Each check runs over all rows at once, with ``float`` and ``int`` as the
+    converters; which row is at fault is left to ``_raise_first_defect``.
     """
-    lines = _numbered_lines(path)
-    _, header = next(lines, (1, ""))
-    header = header.rstrip("\n")
-    if header != EXPORT_HEADER:
-        raise DataError(f"{path}: bad header {header!r}")
-    rows = {"source": ([], []), "target": ([], [])}
+    n = len(rows)
+    if not n:
+        return np.empty((0, 0)), np.empty(0, np.int64), np.empty(0, bool)
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, n)
+    if commas[0] < 2 or (commas != commas[0]).any():
+        return None
+    width = int(commas[0]) + 1
+    cells = ",".join(rows).split(",")
+    domains = cells[0::width]
+    if not {"source", "target"}.issuperset(domains):
+        return None
+    is_source = np.fromiter(map("source".__eq__, domains), bool, n)
+    del cells[0::width]
+    labels = cells[0::width - 1]
+    del cells[0::width - 1]
+    try:
+        x = np.fromiter(map(float, cells), np.float64, len(cells)).reshape(n, width - 2)
+        y = np.fromiter(map(int, labels), np.int64, n)
+    except (ValueError, OverflowError):  # OverflowError: a label beyond int64
+        return None
+    if not np.isfinite(x).all():
+        return None
+    return x, y, is_source
+
+
+def _raise_first_defect(path, lines: list[str]) -> None:
+    """Check the stripped body lines one by one and raise the first defect."""
     width = None
-    for lineno, line in lines:
-        line = line.strip()
+    for lineno, line in enumerate(lines, start=2):
         if not line:
             continue
         parts = line.split(",")
         width = width or len(parts)
-        if len(parts) < 3 or parts[0] not in rows:
+        if len(parts) < 3 or parts[0] not in ("source", "target"):
             raise DataError(f"{path}:{lineno}: malformed row")
         if len(parts) != width:
             raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
@@ -197,21 +227,36 @@ def load_blobs(path):
             raise DataError(f"{path}:{lineno}: non-finite feature")
         if not -2 ** 63 <= label < 2 ** 63:
             raise DataError(f"{path}:{lineno}: class label out of range")
-        rows[parts[0]][0].append(feats)
-        rows[parts[0]][1].append(label)
+
+
+def load_blobs(path):
+    """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y).
+
+    Blank lines are skipped. Every other row must be 'source' or 'target',
+    a class label that ``int`` accepts and that fits int64, and features
+    that ``float`` accepts and that are finite, as many as in the first row.
+    A defective file raises DataError naming its first defective line.
+    """
+    header, _, body = _read_text(path).partition("\n")
+    if header != EXPORT_HEADER:
+        raise DataError(f"{path}: bad header {header!r}")
+    lines = list(map(str.strip, body.split("\n")))
+    parsed = _parse_rows(list(filter(None, lines)))
+    if parsed is None:
+        _raise_first_defect(path, lines)
+    x, y, is_source = parsed
     out = []
-    for domain in ("source", "target"):
-        xs, ys = rows[domain]
-        if not xs:
+    for domain, mask in (("source", is_source), ("target", ~is_source)):
+        if not mask.any():
             raise DataError(f"{path}: no {domain} rows")
-        out.extend([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64)])
+        out.extend([x[mask], y[mask]])
     return tuple(out)
 
 
 def load_reals(path) -> np.ndarray:
     """One finite real per line; blank lines and '#' comments are skipped."""
     values = []
-    for lineno, line in _numbered_lines(path):
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -267,7 +312,7 @@ def apply_roles(source_x, source_y, target_x, target_y, rs: RoleSplit) -> Datase
     if np.shape(source_x)[1:] != np.shape(target_x)[1:]:
         raise DataError(f"source samples have shape {np.shape(source_x)[1:]}, "
                         f"target samples {np.shape(target_x)[1:]}")
-    src_classes, tgt_classes = set(source_y.tolist()), set(target_y.tolist())
+    src_classes, tgt_classes = (set(np.unique(y).tolist()) for y in (source_y, target_y))
     for c in rs.known:
         if c not in src_classes or c not in tgt_classes:
             raise DataError(f"known class {c} missing from source or target")
@@ -278,15 +323,19 @@ def apply_roles(source_x, source_y, target_x, target_y, rs: RoleSplit) -> Datase
         if c not in tgt_classes:
             raise DataError(f"target-unknown class {c} missing from target")
 
-    reindex = {c: i for i, c in enumerate(rs.known)}
-    known_mask = np.isin(source_y, rs.known)
+    # Every known id occurs in the labels, so it fits int64; a known label's
+    # index in the known list is found through the list's sort order.
+    known = np.asarray(rs.known, dtype=np.int64)
+    order = np.argsort(known).astype(np.int64)
+    known_mask = np.isin(source_y, known)
     unknown_mask = np.isin(source_y, rs.source_unknown)
     source_known_x = np.asarray(source_x)[known_mask]
-    source_known_y = np.array([reindex[c] for c in source_y[known_mask]], dtype=np.int64)
+    source_known_y = order[np.searchsorted(known, source_y[known_mask], sorter=order)]
 
-    tgt_keep = np.isin(target_y, rs.known) | np.isin(target_y, rs.target_unknown)
-    kept_y = target_y[tgt_keep]
-    roles = np.array([reindex.get(c, UNKNOWN_ROLE) for c in kept_y], dtype=np.int64)
+    tgt_known = np.isin(target_y, known)
+    tgt_keep = tgt_known | np.isin(target_y, rs.target_unknown)
+    roles = np.full(np.count_nonzero(tgt_keep), UNKNOWN_ROLE, dtype=np.int64)
+    roles[tgt_known[tgt_keep]] = order[np.searchsorted(known, target_y[tgt_known], sorter=order)]
     return DatasetPool(
         source_known_x=source_known_x,
         source_known_y=source_known_y,

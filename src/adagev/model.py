@@ -149,24 +149,24 @@ def mlp_forward(spec: MlpSpec, group: list[np.ndarray], x: np.ndarray) -> np.nda
         raise ad.NonFiniteError("forward input has non-finite values")
     n_layers = len(spec.widths) - 1
     h = x
-    for i in range(n_layers):
-        h = h @ group[2 * i]
-        h += group[2 * i + 1]
-        if i < n_layers - 1:
-            if spec.activation == "relu":
-                h = np.where(h > 0, h, 0.0)
-            else:
-                np.tanh(h, out=h)
-    if spec.head == "softmax":
-        h -= h.max(axis=1, keepdims=True)
-        np.exp(h, out=h)
-        h /= h.sum(axis=1, keepdims=True)
-    elif spec.head == "sigmoid":
-        np.negative(h, out=h)
-        with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # the output check reports them
+        for i in range(n_layers):
+            h = h @ group[2 * i]
+            h += group[2 * i + 1]
+            if i < n_layers - 1:
+                if spec.activation == "relu":
+                    h = np.where(h > 0, h, 0.0)
+                else:
+                    np.tanh(h, out=h)
+        if spec.head == "softmax":
+            h -= h.max(axis=1, keepdims=True)
             np.exp(h, out=h)
-        h += 1.0
-        np.divide(1.0, h, out=h)
+            h /= h.sum(axis=1, keepdims=True)
+        elif spec.head == "sigmoid":
+            np.negative(h, out=h)
+            np.exp(h, out=h)
+            h += 1.0
+            np.divide(1.0, h, out=h)
     if not np.isfinite(h).all():
         raise ad.NonFiniteError("forward produced non-finite values")
     return h

@@ -24,6 +24,7 @@ from . import objective as obj
 
 UNKNOWN = dt.UNKNOWN_ROLE
 ABLATION_VARIANTS = ("full", "no_reweight", "no_evt_binary", "hard_threshold")
+INFER_BLOCK_ROWS = 4096
 
 
 class NumericalError(RuntimeError):
@@ -206,10 +207,24 @@ def predict(probs: np.ndarray, tau: float) -> np.ndarray:
     return np.where(obj.entropy(probs) > tau, UNKNOWN, probs.argmax(axis=1))
 
 
+def _predict_blocks(params: md.ModelParams, x: np.ndarray, tau: float) -> np.ndarray:
+    """``predict`` of the classifier's probabilities, computed over row blocks.
+
+    Each block has INFER_BLOCK_ROWS to 2*INFER_BLOCK_ROWS-1 rows (a smaller
+    pool is one block), so the temporaries stay small. Rows are independent,
+    so blocking changes no prediction. There is no short tail block, because
+    BLAS may round a product of a few rows differently from one of many.
+    """
+    x = np.atleast_2d(x)
+    blocks = np.array_split(x, max(len(x) // INFER_BLOCK_ROWS, 1))
+    return np.concatenate([
+        predict(md.forward_classifier(params, md.forward_features(params, block)), tau)
+        for block in blocks])
+
+
 def infer_batch(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> np.ndarray:
     """Predictions for a batch of samples, rejecting above the GEV median."""
-    probs = md.forward_classifier(params, md.forward_features(params, x))
-    return predict(probs, evt.rejection_threshold(gev))
+    return _predict_blocks(params, x, evt.rejection_threshold(gev))
 
 
 def infer(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> int:
@@ -315,6 +330,5 @@ def run_ablation(pool: dt.DatasetPool, specs, tc: TrainConfig,
         tau = evt.rejection_threshold(result.gev)
         if mode.variant == "hard_threshold":
             tau = mode.hard_threshold if mode.hard_threshold is not None else 0.5 * np.log(k)
-        probs = md.forward_classifier(params, md.forward_features(params, pool.target_x))
-        preds = predict(probs, tau)
+        preds = _predict_blocks(params, pool.target_x, tau)
     return compute_report(pool.eval_target_roles(), preds, k), result

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -137,9 +138,14 @@ class TestTrain:
 
     def test_divergence_is_numerical_failure(self, small_data, tmp_path, capsys):
         _, flags = small_data
-        rc = run("train", "--out", str(tmp_path / "run"), *flags, "--lr", "1e150")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("train", "--out", str(tmp_path / "run"), *flags, "--lr", "1e150")
         assert rc == 4
-        assert "diverged at epoch 1, iteration" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "diverged at epoch 1, iteration" in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_feature_is_data_error(self, small_data, tmp_path, capsys, value):

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -253,6 +254,126 @@ def test_any_bytes_read_as_idx_or_raise_data_error(tmp_path_factory, kind, raw):
     assert values.size == int(np.prod(dims, dtype=object))
 
 
+def reference_load_blobs(path):
+    """The row-at-a-time reader that load_blobs replaced, kept as its reference."""
+    def numbered_lines():
+        try:
+            with open(path, "r", encoding="utf-8") as f:
+                yield from enumerate(f, start=1)
+        except UnicodeDecodeError as e:
+            raise dt.DataError(f"{path}: not UTF-8 text: {e}") from e
+
+    lines = numbered_lines()
+    _, header = next(lines, (1, ""))
+    header = header.rstrip("\n")
+    if header != dt.EXPORT_HEADER:
+        raise dt.DataError(f"{path}: bad header {header!r}")
+    rows = {"source": ([], []), "target": ([], [])}
+    width = None
+    for lineno, line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        width = width or len(parts)
+        if len(parts) < 3 or parts[0] not in rows:
+            raise dt.DataError(f"{path}:{lineno}: malformed row")
+        if len(parts) != width:
+            raise dt.DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
+                               f"the first row has {width - 2}")
+        try:
+            feats = [float(v) for v in parts[2:]]
+            label = int(parts[1])
+        except ValueError as e:
+            raise dt.DataError(f"{path}:{lineno}: {e}") from e
+        if not all(map(math.isfinite, feats)):
+            raise dt.DataError(f"{path}:{lineno}: non-finite feature")
+        if not -2 ** 63 <= label < 2 ** 63:
+            raise dt.DataError(f"{path}:{lineno}: class label out of range")
+        rows[parts[0]][0].append(feats)
+        rows[parts[0]][1].append(label)
+    out = []
+    for domain in ("source", "target"):
+        xs, ys = rows[domain]
+        if not xs:
+            raise dt.DataError(f"{path}: no {domain} rows")
+        out.extend([np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64)])
+    return tuple(out)
+
+
+# Values that float() or int() accept in unusual spellings, values they
+# reject, and values outside what a row may hold.
+ODD_FEATURES = ["2_0", "１．５", " 3.5", "1e999", "nan", "-inf", "infinity",
+                "abc", "", "0x1"]
+ODD_LABELS = ["2_0", "３", " 4 ", "-9223372036854775808", "9223372036854775807",
+              "9223372036854775808", "9" * 25, "x", "1.0", ""]
+
+
+@st.composite
+def blob_texts(draw):
+    """Blob CSV text that is valid but for a few defects, most often none.
+
+    A defective row gets one or two defects; rows may be padded with
+    whitespace or separated by whitespace-only lines, and lines end in
+    '\\n' or '\\r\\n'.
+    """
+    width = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 80))
+    defects = draw(st.sampled_from([0, 0, 1, 2]))
+    bad_rows = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=defects,
+                             max_size=defects)) if n else []
+    lines = []
+    for i in range(n):
+        domain = draw(st.sampled_from(["source", "target"]))
+        label = str(draw(st.integers(-3, 9)))
+        feats = [repr(draw(st.floats(-1e6, 1e6))) for _ in range(width)]
+        for kind in (draw(st.lists(st.sampled_from(["domain", "label", "feature", "ragged"]),
+                                   min_size=1, max_size=2)) if i in bad_rows else []):
+            if kind == "domain":
+                domain = draw(st.sampled_from(["src", "", "Source", "source "]))
+            elif kind == "label":
+                label = draw(st.sampled_from(ODD_LABELS))
+            elif kind == "feature" and feats:
+                feats[draw(st.integers(0, len(feats) - 1))] = draw(st.sampled_from(ODD_FEATURES))
+            elif kind == "ragged":
+                feats = feats[:-1] if draw(st.booleans()) else [*feats, "1.0"]
+        pad = draw(st.sampled_from(["", "", "", " ", "\t"]))
+        lines.append(pad + ",".join([domain, label, *feats]) + pad)
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(["", "  ", "\t \t"])))
+    header = draw(st.sampled_from([dt.EXPORT_HEADER] * 9 + [dt.EXPORT_HEADER + " "]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
+
+
+@given(blob_texts())
+@settings(max_examples=200, deadline=None)
+def test_load_blobs_matches_row_reference(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("diff") / "blobs.csv"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        expected = reference_load_blobs(path)
+    except dt.DataError as e:
+        with pytest.raises(dt.DataError) as got:
+            dt.load_blobs(path)
+        assert str(got.value) == str(e)
+        return
+    for want, got in zip(expected, dt.load_blobs(path), strict=True):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_defect_after_many_good_rows_names_its_line(tmp_path):
+    good = [f"{d},{i % 4},{i}.5,-1.25" for i, d in zip(range(5000), ["source", "target"] * 2500)]
+    for bad, message in (("target,1,2.0", "1 features, the first row has 2"),
+                         ("target,1,2.0,nan", "non-finite feature"),
+                         ("target,x,2.0,y", "could not convert string to float: 'y'")):
+        path = tmp_path / "late.csv"
+        path.write_text("\n".join([dt.EXPORT_HEADER, *good, bad, *good]) + "\n")
+        with pytest.raises(dt.DataError, match=rf"late\.csv:5002: {message}$"):
+            dt.load_blobs(path)
+
+
 def test_non_utf8_blobs_are_data_error(tmp_path):
     path = tmp_path / "bin.csv"
     path.write_bytes(HEADER + b"source,0,\xff\n")
@@ -330,6 +451,69 @@ class TestApplyRoles:
         assert len(pool.source_known_x) + len(pool.source_unknown_x) == (sy < 7).sum()
         # target rows from source-unknown classes 4-6 are dropped
         assert len(pool.target_x) == ((ty < 4) | (ty > 6)).sum()
+
+
+def reference_apply_roles(source_y, target_y, rs):
+    """The dict-lookup role assignment that apply_roles replaced: (source-known
+    labels, target roles), or DataError."""
+    source_y = np.asarray(source_y, dtype=np.int64)
+    target_y = np.asarray(target_y, dtype=np.int64)
+    src_classes, tgt_classes = set(source_y.tolist()), set(target_y.tolist())
+    for c in rs.known:
+        if c not in src_classes or c not in tgt_classes:
+            raise dt.DataError(f"known class {c} missing from source or target")
+    for c in rs.source_unknown:
+        if c not in src_classes:
+            raise dt.DataError(f"source-unknown class {c} missing from source")
+    for c in rs.target_unknown:
+        if c not in tgt_classes:
+            raise dt.DataError(f"target-unknown class {c} missing from target")
+    reindex = {c: i for i, c in enumerate(rs.known)}
+    known_y = np.array([reindex[c] for c in source_y[np.isin(source_y, rs.known)]],
+                       dtype=np.int64)
+    kept_y = target_y[np.isin(target_y, rs.known) | np.isin(target_y, rs.target_unknown)]
+    roles = np.array([reindex.get(c, dt.UNKNOWN_ROLE) for c in kept_y], dtype=np.int64)
+    return known_y, roles
+
+
+CLASS_IDS = [-2 ** 63, -7, -1, 0, 1, 2, 5, 9, 2 ** 40, 2 ** 63 - 1]
+
+
+@st.composite
+def labels_and_roles(draw):
+    ids = draw(st.lists(st.sampled_from(CLASS_IDS), min_size=1, max_size=6, unique=True))
+    owner = [draw(st.sampled_from(["known", "source_unknown", "target_unknown", None]))
+             for _ in ids]
+    owner[0] = "known"
+    rs = dt.RoleSplit(**{role: tuple(c for c, o in zip(ids, owner) if o == role)
+                         for role in ("known", "source_unknown", "target_unknown")})
+    # Each domain holds its role ids, bar one dropped label at times, and
+    # more labels, some of them in no role.
+    extra = st.lists(st.sampled_from([*ids, 3]), max_size=30)
+    source_y = draw(st.permutations([*rs.known, *rs.source_unknown, *draw(extra)]))
+    target_y = draw(st.permutations([*rs.known, *rs.target_unknown, *draw(extra)]))
+    drop = draw(st.sampled_from([0, 0, 0, 1]))
+    if draw(st.sampled_from([False, False, False, True])):  # an id no label can have
+        rs = dt.RoleSplit(known=(*rs.known, 2 ** 64), source_unknown=rs.source_unknown,
+                          target_unknown=rs.target_unknown)
+    return source_y[drop:], target_y, rs
+
+
+@given(labels_and_roles())
+@settings(max_examples=200, deadline=None)
+def test_apply_roles_matches_dict_reference(case):
+    source_y, target_y, rs = case
+    sx, tx = np.zeros((len(source_y), 2)), np.zeros((len(target_y), 2))
+    try:
+        want_y, want_roles = reference_apply_roles(source_y, target_y, rs)
+    except dt.DataError as e:
+        with pytest.raises(dt.DataError) as got:
+            dt.apply_roles(sx, source_y, tx, target_y, rs)
+        assert str(got.value) == str(e)
+        return
+    pool = dt.apply_roles(sx, source_y, tx, target_y, rs)
+    for got, want in ((pool.source_known_y, want_y), (pool.eval_target_roles(), want_roles)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSampleBatchTriple:

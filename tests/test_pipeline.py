@@ -122,6 +122,22 @@ class TestInfer:
         singles = [pl.infer(res.params, res.gev, pool.target_x[i]) for i in range(5)]
         np.testing.assert_array_equal(batch, singles)
 
+    def test_blocks_match_one_pass(self, trained):
+        pool, res = trained
+        rng = np.random.default_rng(0)
+        x = pool.target_x[rng.integers(0, len(pool.target_x), 2 * pl.INFER_BLOCK_ROWS + 5)]
+        x += 0.1 * rng.standard_normal(x.shape)
+        one = pl.predict(md.forward_classifier(res.params, md.forward_features(res.params, x)),
+                         evt.rejection_threshold(res.gev))
+        preds = pl.infer_batch(res.params, res.gev, x)
+        assert preds.dtype == one.dtype and preds.tobytes() == one.tobytes()
+        assert (preds == -1).any() and (preds >= 0).any()
+
+    def test_zero_rows(self, trained):
+        _, res = trained
+        preds = pl.infer_batch(res.params, res.gev, np.empty((0, 2)))
+        assert preds.shape == (0,) and preds.dtype == np.int64
+
     def test_rejection_consistent_with_cdf(self, trained):
         pool, res = trained
         probs = md.forward_classifier(res.params,
