@@ -40,9 +40,10 @@ def main():
 
     print()
     print("=== the rejection rule: CDF(entropy) > 0.5, i.e. entropy > tau ===")
-    print(f"tau (the GEV median) = {evt.rejection_threshold(gev):.4f}")
+    tau = evt.rejection_threshold(gev)
+    print(f"tau (the GEV median) = {tau:.4f}")
     for h in (0.6, gev.l, 1.0, 1.2):
-        verdict = "REJECT (unknown)" if evt.reject_unknown(h, gev) else "keep (known)"
+        verdict = "REJECT (unknown)" if h > tau else "keep (known)"
         print(f"  entropy {h:.3f}: cdf={evt.gev_cdf(h, gev):.3f} -> {verdict}")
 
 

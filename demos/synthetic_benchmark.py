@@ -5,7 +5,9 @@ rotated 25 degrees and translated. Classes 0-3 are known (labeled in the
 source), 4-6 appear in the source as unlabeled "unknown" examples, and
 7-9 appear only in the target and must be rejected. The script trains
 the full model, evaluates OS / OS* / UNK against the hidden target
-roles, and compares against the ablation baselines.
+roles, and compares against the ablation baselines. Only the no_reweight
+baseline trains a second model; the others swap the rejector of the full
+one.
 """
 
 import numpy as np
@@ -36,7 +38,8 @@ def main():
 
     tc = pl.TrainConfig(epochs=80, batch_size=128, learning_rate=1e-4,
                         optimizer="adam", seed=0)
-    result = pl.train(pool, build_specs(), tc)
+    runs = pl.run_ablations(pool, build_specs(), tc, pl.ABLATION_VARIANTS)
+    report, result = runs["full"]
 
     first, last = result.log[0], result.log[-1]
     print(f"\nepoch  1: L_c={first['L_c']:.3f}  L_d={first['L_d']:.3f}  "
@@ -48,7 +51,6 @@ def main():
     print(f"fitted GEV rejector: l={result.gev.l:.4f} s={result.gev.s:.4f} "
           f"c={result.gev.c:.4f}")
 
-    report = pl.evaluate(result.params, result.gev, pool)
     print(f"\nfull model: OS={report.os_score:.3f}  OS*={report.os_star:.3f}  "
           f"UNK={report.unk_recall:.3f}")
     print("confusion matrix (rows true, cols predicted, last = unknown):")
@@ -56,7 +58,7 @@ def main():
 
     print("\nablations (same config, seed 0):")
     for variant in ("no_reweight", "no_evt_binary", "hard_threshold"):
-        rep, _ = pl.run_ablation(pool, build_specs(), tc, pl.AblationMode(variant))
+        rep, _ = runs[variant]
         print(f"  {variant:15s} OS={rep.os_score:.3f}  OS*={rep.os_star:.3f}  "
               f"UNK={rep.unk_recall:.3f}")
 

@@ -284,9 +284,9 @@ def cmd_eval(cfg) -> int:
 
 def cmd_ablate(cfg) -> int:
     pool, specs = _training_setup(cfg)
-    mode = pl.AblationMode(variant=cfg["variant"].replace("-", "_"),
-                           hard_threshold=cfg["tau"])
-    report, result = pl.run_ablation(pool, specs, _train_config(cfg), mode)
+    variant = cfg["variant"].replace("-", "_")
+    report, result = pl.run_ablations(pool, specs, _train_config(cfg), (variant,),
+                                      cfg["tau"])[variant]
     outdir = Path(cfg["out"])
     _write_json(outdir / "report.json",
                 _report_payload(report, result.gev, cfg, label=cfg["variant"]))
@@ -327,8 +327,8 @@ def cmd_sweep(cfg) -> int:
         for le in grid_e:
             for lc in grid_c:
                 point = dict(cfg, lambda_d=ld, lambda_e=le, lambda_c=lc)
-                report, result = pl.run_ablation(pool, specs, _train_config(point),
-                                                 pl.AblationMode())
+                result = pl.train(pool, specs, _train_config(point))
+                report = pl.evaluate(result.params, result.gev, pool)
                 _write_json(outdir / f"report_{idx:03d}.json",
                             _report_payload(report, result.gev, point))
                 summary.append({"index": idx, "lambda_d": ld, "lambda_e": le,

@@ -32,7 +32,7 @@ UNKNOWN_ROLE = -1
 
 
 class DataError(ValueError):
-    """Malformed dataset files or inconsistent role configuration."""
+    """Malformed dataset files, or a role split that the data does not fit."""
 
 
 @dataclass(frozen=True)
@@ -45,11 +45,11 @@ class RoleSplit:
 
     def __post_init__(self):
         if not self.known:
-            raise DataError("known class list must be nonempty")
+            raise ValueError("known class list must be nonempty")
         ids = [*self.known, *self.source_unknown, *self.target_unknown]
         repeated = sorted({i for i in ids if ids.count(i) > 1})
         if repeated:
-            raise DataError(f"class ids {repeated} appear more than once in the role lists")
+            raise ValueError(f"class ids {repeated} appear more than once in the role lists")
 
     @property
     def num_known(self) -> int:
@@ -113,15 +113,15 @@ class BlobShiftConfig:
 
     def __post_init__(self):
         if self.class_count < 1 or self.dim < 2:
-            raise DataError("need class_count >= 1 and dim >= 2")
+            raise ValueError("need class_count >= 1 and dim >= 2")
         if not (np.isfinite(self.cluster_std) and self.cluster_std > 0):
-            raise DataError("cluster_std must be a positive finite real")
+            raise ValueError("cluster_std must be a positive finite real")
         if self.source_per_class < 1 or self.target_per_class < 1:
-            raise DataError("per-class counts must be positive")
+            raise ValueError("per-class counts must be positive")
         if len(self.translation) != 2:
-            raise DataError("translation applies to the circle plane, give 2 components")
+            raise ValueError("translation applies to the circle plane, give 2 components")
         if not np.isfinite([self.rotation, *self.translation]).all():
-            raise DataError("rotation and translation must be finite")
+            raise ValueError("rotation and translation must be finite")
 
 
 def _class_means(cfg: BlobShiftConfig) -> np.ndarray:

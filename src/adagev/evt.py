@@ -186,7 +186,3 @@ def fit_gev_mle(values) -> GevParams:
     l, log_s, c = res.x
     return GevParams(float(l), float(np.exp(log_s)), float(c))
 
-
-def reject_unknown(h: float, p: GevParams) -> bool:
-    """True iff entropy h strictly exceeds tau, i.e. the fitted CDF exceeds 0.5."""
-    return bool(h > rejection_threshold(p))

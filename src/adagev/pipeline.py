@@ -5,8 +5,10 @@ triple each iteration, applies the joint saddle-point gradient step, and
 after the final epoch fits a GEV to the tail of the source entropy
 distribution. Inference rejects a target sample as unknown when the
 fitted CDF of its prediction entropy exceeds 0.5, i.e. when the entropy
-exceeds tau (the GEV median), otherwise takes the argmax class. Evaluation reports OS (macro recall over K+1 classes),
-OS* (over the K known classes), and UNK recall.
+exceeds tau (the GEV median), otherwise takes the argmax class. Every
+rejector, the ablations' included, is a per-row score against a threshold
+through one ``predict``. Evaluation reports OS (macro recall over K+1
+classes), OS* (over the K known classes), and UNK recall.
 """
 
 from __future__ import annotations
@@ -47,18 +49,6 @@ class TrainConfig:
             raise ValueError("need epochs >= 1, batch_size >= 1, finite learning_rate >= 0")
         if self.optimizer not in ("adam", "sgd_momentum"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-
-
-@dataclass(frozen=True)
-class AblationMode:
-    variant: str = "full"
-    hard_threshold: float | None = None  # defaults to 0.5*log(K) when used
-
-    def __post_init__(self):
-        if self.variant not in ABLATION_VARIANTS:
-            raise ValueError(f"variant must be one of {ABLATION_VARIANTS}")
-        if self.hard_threshold is not None and not np.isfinite(self.hard_threshold):
-            raise ValueError(f"hard_threshold must be finite, got {self.hard_threshold}")
 
 
 @dataclass
@@ -144,8 +134,12 @@ def _make_optimizer(tc: TrainConfig):
 
 
 def fit_rejector(entropies: np.ndarray, tail: evt.TailConfig, seed: int = 0) -> evt.GevParams:
-    """Fit the GEV to the extracted tail of the source entropy distribution."""
-    return evt.fit_gev_mle(evt.extract_tail(entropies, tail, rng_seed=seed))
+    """Fit the GEV to the extracted tail of the last epoch's source entropies."""
+    try:
+        return evt.fit_gev_mle(evt.extract_tail(entropies, tail, rng_seed=seed))
+    except evt.FitError as e:
+        raise evt.FitError(f"GEV fit of the {len(entropies)} last-epoch source entropies "
+                           f"failed: {e}") from e
 
 
 def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
@@ -199,16 +193,16 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     return TrainResult(params, gev, log)
 
 
-def predict(probs: np.ndarray, tau: float) -> np.ndarray:
-    """The argmax class of each row, or UNKNOWN (-1) where its entropy exceeds tau.
+def predict(probs: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarray:
+    """The argmax class of each row, or UNKNOWN (-1) where its score exceeds threshold.
 
     Ties in the argmax break toward the lowest class index.
     """
-    return np.where(obj.entropy(probs) > tau, UNKNOWN, probs.argmax(axis=1))
+    return np.where(scores > threshold, UNKNOWN, probs.argmax(axis=1))
 
 
 def _predict_blocks(params: md.ModelParams, x: np.ndarray, tau: float) -> np.ndarray:
-    """``predict`` of the classifier's probabilities, computed over row blocks.
+    """``predict`` of the classifier's entropies against tau, over row blocks.
 
     Each block has INFER_BLOCK_ROWS to 2*INFER_BLOCK_ROWS-1 rows (a smaller
     pool is one block), so the temporaries stay small. Rows are independent,
@@ -217,19 +211,14 @@ def _predict_blocks(params: md.ModelParams, x: np.ndarray, tau: float) -> np.nda
     """
     x = np.atleast_2d(x)
     blocks = np.array_split(x, max(len(x) // INFER_BLOCK_ROWS, 1))
-    return np.concatenate([
-        predict(md.forward_classifier(params, md.forward_features(params, block)), tau)
-        for block in blocks])
+    probs = (md.forward_classifier(params, md.forward_features(params, block))
+             for block in blocks)
+    return np.concatenate([predict(p, obj.entropy(p), tau) for p in probs])
 
 
 def infer_batch(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> np.ndarray:
     """Predictions for a batch of samples, rejecting above the GEV median."""
     return _predict_blocks(params, x, evt.rejection_threshold(gev))
-
-
-def infer(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> int:
-    """Single-sample prediction: a known-class index or UNKNOWN."""
-    return int(infer_batch(params, gev, np.atleast_2d(x))[0])
 
 
 def compute_report(true_roles: np.ndarray, preds: np.ndarray, num_known: int) -> EvalReport:
@@ -297,38 +286,49 @@ def _train_binary_head(features: np.ndarray, labels: np.ndarray, seed: int,
     return spec, theta
 
 
-def binary_head_predict(spec, theta, features: np.ndarray) -> np.ndarray:
-    return md.mlp_forward(spec, theta, features)[:, 0]
-
-
-def run_ablation(pool: dt.DatasetPool, specs, tc: TrainConfig,
-                 mode: AblationMode) -> tuple[EvalReport, TrainResult]:
-    """Train and evaluate one model variant.
-
-    full: the complete method. no_reweight: uniform target weights.
-    no_evt_binary: replace GEV rejection with a binary known/unknown head
-    trained post hoc on frozen source features. hard_threshold: reject
-    when entropy exceeds a fixed threshold (default 0.5*log K).
-    """
-    if mode.variant == "no_reweight":
-        tc = replace(tc, weight_config=obj.WeightConfig("uniform", tc.weight_config.z_mode))
-    result = train(pool, specs, tc)
+def _ablation_preds(variant: str, result: TrainResult, pool: dt.DatasetPool, seed: int,
+                    hard_threshold: float | None) -> np.ndarray:
+    """One variant's target predictions from the model it trained: its
+    rejector's per-row score against its threshold."""
     params = result.params
-    k = params.num_classes
-
-    if mode.variant == "no_evt_binary":
+    if variant == "no_evt_binary":
         feats_known = md.forward_features(params, pool.source_known_x)
         feats_unknown = md.forward_features(params, pool.source_unknown_x)
         feats = np.concatenate([feats_known, feats_unknown])
         labels = np.concatenate([np.zeros(len(feats_known)), np.ones(len(feats_unknown))])
-        spec, theta = _train_binary_head(feats, labels, seed=tc.seed)
+        spec, theta = _train_binary_head(feats, labels, seed=seed)
         tgt_feats = md.forward_features(params, pool.target_x)
-        p_unknown = binary_head_predict(spec, theta, tgt_feats)
-        probs = md.forward_classifier(params, tgt_feats)
-        preds = np.where(p_unknown > 0.5, UNKNOWN, probs.argmax(axis=1))
-    else:
-        tau = evt.rejection_threshold(result.gev)
-        if mode.variant == "hard_threshold":
-            tau = mode.hard_threshold if mode.hard_threshold is not None else 0.5 * np.log(k)
-        preds = _predict_blocks(params, pool.target_x, tau)
-    return compute_report(pool.eval_target_roles(), preds, k), result
+        p_unknown = md.mlp_forward(spec, theta, tgt_feats)[:, 0]
+        return predict(md.forward_classifier(params, tgt_feats), p_unknown, 0.5)
+    if variant != "hard_threshold":
+        return infer_batch(params, result.gev, pool.target_x)
+    tau = 0.5 * np.log(params.num_classes) if hard_threshold is None else hard_threshold
+    return _predict_blocks(params, pool.target_x, tau)
+
+
+def run_ablations(pool: dt.DatasetPool, specs, tc: TrainConfig, variants,
+                  hard_threshold: float | None = None
+                  ) -> dict[str, tuple[EvalReport, TrainResult]]:
+    """The report and the trained model of each of ``variants``.
+
+    full: the complete method. no_reweight: uniform target weights.
+    no_evt_binary: a binary known/unknown head, trained post hoc on frozen
+    source features, replaces the GEV rejector. hard_threshold: reject when
+    entropy exceeds a fixed threshold (default 0.5*log K). Only no_reweight
+    changes the training, so training runs once per distinct weighting.
+    """
+    if not set(variants) <= set(ABLATION_VARIANTS):
+        raise ValueError(f"variant must be one of {ABLATION_VARIANTS}")
+    if hard_threshold is not None and not np.isfinite(hard_threshold):
+        raise ValueError(f"hard_threshold must be finite, got {hard_threshold}")
+    uniform = obj.WeightConfig("uniform", tc.weight_config.z_mode)
+    trained, out = {}, {}
+    for variant in variants:
+        weights = uniform if variant == "no_reweight" else tc.weight_config
+        if weights not in trained:
+            trained[weights] = train(pool, specs, replace(tc, weight_config=weights))
+        result = trained[weights]
+        preds = _ablation_preds(variant, result, pool, tc.seed, hard_threshold)
+        out[variant] = (compute_report(pool.eval_target_roles(), preds,
+                                       result.params.num_classes), result)
+    return out

@@ -53,19 +53,19 @@ def benchmark_config(seed):
 
 @pytest.fixture(scope="module")
 def benchmark_runs():
-    """Five seeded runs of full / no_reweight / no_evt_binary, with timings."""
+    """Five seeded runs of full / no_reweight / no_evt_binary, with timings.
+
+    full and no_evt_binary share one trained model per seed."""
     pool = benchmark_pool()
     out = {"full": [], "no_reweight": [], "no_evt_binary": [],
            "full_logs": [], "seconds": []}
     for seed in SEEDS:
         t0 = time.time()
-        for variant in ("full", "no_reweight", "no_evt_binary"):
-            rep, res = pl.run_ablation(pool, benchmark_specs(),
-                                       benchmark_config(seed),
-                                       pl.AblationMode(variant))
+        runs = pl.run_ablations(pool, benchmark_specs(), benchmark_config(seed),
+                                ("full", "no_reweight", "no_evt_binary"))
+        for variant, (rep, _) in runs.items():
             out[variant].append(rep.os_score)
-            if variant == "full":
-                out["full_logs"].append(res.log)
+        out["full_logs"].append(runs["full"][1].log)
         out["seconds"].append(time.time() - t0)
     return out
 

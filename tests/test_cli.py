@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -61,8 +62,18 @@ class TestGenData:
                                             ("--rotation-deg", "nan"), ("--translate", "nan,0")])
     def test_non_finite_setting_is_data_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
-        assert run("gen-data", "--out", str(out), flag, value) == 3
+        assert run("gen-data", "--out", str(out), flag, value) == 2
         assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--dim", "1", "dim >= 2"), ("--source-per-class", "0", "counts must be positive"),
+        ("--target-per-class", "0", "counts must be positive")])
+    def test_invalid_setting_is_usage_error(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "x.csv"
+        assert run("gen-data", "--out", str(out), flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
         assert not out.exists()
 
     def test_echo_replays(self, tmp_path):
@@ -147,6 +158,16 @@ class TestTrain:
         assert "diverged at epoch 1, iteration" in err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_collapsed_gev_fit_is_numerical_failure(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        rc = run("train", "--out", str(tmp_path / "run"), *flags, "--epochs", "3",
+                 "--lr", "1e3")
+        assert rc == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("numerical failure: GEV fit of the 120 last-epoch "
+                                 "source entropies failed: ")
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_feature_is_data_error(self, small_data, tmp_path, capsys, value):
         path, _ = small_data
@@ -186,7 +207,7 @@ class TestTrain:
     def test_repeated_role_id_is_data_error(self, small_data, tmp_path, capsys):
         _, flags = small_data
         rc = run("train", "--out", str(tmp_path / "run"), *flags, "--known", "0,0")
-        assert rc == 3
+        assert rc == 2
         assert "class ids [0] appear more than once" in capsys.readouterr().err
 
     def test_unknown_config_key(self, small_data, tmp_path):
@@ -422,9 +443,10 @@ def test_cli_defaults_match_library_defaults():
 
     ablate = {key: flag for group in cli.COMMANDS["ablate"].groups
               for key, flag in group.items()}
-    mode = pl.AblationMode()
-    assert ablate["variant"].default.replace("-", "_") == mode.variant
-    assert ablate["tau"].default == mode.hard_threshold
+    assert [v.replace("-", "_") for v in ablate["variant"].kind] == list(pl.ABLATION_VARIANTS)
+    assert ablate["variant"].default.replace("-", "_") == pl.ABLATION_VARIANTS[0]
+    hard = inspect.signature(pl.run_ablations).parameters["hard_threshold"]
+    assert ablate["tau"].default == hard.default
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

@@ -10,7 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("script", ["gev_fitting.py", "gradient_reversal.py"])
+@pytest.mark.parametrize("script", ["gev_fitting.py", "gradient_reversal.py",
+                                    "synthetic_benchmark.py"])
 def test_demo_exits_zero(script):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(ROOT / "demos" / script)],

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from adagev import evt
+from adagev import pipeline as pl
 
 
 PARAM_GRID = [
@@ -196,18 +197,23 @@ class TestThreshold:
         np.testing.assert_allclose(evt.gev_cdf(evt.gev_quantile(u, p), p), u, rtol=1e-9)
 
 
+def rejected(h, p):
+    """Whether predict rejects a row of entropy h at the GEV median of p."""
+    probs = np.array([[1.0, 0.0]])  # the score, not these probabilities, decides
+    return bool(pl.predict(probs, np.array([h]), evt.rejection_threshold(p))[0] == pl.UNKNOWN)
+
+
 class TestReject:
     def test_above_median_rejected(self):
         p = evt.GevParams(0.0, 1.0, 0.0)
         median = -np.log(np.log(2))  # F = 0.5 at l - s*log(log 2)
-        assert evt.reject_unknown(median + 1e-6, p)
+        assert rejected(median + 1e-6, p)
 
     def test_below_median_kept(self):
         p = evt.GevParams(0.0, 1.0, 0.0)
         median = -np.log(np.log(2))
-        assert not evt.reject_unknown(median - 1e-6, p)
+        assert not rejected(median - 1e-6, p)
 
     def test_boundary_strict(self):
         p = evt.GevParams(0.0, 1.0, 0.0)
-        median = -np.log(np.log(2))
-        assert not evt.reject_unknown(median, p)
+        assert not rejected(evt.rejection_threshold(p), p)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -31,6 +33,14 @@ def tiny_config(**kw):
     return pl.TrainConfig(**base)
 
 
+@pytest.fixture
+def no_training(monkeypatch):
+    """Fails the test if anything starts a training run."""
+    def train(*args):
+        raise AssertionError("training started")
+    monkeypatch.setattr(pl, "train", train)
+
+
 class TestConfigValidation:
     def test_bad_epochs(self):
         with pytest.raises(ValueError):
@@ -40,9 +50,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             pl.TrainConfig(optimizer="adagrad")
 
-    def test_bad_ablation_variant(self):
-        with pytest.raises(ValueError):
-            pl.AblationMode("nope")
+    def test_bad_ablation_variant(self, no_training):
+        with pytest.raises(ValueError, match="variant must be one of"):
+            pl.run_ablations(tiny_pool(), tiny_specs(), tiny_config(), ("full", "nope"))
 
     @pytest.mark.parametrize("lr", [np.nan, np.inf])
     def test_non_finite_learning_rate(self, lr):
@@ -50,9 +60,10 @@ class TestConfigValidation:
             pl.TrainConfig(learning_rate=lr)
 
     @pytest.mark.parametrize("tau", [np.nan, np.inf, -np.inf])
-    def test_non_finite_hard_threshold(self, tau):
-        with pytest.raises(ValueError, match="hard_threshold"):
-            pl.AblationMode("hard_threshold", hard_threshold=tau)
+    def test_non_finite_hard_threshold(self, no_training, tau):
+        with pytest.raises(ValueError, match="hard_threshold must be finite"):
+            pl.run_ablations(tiny_pool(), tiny_specs(), tiny_config(), ("hard_threshold",),
+                             hard_threshold=tau)
 
 
 class TestTrain:
@@ -119,7 +130,7 @@ class TestInfer:
     def test_single_matches_batch(self, trained):
         pool, res = trained
         batch = pl.infer_batch(res.params, res.gev, pool.target_x[:5])
-        singles = [pl.infer(res.params, res.gev, pool.target_x[i]) for i in range(5)]
+        singles = [pl.infer_batch(res.params, res.gev, pool.target_x[i])[0] for i in range(5)]
         np.testing.assert_array_equal(batch, singles)
 
     def test_blocks_match_one_pass(self, trained):
@@ -127,8 +138,8 @@ class TestInfer:
         rng = np.random.default_rng(0)
         x = pool.target_x[rng.integers(0, len(pool.target_x), 2 * pl.INFER_BLOCK_ROWS + 5)]
         x += 0.1 * rng.standard_normal(x.shape)
-        one = pl.predict(md.forward_classifier(res.params, md.forward_features(res.params, x)),
-                         evt.rejection_threshold(res.gev))
+        probs = md.forward_classifier(res.params, md.forward_features(res.params, x))
+        one = pl.predict(probs, obj.entropy(probs), evt.rejection_threshold(res.gev))
         preds = pl.infer_batch(res.params, res.gev, x)
         assert preds.dtype == one.dtype and preds.tobytes() == one.tobytes()
         assert (preds == -1).any() and (preds >= 0).any()
@@ -162,7 +173,7 @@ def test_predict_matches_cdf_rule(l, s, c, seed):
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.full(5, rng.uniform(0.05, 5.0)), size=200)
     h = obj.entropy(probs)
-    preds = pl.predict(probs, tau)
+    preds = pl.predict(probs, h, tau)
     clear = np.abs(h - tau) > 1e-9 * max(1.0, abs(tau))
     cdf_rule = np.asarray(evt.gev_cdf(h, gev)) > 0.5
     np.testing.assert_array_equal((preds == -1)[clear], cdf_rule[clear])
@@ -173,15 +184,27 @@ def test_predict_matches_cdf_rule(l, s, c, seed):
 class TestPredict:
     def test_hand_case(self):
         probs = np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]])
-        np.testing.assert_array_equal(pl.predict(probs, tau=0.6), [0, -1, 1])
+        np.testing.assert_array_equal(pl.predict(probs, obj.entropy(probs), 0.6), [0, -1, 1])
 
     def test_argmax_tie_breaks_low(self):
         probs = np.array([[0.4, 0.4, 0.2]])
-        assert pl.predict(probs, tau=10.0)[0] == 0
+        assert pl.predict(probs, obj.entropy(probs), 10.0)[0] == 0
 
     def test_threshold_strict(self):
         probs = np.array([[0.5, 0.5]])
-        assert pl.predict(probs, tau=np.log(2))[0] == 0
+        assert pl.predict(probs, obj.entropy(probs), np.log(2))[0] == 0
+
+    def test_entropy_at_tau_is_kept(self):
+        probs = np.array([[0.7, 0.2, 0.1], [0.05, 0.05, 0.9]])
+        h = obj.entropy(probs)
+        np.testing.assert_array_equal(pl.predict(probs, h, h[0]), [0, 2])
+        np.testing.assert_array_equal(pl.predict(probs, h, h[0] - 1e-9), [-1, 2])
+
+    def test_score_is_not_the_entropy(self):
+        # a binary head's p(unknown) against 0.5: confident rows can be rejected
+        probs = np.array([[0.99, 0.01], [0.5, 0.5], [0.2, 0.8]])
+        p_unknown = np.array([0.9, 0.1, 0.5])
+        np.testing.assert_array_equal(pl.predict(probs, p_unknown, 0.5), [-1, 0, 1])
 
 
 def brute_force_metrics(true_roles, preds, k):
@@ -295,29 +318,91 @@ def pool():
     return tiny_pool()
 
 
+def reference_ablation(pool, specs, tc, variant, hard_threshold=None):
+    """One variant as the single-variant ablation computed it: a training run
+    of its own and the rejection rule written out; the reference for
+    run_ablations."""
+    if variant == "no_reweight":
+        tc = replace(tc, weight_config=obj.WeightConfig("uniform", tc.weight_config.z_mode))
+    result = pl.train(pool, specs, tc)
+    params = result.params
+    k = params.num_classes
+
+    if variant == "no_evt_binary":
+        feats_known = md.forward_features(params, pool.source_known_x)
+        feats_unknown = md.forward_features(params, pool.source_unknown_x)
+        feats = np.concatenate([feats_known, feats_unknown])
+        labels = np.concatenate([np.zeros(len(feats_known)), np.ones(len(feats_unknown))])
+        spec, theta = pl._train_binary_head(feats, labels, seed=tc.seed)
+        tgt_feats = md.forward_features(params, pool.target_x)
+        p_unknown = md.mlp_forward(spec, theta, tgt_feats)[:, 0]
+        probs = md.forward_classifier(params, tgt_feats)
+        preds = np.where(p_unknown > 0.5, pl.UNKNOWN, probs.argmax(axis=1))
+    else:
+        tau = evt.rejection_threshold(result.gev)
+        if variant == "hard_threshold":
+            tau = hard_threshold if hard_threshold is not None else 0.5 * np.log(k)
+        # the tiny pool is one inference block
+        probs = md.forward_classifier(params, md.forward_features(params, pool.target_x))
+        preds = np.where(obj.entropy(probs) > tau, pl.UNKNOWN, probs.argmax(axis=1))
+    return pl.compute_report(pool.eval_target_roles(), preds, k), result
+
+
+@pytest.fixture
+def train_calls(monkeypatch):
+    """The TrainConfig of every training run started while the test runs."""
+    calls, train = [], pl.train
+
+    def counted(pool, specs, tc):
+        calls.append(tc)
+        return train(pool, specs, tc)
+    monkeypatch.setattr(pl, "train", counted)
+    return calls
+
+
 class TestAblations:
     def test_all_variants_run(self, pool):
-        for variant in pl.ABLATION_VARIANTS:
-            rep, res = pl.run_ablation(pool, tiny_specs(), tiny_config(),
-                                       pl.AblationMode(variant))
+        out = pl.run_ablations(pool, tiny_specs(), tiny_config(), pl.ABLATION_VARIANTS)
+        assert list(out) == list(pl.ABLATION_VARIANTS)
+        for rep, _ in out.values():
             assert 0.0 <= rep.os_score <= 1.0
 
     def test_no_reweight_uses_uniform(self, pool):
-        _, res = pl.run_ablation(pool, tiny_specs(), tiny_config(),
-                                 pl.AblationMode("no_reweight"))
+        _, res = pl.run_ablations(pool, tiny_specs(), tiny_config(), ("no_reweight",))["no_reweight"]
         b = 16
         np.testing.assert_allclose(
             [r["max_weight"] for r in res.log], 1.0 / b, atol=1e-12)
 
     def test_hard_threshold_custom_tau(self, pool):
         # tau = 0 rejects everything; ln(4) accepts everything
-        rep_lo, _ = pl.run_ablation(pool, tiny_specs(), tiny_config(),
-                                    pl.AblationMode("hard_threshold", hard_threshold=0.0))
-        rep_hi, _ = pl.run_ablation(pool, tiny_specs(), tiny_config(),
-                                    pl.AblationMode("hard_threshold",
-                                                    hard_threshold=np.log(4) + 1.0))
+        rep_lo, _ = pl.run_ablations(pool, tiny_specs(), tiny_config(), ("hard_threshold",),
+                                     hard_threshold=0.0)["hard_threshold"]
+        rep_hi, _ = pl.run_ablations(pool, tiny_specs(), tiny_config(), ("hard_threshold",),
+                                     hard_threshold=np.log(4) + 1.0)["hard_threshold"]
         assert rep_lo.unk_recall == 1.0
         assert rep_hi.unk_recall == 0.0
+
+    def test_trains_once_per_weighting(self, pool, train_calls):
+        out = pl.run_ablations(pool, tiny_specs(), tiny_config(), pl.ABLATION_VARIANTS)
+        assert [tc.weight_config.weight_mode for tc in train_calls] == ["neg_entropy", "uniform"]
+        assert out["full"][1] is out["no_evt_binary"][1] is out["hard_threshold"][1]
+        assert out["no_reweight"][1] is not out["full"][1]
+
+    def test_uniform_base_trains_once(self, pool, train_calls):
+        tc = tiny_config(weight_config=obj.WeightConfig("uniform", "fresh_batch"))
+        out = pl.run_ablations(pool, tiny_specs(), tc, pl.ABLATION_VARIANTS)
+        assert train_calls == [tc]
+        assert len({id(res) for _, res in out.values()}) == 1
+
+    @pytest.mark.parametrize("hard_threshold", [None, 1.0])
+    def test_matches_one_training_per_variant(self, pool, hard_threshold):
+        specs, tc = tiny_specs(), tiny_config(seed=3)
+        out = pl.run_ablations(pool, specs, tc, pl.ABLATION_VARIANTS, hard_threshold)
+        for variant in pl.ABLATION_VARIANTS:
+            want, want_res = reference_ablation(pool, specs, tc, variant, hard_threshold)
+            got, got_res = out[variant]
+            assert got.to_dict() == want.to_dict(), variant
+            assert (got_res.gev, got_res.log) == (want_res.gev, want_res.log)
 
 
 class TestBinaryHead:
@@ -328,7 +413,7 @@ class TestBinaryHead:
         feats = np.vstack([a, b])
         labels = np.concatenate([np.ones(60), np.zeros(60)])
         spec, theta = pl._train_binary_head(feats, labels, seed=0)
-        p = pl.binary_head_predict(spec, theta, feats)
+        p = md.mlp_forward(spec, theta, feats)[:, 0]
         assert ((p > 0.5) == labels.astype(bool)).mean() > 0.95
 
 
