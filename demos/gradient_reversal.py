@@ -39,7 +39,7 @@ def main():
     )
     lw = obj.LossWeights()
     step = obj.total_step_gradients(batch, params, lw, obj.WeightConfig())
-    print(f"one backward pass produced gradients for all three groups:")
+    print("one fused backward pass produced gradients for all three groups:")
     for name, grads in step.grads.items():
         norms = [float(np.linalg.norm(g)) for g in grads]
         print(f"  {name}: {len(grads)} tensors, norms {['%.4f' % n for n in norms]}")
@@ -56,7 +56,7 @@ def main():
         weights = obj.batch_weights(obj.entropy(probs_t), obj.WeightConfig())
         d_s = md.forward_domain(params, feat_s)
         d_t = md.forward_domain(params, feat_t)
-        return lw.lambda_d * float(obj.loss_domain(d_s, d_t, weights).value)
+        return lw.lambda_d * obj.loss_domain(d_s, d_t, weights)[0]
 
     orig = w[0, 0]
     w[0, 0] = orig + h

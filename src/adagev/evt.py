@@ -17,6 +17,7 @@ import numpy as np
 
 GUMBEL_EPS = 1e-6
 EULER_GAMMA = 0.5772156649015329
+MIN_TAIL = 30  # the fewest tail values a GEV is fitted to
 
 
 class FitError(ValueError):
@@ -67,7 +68,8 @@ def gev_t(x, p: GevParams):
     x = np.asarray(x, dtype=np.float64)
     z = (x - p.l) / p.s
     if abs(p.c) < GUMBEL_EPS:
-        t = np.exp(-z)
+        with np.errstate(over="ignore"):
+            t = np.exp(-z)
     else:
         base = 1.0 + p.c * z
         with np.errstate(divide="ignore", over="ignore"):
@@ -118,6 +120,21 @@ def gev_sample(p: GevParams, n: int, seed: int) -> np.ndarray:
     return gev_quantile(rng.uniform(size=n), p)
 
 
+def tail_size(n_values: int, tc: TailConfig) -> int:
+    """How many of ``n_values`` values ``extract_tail`` keeps; FitError when
+    that is fewer than MIN_TAIL, so a caller can check before it has them."""
+    if tc.method == "block_maxima":
+        k = n_values // tc.block_size
+        if k < MIN_TAIL:
+            raise FitError(f"block_maxima needs >= {MIN_TAIL} blocks, got {k} "
+                           f"({n_values} values, block size {tc.block_size})")
+        return k
+    k = int(np.ceil(tc.fraction * n_values))
+    if k < MIN_TAIL:
+        raise FitError(f"top_fraction retains {k} values, needs >= {MIN_TAIL}")
+    return k
+
+
 def extract_tail(entropies, tc: TailConfig, rng_seed: int = 0) -> np.ndarray:
     """Reduce raw entropy values to the sample the GEV is fitted on.
 
@@ -126,19 +143,11 @@ def extract_tail(entropies, tc: TailConfig, rng_seed: int = 0) -> np.ndarray:
     top_fraction: keep the ceil(q*N) largest values.
     """
     values = np.asarray(entropies, dtype=np.float64)
+    k = tail_size(values.size, tc)
     if tc.method == "block_maxima":
-        n_blocks = values.size // tc.block_size
-        if n_blocks < 30:
-            raise FitError(
-                f"block_maxima needs >= 30 blocks, got {n_blocks} "
-                f"({values.size} values, block size {tc.block_size})"
-            )
         rng = np.random.default_rng(rng_seed)
-        shuffled = rng.permutation(values)[: n_blocks * tc.block_size]
-        return shuffled.reshape(n_blocks, tc.block_size).max(axis=1)
-    k = int(np.ceil(tc.fraction * values.size))
-    if k < 30:
-        raise FitError(f"top_fraction retains {k} values, needs >= 30")
+        shuffled = rng.permutation(values)[: k * tc.block_size]
+        return shuffled.reshape(k, tc.block_size).max(axis=1)
     return np.sort(values)[-k:]
 
 
@@ -169,8 +178,8 @@ def fit_gev_mle(values) -> GevParams:
     from scipy.optimize import minimize
 
     values = np.asarray(values, dtype=np.float64)
-    if values.size < 30:
-        raise FitError(f"need >= 30 values to fit, got {values.size}")
+    if values.size < MIN_TAIL:
+        raise FitError(f"need >= {MIN_TAIL} values to fit, got {values.size}")
     std = values.std(ddof=1)
     if std <= 1e-12:
         raise FitError("zero-variance input")

@@ -3,8 +3,11 @@
 A feature extractor maps raw samples to embeddings, a K-way classifier
 produces class probabilities, and a binary domain discriminator outputs
 the probability that a sample came from the target domain. All three are
-small MLPs built on the autodiff engine. Checkpoints persist the full
-parameter set, optionally together with fitted GEV parameters.
+small MLPs. ``mlp_forward`` is the one layer loop of inference and of the
+training step, whose backward pass is ``mlp_backward``: numpy expressions
+equal bit for bit to the autodiff graph of ``mlp_graph``, which the binary
+known/unknown head still trains on. Checkpoints persist the full parameter
+set, optionally together with fitted GEV parameters.
 """
 
 from __future__ import annotations
@@ -138,24 +141,36 @@ def mlp_graph(spec: MlpSpec, param_nodes: list[Node], x) -> Node:
     return h
 
 
-def mlp_forward(spec: MlpSpec, group: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """The values of ``mlp_graph`` without building a graph.
+def mlp_forward(spec: MlpSpec, group: list[np.ndarray], x: np.ndarray,
+                inputs: list | None = None) -> np.ndarray:
+    """The values of ``mlp_graph``, computed without a graph.
 
     Each layer computes the graph op's expression, in place where the graph
-    allocates a new array, so the result is the same bit for bit. Only the
-    input and the output are checked for non-finite values.
+    allocates a new array, so the result is the same bit for bit (relu's
+    ``maximum`` differs from the graph's ``where`` only on NaN). Inference
+    checks the input and the output for non-finite values. A training pass
+    gives a list ``inputs``, which receives each layer's input for
+    ``mlp_backward``, and checks every affine output instead, with the
+    graph's ``linear`` error: ``tanh`` would hide an overflow, and those
+    checks also catch a non-finite input or output.
     """
-    if not np.isfinite(x).all():
+    training = inputs is not None
+    if not training and not np.isfinite(x).all():
         raise ad.NonFiniteError("forward input has non-finite values")
     n_layers = len(spec.widths) - 1
     h = x
-    with np.errstate(over="ignore", invalid="ignore"):  # the output check reports them
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks report them
         for i in range(n_layers):
+            if training:
+                inputs.append(h)
             h = h @ group[2 * i]
             h += group[2 * i + 1]
+            if training and not np.isfinite(h).all():
+                raise ad.NonFiniteError("op 'linear' produced non-finite values")
             if i < n_layers - 1:
                 if spec.activation == "relu":
-                    h = np.where(h > 0, h, 0.0)
+                    np.maximum(h, 0.0, out=h)
+                    h += 0.0  # -0.0 becomes 0.0, as where(h > 0, h, 0.0) gives
                 else:
                     np.tanh(h, out=h)
         if spec.head == "softmax":
@@ -167,9 +182,37 @@ def mlp_forward(spec: MlpSpec, group: list[np.ndarray], x: np.ndarray) -> np.nda
             np.exp(h, out=h)
             h += 1.0
             np.divide(1.0, h, out=h)
-    if not np.isfinite(h).all():
+    if not training and not np.isfinite(h).all():
         raise ad.NonFiniteError("forward produced non-finite values")
     return h
+
+
+def mlp_backward(spec: MlpSpec, group: list[np.ndarray], inputs: list[np.ndarray],
+                 out: np.ndarray, g: np.ndarray, grads: list, wrt_input: bool = True):
+    """Backpropagate ``g``, the gradient with respect to the output ``out`` of
+    a training ``mlp_forward`` that recorded ``inputs``.
+
+    Each parameter's gradient is added to ``grads`` (a None entry takes it
+    as is), in the order the passes are backpropagated. Returns the gradient
+    with respect to the input, or None without ``wrt_input``: a data batch's
+    gradient is never read. Every expression is the graph vjp's own, so the
+    gradients equal the graph's bit for bit.
+    """
+    if spec.head == "softmax":
+        g = out * (g - (g * out).sum(axis=1, keepdims=True))
+    elif spec.head == "sigmoid":
+        g = g * out * (1.0 - out)
+    for i in reversed(range(len(spec.widths) - 1)):
+        if i < len(spec.widths) - 2:
+            y = inputs[i + 1]
+            g = g * (y > 0) if spec.activation == "relu" else g * (1.0 - y * y)
+        for k, grad in ((2 * i, inputs[i].T @ g), (2 * i + 1, g.sum(axis=0))):
+            if grads[k] is None:
+                grads[k] = grad
+            else:
+                grads[k] += grad
+        g = g @ group[2 * i].T if i > 0 or wrt_input else None
+    return g
 
 
 def _forward(spec: MlpSpec, group: list[np.ndarray], x, what: str) -> np.ndarray:

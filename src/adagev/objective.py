@@ -7,6 +7,11 @@ discriminator descends the adversarial loss while the feature extractor
 ascends it; both directions come out of one backward pass because the
 discriminator input passes through a gradient reversal layer.
 
+The training step is one fused numpy forward and backward, with no
+autodiff graph: each loss returns its gradient next to its value, and
+``model.mlp_backward`` carries it through the networks. The tests check it
+against the same step built as an autodiff graph, bit for bit.
+
 Per-target instance weights are exp(-H)/Z by default: high-entropy
 (likely unknown) target samples get down-weighted so they are not
 force-aligned with the source. ``paper_literal`` mode flips the sign of
@@ -23,7 +28,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import model as md
-from .autodiff import Node
 
 WEIGHT_MODES = ("neg_entropy", "paper_literal", "uniform")
 Z_MODES = ("same_batch", "fresh_batch", "combined")
@@ -58,12 +62,6 @@ def _check_prob_rows(p: np.ndarray) -> None:
     sums = p.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(p < -1e-12):
         raise ValueError("rows must be probability vectors (sum 1 within 1e-6)")
-
-
-def entropy_graph(probs: Node) -> Node:
-    """Per-row entropy -sum_c p log p as a graph node, shape [B]."""
-    _check_prob_rows(probs.value)
-    return ad.scale(ad.row_sum(ad.mul(probs, ad.log_clamped(probs))), -1.0)
 
 
 def entropy(probs: np.ndarray) -> np.ndarray:
@@ -109,45 +107,75 @@ def batch_weights(entropies: np.ndarray, cfg: WeightConfig,
     return u / z
 
 
-def loss_domain(d_src, d_tgt, w: np.ndarray, require_normalized: bool = True) -> Node:
+def loss_domain(d_src, d_tgt, w: np.ndarray, require_normalized: bool = True,
+                scale: float = 1.0) -> tuple[float, np.ndarray, np.ndarray]:
     """Adversarial domain loss: E log d(src) + sum_j w_j log(1 - d(tgt)_j).
 
     Low when the discriminator separates the domains correctly. The
     discriminator minimizes this; the feature extractor maximizes it.
     ``require_normalized`` is dropped when the partition function is
     estimated from outside the batch, in which case the in-batch weights
-    need not sum to one.
+    need not sum to one. Returns the loss and ``scale`` times its gradients
+    with respect to ``d_src`` and ``d_tgt``; the weights get none.
     """
-    d_src, d_tgt = ad.as_node(d_src), ad.as_node(d_tgt)
+    d_src = np.asarray(d_src, dtype=np.float64)
+    d_tgt = np.asarray(d_tgt, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("target weights must be finite and nonnegative")
     if require_normalized and abs(w.sum() - 1.0) > 1e-6:
         raise ValueError(f"target weights must sum to 1, got {w.sum()}")
-    src_term = ad.reduce_mean(ad.log_clamped(d_src))
-    one_minus = ad.add(ad.scale(d_tgt, -1.0), 1.0)
-    tgt_term = ad.weighted_sum(ad.log_clamped(one_minus), w)
-    return ad.add(src_term, tgt_term)
+    if w.ndim != 1 or d_tgt.shape not in ((len(w),), (len(w), 1)):
+        raise ValueError(f"weights {w.shape} do not match discriminator outputs {d_tgt.shape}")
+    wv = w.reshape(d_tgt.shape)
+    # the graph's chain rule rounds scale/B and scale*w before the division by d
+    up = float(scale)
+    src_clamped = np.maximum(d_src, ad.LOG_CLAMP)
+    one_minus = 1.0 - d_tgt
+    tgt_clamped = np.maximum(one_minus, ad.LOG_CLAMP)
+    value = np.log(src_clamped).mean() + (wv * np.log(tgt_clamped)).sum()
+    g_src = np.where(d_src > ad.LOG_CLAMP, up / d_src.size / src_clamped, 0.0)
+    g_tgt = np.where(one_minus > ad.LOG_CLAMP, up * wv / tgt_clamped, 0.0)
+    g_tgt *= -1.0  # d(1 - d_tgt)/d d_tgt
+    return float(value), g_src, g_tgt
 
 
-def loss_entropy_unknown(probs) -> Node:
-    """-mean entropy of source unknown-class predictions.
+def loss_entropy_unknown(probs, scale: float = 1.0) -> tuple[float, np.ndarray]:
+    """-mean entropy of source unknown-class predictions, and ``scale`` times
+    its gradient with respect to ``probs``.
 
     Minimizing drives those predictions toward the uniform distribution.
     """
-    probs = ad.as_node(probs)
-    return ad.scale(ad.reduce_mean(entropy_graph(probs)), -1.0)
+    probs = np.asarray(probs, dtype=np.float64)
+    _check_prob_rows(probs)
+    clamped = np.maximum(probs, ad.LOG_CLAMP)
+    log_p = np.log(clamped)
+    value = (probs * log_p).sum(axis=1).mean()
+    up = float(scale) / len(probs)  # the graph's two negations cancel exactly
+    grad = up * log_p
+    grad += np.where(probs > ad.LOG_CLAMP, up * probs / clamped, 0.0)
+    return float(value), grad
 
 
-def loss_classification(probs, labels) -> Node:
-    """Mean cross-entropy -log p[y] over a labeled batch."""
-    probs = ad.as_node(probs)
-    _check_prob_rows(probs.value)
+def loss_classification(probs, labels, scale: float = 1.0) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy -log p[y] over a labeled batch, and ``scale`` times
+    its gradient with respect to ``probs``."""
+    probs = np.asarray(probs, dtype=np.float64)
+    _check_prob_rows(probs)
     labels = np.asarray(labels, dtype=np.int64)
-    k = probs.value.shape[1]
+    k = probs.shape[1]
+    if labels.shape != (len(probs),):
+        raise ValueError(f"labels {labels.shape} do not match probabilities {probs.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    return ad.scale(ad.reduce_mean(ad.log_clamped(ad.gather_rows(probs, labels))), -1.0)
+    rows = np.arange(len(probs))
+    picked = probs[rows, labels]
+    clamped = np.maximum(picked, ad.LOG_CLAMP)
+    value = -np.log(clamped).mean()
+    up = -float(scale) / len(probs)
+    grad = np.zeros_like(probs)
+    grad[rows, labels] = np.where(picked > ad.LOG_CLAMP, up / clamped, 0.0)
+    return float(value), grad
 
 
 @dataclass
@@ -166,22 +194,27 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
                          wc: WeightConfig) -> StepResult:
     """One joint gradient evaluation of the saddle-point objective.
 
-    Builds J = lambda_d * L_d(with GRL) + lambda_e * L_e + lambda_c * L_c
-    and backpropagates once. The reversal layer makes the plain gradients
-    of J realize the routing contract: theta_d descends lambda_d*L_d,
+    The gradients of J = lambda_d * L_d(with GRL) + lambda_e * L_e +
+    lambda_c * L_c, from one fused forward and backward pass. The reversal
+    layer negates the gradient the discriminator hands back to the features,
+    which realizes the routing contract: theta_d descends lambda_d*L_d,
     theta_g descends -lambda_d*L_d + lambda_e*L_e + lambda_c*L_c, and
-    theta_c descends lambda_e*L_e + lambda_c*L_c.
+    theta_c descends lambda_e*L_e + lambda_c*L_c. Every value equals the
+    graph-built step's bit for bit, which fixes the order of the sums: the
+    extractor adds the source pass's gradients last.
     """
-    g_nodes = md.group_nodes(params.theta_g)
-    c_nodes = md.group_nodes(params.theta_c)
-    d_nodes = md.group_nodes(params.theta_d)
+    spec_g, spec_c, spec_d = params.spec_g, params.spec_c, params.spec_d
 
-    feat_s = md.mlp_graph(params.spec_g, g_nodes, batch.source_x)
-    feat_u = md.mlp_graph(params.spec_g, g_nodes, batch.unknown_x)
-    feat_t = md.mlp_graph(params.spec_g, g_nodes, batch.target_x)
+    def forward(spec, group, x):
+        inputs = []
+        return md.mlp_forward(spec, group, x, inputs), inputs
 
-    probs_t = md.mlp_graph(params.spec_c, c_nodes, feat_t)
-    h_t = entropy(probs_t.value)  # detached: weights carry no gradient
+    feat_s, in_gs = forward(spec_g, params.theta_g, batch.source_x)
+    feat_u, in_gu = forward(spec_g, params.theta_g, batch.unknown_x)
+    feat_t, in_gt = forward(spec_g, params.theta_g, batch.target_x)
+
+    # detached: the weights carry no gradient
+    h_t = entropy(forward(spec_c, params.theta_c, feat_t)[0])
     aux_h = None
     if wc.z_mode != "same_batch":
         if batch.target_aux_x is None:
@@ -190,26 +223,27 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
         aux_h = entropy(aux_probs)
     w = batch_weights(h_t, wc, aux_h)
 
-    d_src = md.mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
-    d_tgt = md.mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
-    l_d = loss_domain(d_src, d_tgt, w, require_normalized=wc.z_mode == "same_batch")
+    d_src, in_ds = forward(spec_d, params.theta_d, feat_s)
+    d_tgt, in_dt = forward(spec_d, params.theta_d, feat_t)
+    normalized = wc.z_mode == "same_batch"
+    l_d, g_dsrc, g_dtgt = loss_domain(d_src, d_tgt, w, normalized, scale=lw.lambda_d)
 
-    probs_u = md.mlp_graph(params.spec_c, c_nodes, feat_u)
-    l_e = loss_entropy_unknown(probs_u)
+    probs_u, in_cu = forward(spec_c, params.theta_c, feat_u)
+    l_e, g_pu = loss_entropy_unknown(probs_u, scale=lw.lambda_e)
 
-    probs_s = md.mlp_graph(params.spec_c, c_nodes, feat_s)
-    l_c = loss_classification(probs_s, batch.source_y)
+    probs_s, in_cs = forward(spec_c, params.theta_c, feat_s)
+    l_c, g_ps = loss_classification(probs_s, batch.source_y, scale=lw.lambda_c)
 
-    j = ad.add(ad.add(ad.scale(l_d, lw.lambda_d), ad.scale(l_e, lw.lambda_e)),
-               ad.scale(l_c, lw.lambda_c))
-    ad.backward(j)
+    grads = {name: [None] * len(group) for name, group in params.groups().items()}
+    # the gradient reversal layer: the features get the negated input gradients
+    g_fs = -md.mlp_backward(spec_d, params.theta_d, in_ds, d_src, g_dsrc, grads["theta_d"])
+    g_ft = -md.mlp_backward(spec_d, params.theta_d, in_dt, d_tgt, g_dtgt, grads["theta_d"])
+    g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, probs_u, g_pu, grads["theta_c"])
+    g_fs += md.mlp_backward(spec_c, params.theta_c, in_cs, probs_s, g_ps, grads["theta_c"])
+    # the graph's order of the extractor's sums; the source pass must come last
+    for inputs, feat, g in ((in_gt, feat_t, g_ft), (in_gu, feat_u, g_fu), (in_gs, feat_s, g_fs)):
+        md.mlp_backward(spec_g, params.theta_g, inputs, feat, g, grads["theta_g"],
+                        wrt_input=False)
 
-    grads = {
-        "theta_g": [n.grad for n in g_nodes],
-        "theta_c": [n.grad for n in c_nodes],
-        "theta_d": [n.grad for n in d_nodes],
-    }
-    total = (-lw.lambda_d * float(l_d.value) + lw.lambda_e * float(l_e.value)
-             + lw.lambda_c * float(l_c.value))
-    return StepResult(grads, float(l_d.value), float(l_e.value), float(l_c.value),
-                      total, w)
+    total = -lw.lambda_d * l_d + lw.lambda_e * l_e + lw.lambda_c * l_c
+    return StepResult(grads, l_d, l_e, l_c, total, w)

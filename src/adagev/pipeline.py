@@ -147,8 +147,17 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
 
     ``specs`` is the (spec_g, spec_c, spec_d) triple. One epoch makes
     ceil(|source_known| / B) iterations. Emits one log record per epoch.
+    A source pool too small for the tail the GEV is fitted to is a
+    DataError before the first step.
     """
     spec_g, spec_c, spec_d = specs
+    n_tail = len(pool.source_known_x)
+    if tc.tail_config.source_pool == "known_plus_unknown":
+        n_tail += len(pool.source_unknown_x)
+    try:
+        evt.tail_size(n_tail, tc.tail_config)
+    except evt.FitError as e:
+        raise dt.DataError(f"the {n_tail} source rows cannot give a GEV tail: {e}") from e
     root = np.random.SeedSequence(tc.seed)
     init_seed, sample_seed, tail_seed = (s.generate_state(1)[0] for s in root.spawn(3))
     params = md.init_params(spec_g, spec_c, spec_d, int(init_seed))
@@ -314,13 +323,18 @@ def run_ablations(pool: dt.DatasetPool, specs, tc: TrainConfig, variants,
     full: the complete method. no_reweight: uniform target weights.
     no_evt_binary: a binary known/unknown head, trained post hoc on frozen
     source features, replaces the GEV rejector. hard_threshold: reject when
-    entropy exceeds a fixed threshold (default 0.5*log K). Only no_reweight
-    changes the training, so training runs once per distinct weighting.
+    entropy exceeds a fixed threshold (default 0.5*log K); ``hard_threshold``
+    without that variant is a ValueError, since nothing would read it. Only
+    no_reweight changes the training, so training runs once per distinct
+    weighting.
     """
     if not set(variants) <= set(ABLATION_VARIANTS):
         raise ValueError(f"variant must be one of {ABLATION_VARIANTS}")
     if hard_threshold is not None and not np.isfinite(hard_threshold):
         raise ValueError(f"hard_threshold must be finite, got {hard_threshold}")
+    if hard_threshold is not None and "hard_threshold" not in variants:
+        raise ValueError(f"a hard threshold (ablate --tau) is read only by the hard_threshold "
+                         f"variant, not by {', '.join(variants)}")
     uniform = obj.WeightConfig("uniform", tc.weight_config.z_mode)
     trained, out = {}, {}
     for variant in variants:

@@ -169,12 +169,12 @@ def test_criterion_3_saddle_point_routing():
     def group_objective(which):
         feat_s = md.forward_features(params, batch.source_x)
         feat_t = md.forward_features(params, batch.target_x)
-        l_d = float(obj.loss_domain(md.forward_domain(params, feat_s),
-                                    md.forward_domain(params, feat_t), base_w).value)
-        l_e = float(obj.loss_entropy_unknown(
-            md.forward_classifier(params, md.forward_features(params, batch.unknown_x))).value)
-        l_c = float(obj.loss_classification(
-            md.forward_classifier(params, feat_s), batch.source_y).value)
+        l_d = obj.loss_domain(md.forward_domain(params, feat_s),
+                              md.forward_domain(params, feat_t), base_w)[0]
+        l_e = obj.loss_entropy_unknown(
+            md.forward_classifier(params, md.forward_features(params, batch.unknown_x)))[0]
+        l_c = obj.loss_classification(
+            md.forward_classifier(params, feat_s), batch.source_y)[0]
         if which == "theta_d":
             return lw.lambda_d * l_d
         if which == "theta_g":

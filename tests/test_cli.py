@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adagev import cli, data as dt, evt, model as md, pipeline as pl
+from adagev import cli, data as dt, evt, model as md, objective as obj, pipeline as pl
 
 
 def run(*argv):
@@ -180,6 +180,20 @@ class TestTrain:
         assert rc == 3
         assert "bad.csv:6: non-finite feature" in capsys.readouterr().err
 
+    def test_tail_too_small_is_data_error_before_training(self, small_data, tmp_path, capsys,
+                                                          monkeypatch):
+        def step(*args):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(obj, "total_step_gradients", step)
+        path, _ = small_data  # 120 source-known rows: 6 blocks of the default 20
+        outdir = tmp_path / "run"
+        rc = run("train", "--out", str(outdir), "--data", str(path))
+        assert rc == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["data error: the 120 source rows cannot give a GEV tail: "
+                       "block_maxima needs >= 30 blocks, got 6 (120 values, block size 20)"]
+        assert not outdir.exists()
+
     def test_echo_replays_byte_identical(self, trained_dir, tmp_path):
         outdir = tmp_path / "replay"
         rc = run("train", "--out", str(outdir), "--config", str(trained_dir / "config.json"))
@@ -337,6 +351,30 @@ class TestAblate:
         assert rc == 0
         report = json.loads((outdir / "report.json").read_text())
         assert report["UNK"] == 1.0  # tau 0 rejects everything
+
+    def test_tau_without_hard_threshold_is_usage_error(self, small_data, tmp_path, capsys,
+                                                       monkeypatch):
+        def train(*args):
+            raise AssertionError("training started")
+        monkeypatch.setattr(pl, "train", train)
+        _, flags = small_data
+        outdir = tmp_path / "abl"
+        rc = run("ablate", "--out", str(outdir), "--variant", "full", "--tau", "0.1", *flags)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--tau" in err[0]
+        assert not outdir.exists()
+
+    def test_echo_with_null_tau_replays(self, small_data, tmp_path):
+        _, flags = small_data
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert run("ablate", "--out", str(first), "--variant", "full", *flags) == 0
+        assert json.loads((first / "config.json").read_text())["tau"] is None
+        assert run("ablate", "--out", str(second), "--config", str(first / "config.json")) == 0
+        reports = [json.loads((d / "report.json").read_text()) for d in (first, second)]
+        for r in reports:
+            r.pop("config")
+        assert reports[0] == reports[1]
 
     def test_non_finite_tau_is_usage_error(self, small_data, tmp_path, capsys):
         _, flags = small_data

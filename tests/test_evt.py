@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,14 @@ class TestCdf:
         # c > 0: support is x >= l - s/c; below it the CDF is exactly zero
         p = evt.GevParams(0.0, 1.0, 0.5)
         assert evt.gev_cdf(-2.0 - 1e-9, p) == 0.0
+
+    def test_gumbel_far_below_location_is_inf_without_warning(self):
+        # z is about -1600: exp(-z) overflows, as the c != 0 branch's power does
+        p = evt.GevParams(1.3, 0.0008, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert evt.gev_t(0.001, p) == np.inf
+            assert evt.gev_cdf(0.001, p) == 0.0
 
     def test_gumbel_continuity(self):
         xs = np.linspace(-3, 5, 50)
@@ -133,6 +143,20 @@ class TestExtractTail:
     def test_top_fraction_too_few(self):
         with pytest.raises(evt.FitError):
             evt.extract_tail(np.arange(100.0), evt.TailConfig("top_fraction", fraction=0.1))
+
+    @pytest.mark.parametrize("tc", [evt.TailConfig("block_maxima", block_size=20),
+                                    evt.TailConfig("top_fraction", fraction=0.1)])
+    @pytest.mark.parametrize("n", [0, 290, 291, 599, 600, 1000])
+    def test_tail_size_is_the_extracted_size(self, tc, n):
+        vals = np.random.default_rng(n).random(n)
+        expected = n // 20 if tc.method == "block_maxima" else int(np.ceil(0.1 * n))
+        if expected < evt.MIN_TAIL:
+            with pytest.raises(evt.FitError):
+                evt.tail_size(n, tc)
+            with pytest.raises(evt.FitError):
+                evt.extract_tail(vals, tc)
+        else:
+            assert evt.tail_size(n, tc) == expected == evt.extract_tail(vals, tc).size
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -129,6 +129,39 @@ def test_graph_free_forward_equals_graph_bit_for_bit(activation, head):
     np.testing.assert_array_equal(x, x_before)  # the in-place layers leave the input alone
 
 
+@pytest.mark.parametrize("activation,head", itertools.product(("relu", "tanh"),
+                                                              ("none", "softmax", "sigmoid")))
+def test_backward_matches_finite_differences(activation, head):
+    # the scalar sum(out * c) has the upstream gradient c
+    spec = md.MlpSpec((4, 6, 5, 3), activation, head)
+    rng = np.random.default_rng(8)
+    group = [t + 0.1 * rng.standard_normal(t.shape) for t in md.init_group(spec, rng)]
+    x = rng.standard_normal((7, 4))
+    c = rng.standard_normal((7, 3))
+
+    def objective():
+        return float((md.mlp_forward(spec, group, x) * c).sum())
+
+    inputs = []
+    out = md.mlp_forward(spec, group, x, inputs)
+    grads = [None] * len(group)
+    g_x = md.mlp_backward(spec, group, inputs, out, c, grads)
+    assert md.mlp_backward(spec, group, inputs, out, c, [None] * len(group),
+                           wrt_input=False) is None
+    h = 1e-6
+    for tensor, analytic in zip([*group, x], [*grads, g_x]):
+        numeric = np.zeros_like(tensor)
+        for idx in np.ndindex(tensor.shape):
+            orig = tensor[idx]
+            tensor[idx] = orig + h
+            up = objective()
+            tensor[idx] = orig - h
+            down = objective()
+            tensor[idx] = orig
+            numeric[idx] = (up - down) / (2 * h)
+        np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
+
+
 class TestGraphFreeForwardNonFinite:
     def test_non_finite_input(self, params):
         x = np.ones((2, 3))
@@ -141,6 +174,28 @@ class TestGraphFreeForwardNonFinite:
         params.theta_c[0][:, 0] = -1e300
         with pytest.raises(ad.NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
             md.forward_classifier(params, np.full((2, params.feature_dim), 1e10))
+
+    def test_training_pass_checks_every_affine_output(self):
+        # tanh turns the overflowed first layer into 1.0, which inference passes
+        spec = md.MlpSpec((2, 3, 2), "tanh", "softmax")
+        group = md.init_group(spec, np.random.default_rng(0))
+        group[0][:] = 1e308
+        x = np.full((2, 2), 10.0)
+        assert np.isfinite(md.mlp_forward(spec, group, x)).all()
+        with pytest.raises(ad.NonFiniteError, match="op 'linear'"):
+            md.mlp_forward(spec, group, x, [])
+        x[0, 0] = np.inf  # a non-finite input makes the first affine output non-finite
+        with pytest.raises(ad.NonFiniteError, match="op 'linear'"):
+            md.mlp_forward(spec, md.init_group(spec, np.random.default_rng(0)), x, [])
+
+    def test_training_pass_records_inputs_and_equals_inference(self, params):
+        x = np.random.default_rng(3).standard_normal((5, 3))
+        inputs = []
+        out = md.mlp_forward(params.spec_g, params.theta_g, x, inputs)
+        assert out.tobytes() == md.mlp_forward(params.spec_g, params.theta_g, x).tobytes()
+        assert inputs[0] is x and len(inputs) == len(params.spec_g.widths) - 1
+        hidden = np.maximum(x @ params.theta_g[0] + params.theta_g[1], 0.0)
+        np.testing.assert_array_equal(inputs[1], hidden)
 
 
 class TestCheckpoint:

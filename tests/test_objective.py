@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -98,20 +100,20 @@ class TestLossDomain:
     def test_symmetric_midpoint(self):
         d = np.full((4, 1), 0.5)
         w = np.full(4, 0.25)
-        loss = obj.loss_domain(d, d, w)
-        np.testing.assert_allclose(float(loss.value), -2 * np.log(2), atol=1e-12)
+        loss = obj.loss_domain(d, d, w)[0]
+        np.testing.assert_allclose(loss, -2 * np.log(2), atol=1e-12)
 
     def test_correct_discriminator_low(self):
         d_src = np.full((3, 1), 0.1)
         d_tgt = np.full((3, 1), 0.9)
-        loss = obj.loss_domain(d_src, d_tgt, np.full(3, 1 / 3))
-        np.testing.assert_allclose(float(loss.value), 2 * np.log(0.1), atol=1e-9)
+        loss = obj.loss_domain(d_src, d_tgt, np.full(3, 1 / 3))[0]
+        np.testing.assert_allclose(loss, 2 * np.log(0.1), atol=1e-9)
 
     def test_confused_discriminator_high(self):
         d_src = np.full((3, 1), 0.9)
         d_tgt = np.full((3, 1), 0.1)
-        loss = obj.loss_domain(d_src, d_tgt, np.full(3, 1 / 3))
-        np.testing.assert_allclose(float(loss.value), 2 * np.log(0.9), atol=1e-9)
+        loss = obj.loss_domain(d_src, d_tgt, np.full(3, 1 / 3))[0]
+        np.testing.assert_allclose(loss, 2 * np.log(0.9), atol=1e-9)
 
     def test_weight_sum_checked(self):
         d = np.full((2, 1), 0.5)
@@ -123,41 +125,41 @@ class TestLossDomain:
         d_src = rng.random((6, 1)) * 0.8 + 0.1
         d_tgt = rng.random((6, 1)) * 0.8 + 0.1
         w = np.full(6, 1 / 6)
-        a = float(obj.loss_domain(d_src, d_tgt, w).value)
+        a = obj.loss_domain(d_src, d_tgt, w)[0]
         perm = rng.permutation(6)
-        b = float(obj.loss_domain(d_src[perm], d_tgt[perm], w).value)
+        b = obj.loss_domain(d_src[perm], d_tgt[perm], w)[0]
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestLossEntropyUnknown:
     def test_uniform_is_minimum(self):
-        loss = obj.loss_entropy_unknown(np.full((3, 4), 0.25))
-        np.testing.assert_allclose(float(loss.value), -np.log(4), atol=1e-9)
+        loss = obj.loss_entropy_unknown(np.full((3, 4), 0.25))[0]
+        np.testing.assert_allclose(loss, -np.log(4), atol=1e-9)
 
     def test_one_hot_is_maximum(self):
-        loss = obj.loss_entropy_unknown(np.eye(4))
-        np.testing.assert_allclose(float(loss.value), 0.0, atol=1e-10)
+        loss = obj.loss_entropy_unknown(np.eye(4))[0]
+        np.testing.assert_allclose(loss, 0.0, atol=1e-10)
 
     def test_mixed_batch(self):
         probs = np.vstack([np.full((1, 4), 0.25), np.eye(4)[:1]])
-        loss = obj.loss_entropy_unknown(probs)
-        np.testing.assert_allclose(float(loss.value), -np.log(4) / 2, atol=1e-9)
+        loss = obj.loss_entropy_unknown(probs)[0]
+        np.testing.assert_allclose(loss, -np.log(4) / 2, atol=1e-9)
 
 
 class TestLossClassification:
     def test_perfect_predictions(self):
         probs = np.eye(3)
-        loss = obj.loss_classification(probs, [0, 1, 2])
-        np.testing.assert_allclose(float(loss.value), 0.0, atol=1e-10)
+        loss = obj.loss_classification(probs, [0, 1, 2])[0]
+        np.testing.assert_allclose(loss, 0.0, atol=1e-10)
 
     def test_uniform_baseline(self):
-        loss = obj.loss_classification(np.full((5, 4), 0.25), [0, 1, 2, 3, 0])
-        np.testing.assert_allclose(float(loss.value), np.log(4), atol=1e-9)
+        loss = obj.loss_classification(np.full((5, 4), 0.25), [0, 1, 2, 3, 0])[0]
+        np.testing.assert_allclose(loss, np.log(4), atol=1e-9)
 
     def test_half_confidence(self):
         probs = np.array([[0.5, 0.5], [0.5, 0.5]])
-        loss = obj.loss_classification(probs, [0, 1])
-        np.testing.assert_allclose(float(loss.value), np.log(2), atol=1e-12)
+        loss = obj.loss_classification(probs, [0, 1])[0]
+        np.testing.assert_allclose(loss, np.log(2), atol=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
@@ -200,9 +202,9 @@ def group_loss(params, batch, lw, wc, which, fixed_w=None):
         w = fixed_w
     d_src = md.forward_domain(params, feat_s)
     d_tgt = md.forward_domain(params, feat_t)
-    l_d = float(obj.loss_domain(d_src, d_tgt, w).value)
-    l_e = float(obj.loss_entropy_unknown(md.forward_classifier(params, feat_u)).value)
-    l_c = float(obj.loss_classification(md.forward_classifier(params, feat_s), batch.source_y).value)
+    l_d = obj.loss_domain(d_src, d_tgt, w)[0]
+    l_e = obj.loss_entropy_unknown(md.forward_classifier(params, feat_u))[0]
+    l_c = obj.loss_classification(md.forward_classifier(params, feat_s), batch.source_y)[0]
     if which == "theta_d":
         return lw.lambda_d * l_d
     if which == "theta_g":
@@ -266,23 +268,95 @@ class TestTotalStepGradients:
         for a, b in zip(step1.grads["theta_d"], step2.grads["theta_d"]):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
-    def test_nodes_per_step(self, monkeypatch):
-        # the benchmark's specs: two extractor layers, one classifier layer,
-        # two discriminator layers; each affine layer is one fused linear node,
-        # and the three data batches enter those nodes as arrays, not as leaves
-        counts = []
-        backward = ad.backward
 
-        def counting_backward(loss):
-            counts.append(len(ad.topo_order(loss)))
-            backward(loss)
-
-        monkeypatch.setattr(ad, "backward", counting_backward)
-        rng = np.random.default_rng(0)
-        params = md.init_params(*md.default_specs(2, 4), seed=0)
-        batch = dt.DomainBatch(source_x=rng.standard_normal((8, 2)),
-                               source_y=rng.integers(0, 4, 8),
-                               unknown_x=rng.standard_normal((8, 2)),
-                               target_x=rng.standard_normal((8, 2)))
+def test_tanh_overflow_in_the_step_names_linear():
+    # tanh maps an overflowed pre-activation to 1.0, so only the affine
+    # output check can see it
+    params, batch = tiny_setup(seed=2)
+    params.theta_g[0][:] = 1e308
+    batch.source_x[:] = 10.0
+    with pytest.raises(ad.NonFiniteError, match="'linear'"):
         obj.total_step_gradients(batch, params, obj.LossWeights(), obj.WeightConfig())
-        assert counts == [56]
+
+
+# The graph-built step the fused step replaced, kept as its bit-for-bit
+# reference: the same losses as autodiff nodes and one backward pass.
+
+def graph_step(batch, params, lw, wc):
+    def log_mean(x):
+        return ad.reduce_mean(ad.log_clamped(x))
+
+    g_nodes, c_nodes, d_nodes = (md.group_nodes(t) for t in params.groups().values())
+    feat_s = md.mlp_graph(params.spec_g, g_nodes, batch.source_x)
+    feat_u = md.mlp_graph(params.spec_g, g_nodes, batch.unknown_x)
+    feat_t = md.mlp_graph(params.spec_g, g_nodes, batch.target_x)
+    probs_t = md.mlp_graph(params.spec_c, c_nodes, feat_t)
+    aux_h = None
+    if wc.z_mode != "same_batch":
+        aux_h = obj.entropy(md.forward_classifier(
+            params, md.forward_features(params, batch.target_aux_x)))
+    w = obj.batch_weights(obj.entropy(probs_t.value), wc, aux_h)
+
+    d_src = md.mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
+    d_tgt = md.mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
+    one_minus = ad.add(ad.scale(d_tgt, -1.0), 1.0)
+    l_d = ad.add(log_mean(d_src), ad.weighted_sum(ad.log_clamped(one_minus), w))
+
+    probs_u = md.mlp_graph(params.spec_c, c_nodes, feat_u)
+    h_u = ad.scale(ad.row_sum(ad.mul(probs_u, ad.log_clamped(probs_u))), -1.0)
+    l_e = ad.scale(ad.reduce_mean(h_u), -1.0)
+
+    probs_s = md.mlp_graph(params.spec_c, c_nodes, feat_s)
+    l_c = ad.scale(log_mean(ad.gather_rows(probs_s, batch.source_y)), -1.0)
+
+    j = ad.add(ad.add(ad.scale(l_d, lw.lambda_d), ad.scale(l_e, lw.lambda_e)),
+               ad.scale(l_c, lw.lambda_c))
+    ad.backward(j)
+    grads = {name: [n.grad for n in nodes] for name, nodes in
+             zip(params.groups(), (g_nodes, c_nodes, d_nodes))}
+    losses = [float(n.value) for n in (l_d, l_e, l_c)]
+    total = -lw.lambda_d * losses[0] + lw.lambda_e * losses[1] + lw.lambda_c * losses[2]
+    return obj.StepResult(grads, *losses, total, w)
+
+
+SPEC_SETS = {
+    # the pinned benchmark's shapes, smaller: one-layer classifier
+    "tanh": (md.MlpSpec((2, 16, 8), "tanh"), md.MlpSpec((8, 4), head="softmax"),
+             md.MlpSpec((8, 6, 1), "tanh", "sigmoid")),
+    "relu": (md.MlpSpec((2, 16, 8), "relu"), md.MlpSpec((8, 4), head="softmax"),
+             md.MlpSpec((8, 6, 1), "relu", "sigmoid")),
+    # hidden layers in every network, so every activation is backpropagated
+    "tanh-deep": (md.MlpSpec((3, 12, 10, 8), "tanh"), md.MlpSpec((8, 6, 4), "tanh", "softmax"),
+                  md.MlpSpec((8, 6, 1), "tanh", "sigmoid")),
+    "relu-deep": (md.MlpSpec((3, 12, 10, 8), "relu"), md.MlpSpec((8, 6, 4), "relu", "softmax"),
+                  md.MlpSpec((8, 6, 1), "relu", "sigmoid")),
+}
+LOSS_WEIGHTS = {"default": obj.LossWeights(), "no-adversary": obj.LossWeights(0, 1, 1),
+                "other": obj.LossWeights(0.3, 1.7, 0.45)}
+
+
+def as_bytes(step):
+    grads = [t.tobytes() for name in ("theta_g", "theta_c", "theta_d") for t in step.grads[name]]
+    scalars = np.array([step.loss_d, step.loss_e, step.loss_c, step.total]).tobytes()
+    return grads, scalars, step.weights.tobytes()
+
+
+@pytest.mark.parametrize("specs,weight_mode,z_mode,weights", itertools.product(
+    SPEC_SETS, obj.WEIGHT_MODES, obj.Z_MODES, LOSS_WEIGHTS))
+def test_fused_step_equals_graph_bit_for_bit(specs, weight_mode, z_mode, weights):
+    seed = (list(SPEC_SETS).index(specs) * 9 + obj.WEIGHT_MODES.index(weight_mode) * 3
+            + obj.Z_MODES.index(z_mode))
+    rng = np.random.default_rng(seed)
+    params = md.init_params(*SPEC_SETS[specs], seed=seed)
+    for group in params.groups().values():
+        for i in range(1, len(group), 2):
+            group[i] = rng.standard_normal(group[i].shape) * 0.1
+
+    def rows():
+        return rng.standard_normal((16, params.spec_g.widths[0]))
+
+    batch = dt.DomainBatch(source_x=rows(), source_y=rng.integers(0, 4, 16), unknown_x=rows(),
+                           target_x=rows(), target_aux_x=None if z_mode == "same_batch" else rows())
+    lw, wc = LOSS_WEIGHTS[weights], obj.WeightConfig(weight_mode, z_mode)
+    fused = obj.total_step_gradients(batch, params, lw, wc)
+    assert as_bytes(fused) == as_bytes(graph_step(batch, params, lw, wc))

@@ -66,6 +66,21 @@ class TestConfigValidation:
                              hard_threshold=tau)
 
 
+    def test_tau_without_hard_threshold_variant(self, no_training):
+        with pytest.raises(ValueError, match="--tau"):
+            pl.run_ablations(tiny_pool(), tiny_specs(), tiny_config(), ("full", "no_reweight"),
+                             hard_threshold=0.1)
+
+    @pytest.mark.parametrize("source_pool,n", [("known_only", 80), ("known_plus_unknown", 140)])
+    def test_tail_too_small_before_the_first_step(self, monkeypatch, source_pool, n):
+        def step(*args):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(obj, "total_step_gradients", step)
+        tail = evt.TailConfig(source_pool=source_pool)  # blocks of 20
+        with pytest.raises(dt.DataError, match=rf"the {n} source rows .* got {n // 20} "):
+            pl.train(tiny_pool(), tiny_specs(), tiny_config(tail_config=tail))
+
+
 class TestTrain:
     def test_returns_log_per_epoch(self):
         res = pl.train(tiny_pool(), tiny_specs(), tiny_config(epochs=3))
