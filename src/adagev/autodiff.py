@@ -5,6 +5,13 @@ value together with its parents and the vector-Jacobian product needed
 for the backward sweep. Graphs are dynamic: build one per batch, call
 :func:`backward` on a scalar node, read gradients off the leaves.
 
+Training does not run on this engine: the networks backpropagate with
+``model.mlp_backward``, whose expressions are these ops' vjps. The engine
+serves the gradient checks (acceptance criteria 1-3), the gradient
+reversal demo and the tests' graph references, which hold the training
+step, the networks and the binary head to the same bits. ``LOG_CLAMP``
+and ``NonFiniteError`` are shared with the program.
+
 The one non-standard op is :func:`grad_reverse`, which is the identity
 in the forward pass and multiplies the upstream gradient by ``-scale``
 in the backward pass. It is what lets a min-max objective be optimized
@@ -130,13 +137,6 @@ def tanh(x: Node) -> Node:
     return Node(y, (x,), lambda g: (g * (1.0 - y * y),), op="tanh")
 
 
-def exp(x: Node) -> Node:
-    x = as_node(x)
-    with np.errstate(over="ignore"):
-        y = np.exp(x.value)
-    return Node(y, (x,), lambda g: (g * y,), op="exp")
-
-
 def sigmoid(x: Node) -> Node:
     x = as_node(x)
     with np.errstate(over="ignore"):
@@ -172,37 +172,6 @@ def stable_softmax(logits: Node) -> Node:
     return Node(p, (logits,), vjp, op="stable_softmax")
 
 
-def row_sum(x: Node) -> Node:
-    """Sum over the last axis of a [B,K] tensor, yielding [B]."""
-    x = as_node(x)
-    if x.value.ndim != 2:
-        raise AutodiffError(f"row_sum expects a matrix, got {x.value.shape}")
-    cols = x.value.shape[1]
-
-    def vjp(g):
-        return (np.repeat(g[:, None], cols, axis=1),)
-
-    return Node(x.value.sum(axis=1), (x,), vjp, op="row_sum")
-
-
-def gather_rows(p: Node, idx) -> Node:
-    """Pick p[i, idx[i]] for each row, yielding [B]."""
-    p = as_node(p)
-    idx = np.asarray(idx, dtype=np.int64)
-    if p.value.ndim != 2 or idx.shape != (p.value.shape[0],):
-        raise AutodiffError("gather_rows expects [B,K] tensor and [B] indices")
-    if idx.min() < 0 or idx.max() >= p.value.shape[1]:
-        raise AutodiffError("gather_rows index out of range")
-    rows = np.arange(p.value.shape[0])
-
-    def vjp(g):
-        out = np.zeros_like(p.value)
-        out[rows, idx] = g
-        return (out,)
-
-    return Node(p.value[rows, idx], (p,), vjp, op="gather_rows")
-
-
 def reduce_sum(x: Node) -> Node:
     x = as_node(x)
     n = x.value.shape
@@ -221,30 +190,6 @@ def reduce_mean(x: Node) -> Node:
         return (np.full(x.value.shape, float(g) / count),)
 
     return Node(x.value.mean(), (x,), vjp, op="mean")
-
-
-def weighted_sum(x: Node, weights) -> Node:
-    """sum_i w_i * x_i with the weights treated as constants.
-
-    No gradient flows into the weights; they are detached by contract.
-    """
-    x = as_node(x)
-    w = np.asarray(weights, dtype=np.float64)
-    if x.value.shape[0] != w.shape[0] or w.ndim != 1:
-        raise AutodiffError(
-            f"weighted_sum shape mismatch: x {x.value.shape}, w {w.shape}"
-        )
-    if x.value.ndim == 2 and x.value.shape[1] == 1:
-        wv = w[:, None]
-    elif x.value.ndim == 1:
-        wv = w
-    else:
-        raise AutodiffError(f"weighted_sum expects [B] or [B,1], got {x.value.shape}")
-
-    def vjp(g):
-        return (float(g) * wv * np.ones_like(x.value),)
-
-    return Node((wv * x.value).sum(), (x,), vjp, op="weighted_sum")
 
 
 def grad_reverse(x: Node, grl_scale: float = 1.0) -> Node:

@@ -6,8 +6,12 @@ so any run can be reproduced exactly by replaying the echoed config.
 Flags override values from an optional --config JSON file, which in turn
 overrides the built-in defaults.
 
-Exit codes: 0 success, 2 usage/validation error, 3 data error,
-4 numerical failure.
+Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure,
+and no other; a failure prints one stderr line and never a traceback. A
+flag or config value invalid on its own (malformed, non-finite, out of
+range, a repeated role id) exits 2; one that conflicts with a data file or
+a checkpoint, or an unreadable or damaged file, exits 3; training that
+diverges and a GEV fit that fails exit 4.
 """
 
 from __future__ import annotations
@@ -69,8 +73,10 @@ class UsageError(ValueError):
 
 
 def _parse_int_list(text):
+    """Comma-separated integers; the empty string is the empty list, and an
+    empty item elsewhere is an error."""
     try:
-        return tuple(int(v) for v in str(text).split(",") if v != "")
+        return tuple(int(v) for v in str(text).split(",")) if text != "" else ()
     except ValueError as e:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from e
 
@@ -148,6 +154,8 @@ def _resolve(args, command):
         flag_value = getattr(args, key)
         if flag_value is not None:
             merged[key] = flag_value
+        if flags[key].kind is int and merged[key] < 0:  # every count and seed, read or not
+            raise UsageError(f"--{key.replace('_', '-')} must be nonnegative, got {merged[key]}")
     missing = [f"--{key.replace('_', '-')}" for key in command.required if not merged[key]]
     if missing:
         raise UsageError(f"{' and '.join(missing)} required")
@@ -315,6 +323,8 @@ def cmd_sweep(cfg) -> int:
             return [fallback]
         return [float(v) for v in str(raw).split(",")]
 
+    # the flag values are checked even where a grid replaces them
+    obj.LossWeights(cfg["lambda_d"], cfg["lambda_e"], cfg["lambda_c"])
     grid_d = axis("grid_lambda_d", cfg["lambda_d"])
     grid_e = axis("grid_lambda_e", cfg["lambda_e"])
     grid_c = axis("grid_lambda_c", cfg["lambda_c"])
@@ -375,9 +385,14 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one stderr line, as every other failure is."""
+        self.exit(EXIT_USAGE, f"error: {self.prog}: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="adagev",
-                                     description="open-set domain adaptation toolkit")
+    parser = _Parser(prog="adagev", description="open-set domain adaptation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)

@@ -66,13 +66,13 @@ def gev_t(x, p: GevParams):
     the upper endpoint (c < 0).
     """
     x = np.asarray(x, dtype=np.float64)
-    z = (x - p.l) / p.s
-    if abs(p.c) < GUMBEL_EPS:
-        with np.errstate(over="ignore"):
+    # a tiny s overflows z and c*z to +-inf, where t is 0 or inf
+    with np.errstate(divide="ignore", over="ignore"):
+        z = (x - p.l) / p.s
+        if abs(p.c) < GUMBEL_EPS:
             t = np.exp(-z)
-    else:
-        base = 1.0 + p.c * z
-        with np.errstate(divide="ignore", over="ignore"):
+        else:
+            base = 1.0 + p.c * z
             t = np.where(base > 0, np.power(np.maximum(base, 1e-300), -1.0 / p.c),
                          np.inf if p.c > 0 else 0.0)
     return t if t.ndim else float(t)

@@ -3,27 +3,33 @@
 A feature extractor maps raw samples to embeddings, a K-way classifier
 produces class probabilities, and a binary domain discriminator outputs
 the probability that a sample came from the target domain. All three are
-small MLPs. ``mlp_forward`` is the one layer loop of inference and of the
-training step, whose backward pass is ``mlp_backward``: numpy expressions
-equal bit for bit to the autodiff graph of ``mlp_graph``, which the binary
-known/unknown head still trains on. Checkpoints persist the full parameter
-set, optionally together with fitted GEV parameters.
+small MLPs. ``mlp_forward`` is the one layer loop of inference and of
+training, whose backward pass is ``mlp_backward``: numpy expressions equal
+bit for bit to the autodiff graph of the same network, which the tests
+keep as the reference.
+
+Every parameter lives in one float64 vector, in checkpoint-v1 order (the
+extractor, the classifier, then the discriminator; each as W0, b0, W1,
+b1, ...). ``layout`` is the only code that knows that order: it gives each
+network's weights and biases as views into the vector, for the parameters,
+their gradients and any other network. A checkpoint is a header plus that
+vector, optionally followed by fitted GEV parameters.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Node
 
 MAGIC = b"ADAGEV1\x00"
 
-_ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+_ACTIVATIONS = ("relu", "tanh")
 _HEADS = ("none", "softmax", "sigmoid")
 
 
@@ -52,16 +58,25 @@ class MlpSpec:
 
 @dataclass
 class ModelParams:
-    """Parameter groups of extractor (theta_g), classifier (theta_c),
-    domain discriminator (theta_d). Each group is the flat list
-    [W0, b0, W1, b1, ...] for its MlpSpec."""
+    """The parameters of the extractor, the classifier and the domain
+    discriminator: one float64 vector ``flat`` and, for each network, the
+    tuple (W0, b0, W1, b1, ...) of views into it that ``layout`` gives:
+    theta_g, theta_c and theta_d."""
 
     spec_g: MlpSpec
     spec_c: MlpSpec
     spec_d: MlpSpec
-    theta_g: list[np.ndarray] = field(default_factory=list)
-    theta_c: list[np.ndarray] = field(default_factory=list)
-    theta_d: list[np.ndarray] = field(default_factory=list)
+    flat: np.ndarray
+    theta_g: tuple[np.ndarray, ...] = field(init=False)
+    theta_c: tuple[np.ndarray, ...] = field(init=False)
+    theta_d: tuple[np.ndarray, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.flat, (self.theta_g, self.theta_c, self.theta_d) = layout(self.specs, self.flat)
+
+    @property
+    def specs(self) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
+        return self.spec_g, self.spec_c, self.spec_d
 
     @property
     def feature_dim(self) -> int:
@@ -71,7 +86,7 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.spec_c.widths[-1]
 
-    def groups(self) -> dict[str, list[np.ndarray]]:
+    def groups(self) -> dict[str, tuple[np.ndarray, ...]]:
         return {"theta_g": self.theta_g, "theta_c": self.theta_c, "theta_d": self.theta_d}
 
 
@@ -83,14 +98,35 @@ def default_specs(input_dim: int, num_classes: int) -> tuple[MlpSpec, MlpSpec, M
     return spec_g, spec_c, spec_d
 
 
-def init_group(spec: MlpSpec, rng: np.random.Generator) -> list[np.ndarray]:
-    """One network's [W0, b0, W1, b1, ...]: scaled uniform weights, zero biases."""
-    params = []
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        params.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-        params.append(np.zeros(fan_out))
-    return params
+def layout(specs, flat: np.ndarray | None = None):
+    """The parameter layout, and the only code that knows it.
+
+    Returns ``(flat, groups)``: for each of ``specs``, in order, the tuple
+    (W0, b0, W1, b1, ...) of views into the float64 vector ``flat``, which
+    they fill end to end. Without ``flat`` a zero vector is made; one of
+    another size is a ValueError.
+    """
+    shapes = [[s for fi, fo in zip(spec.widths[:-1], spec.widths[1:]) for s in ((fi, fo), (fo,))]
+              for spec in specs]
+    sizes = [math.prod(s) for group in shapes for s in group]
+    if flat is None:
+        flat = np.zeros(sum(sizes))
+    elif flat.dtype != np.float64 or flat.shape != (sum(sizes),):
+        raise ValueError(f"the parameters need a float64 vector of {sum(sizes)} values, "
+                         f"got {flat.dtype} {flat.shape}")
+    parts = iter(np.split(flat, np.cumsum(sizes)[:-1]))
+    return flat, tuple(tuple(next(parts).reshape(s) for s in group) for group in shapes)
+
+
+def init_vector(specs, rng: np.random.Generator):
+    """``layout`` of a new vector: scaled uniform weights (bound
+    sqrt(6/(fan_in+fan_out))) drawn from ``rng`` in layout order, zero biases."""
+    flat, groups = layout(specs)
+    for group in groups:
+        for w in group[::2]:
+            bound = np.sqrt(6.0 / sum(w.shape))
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+    return flat, groups
 
 
 def _check_specs(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec) -> None:
@@ -103,49 +139,18 @@ def _check_specs(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec) -> None:
         raise ValueError("domain discriminator must have output width 1")
 
 
-def _group_shapes(spec: MlpSpec) -> list[list[int]]:
-    """Shapes of the flat [W0, b0, W1, b1, ...] group for ``spec``."""
-    return [s for fi, fo in zip(spec.widths[:-1], spec.widths[1:]) for s in ([fi, fo], [fo])]
-
-
 def init_params(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int) -> ModelParams:
-    """Scaled uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
+    """The three networks' ``init_vector`` from one seed."""
     _check_specs(spec_g, spec_c, spec_d)
-    rng = np.random.default_rng(seed)
-    return ModelParams(
-        spec_g, spec_c, spec_d,
-        theta_g=init_group(spec_g, rng),
-        theta_c=init_group(spec_c, rng),
-        theta_d=init_group(spec_d, rng),
-    )
+    flat, _ = init_vector((spec_g, spec_c, spec_d), np.random.default_rng(seed))
+    return ModelParams(spec_g, spec_c, spec_d, flat)
 
 
-def group_nodes(group: list[np.ndarray]) -> list[Node]:
-    """Wrap one parameter group as graph leaves for a training step."""
-    return [ad.leaf(p) for p in group]
+def mlp_forward(spec: MlpSpec, group, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
+    """The network's output for the rows of ``x``, from the parameter views
+    ``group`` (W0, b0, W1, b1, ...).
 
-
-def mlp_graph(spec: MlpSpec, param_nodes: list[Node], x) -> Node:
-    """Forward an MLP as a graph; ``x`` is a node, or an array for a data batch."""
-    act = _ACTIVATIONS[spec.activation]
-    n_layers = len(spec.widths) - 1
-    h = x
-    for i in range(n_layers):
-        h = ad.linear(h, param_nodes[2 * i], param_nodes[2 * i + 1])
-        if i < n_layers - 1:
-            h = act(h)
-    if spec.head == "softmax":
-        h = ad.stable_softmax(h)
-    elif spec.head == "sigmoid":
-        h = ad.sigmoid(h)
-    return h
-
-
-def mlp_forward(spec: MlpSpec, group: list[np.ndarray], x: np.ndarray,
-                inputs: list | None = None) -> np.ndarray:
-    """The values of ``mlp_graph``, computed without a graph.
-
-    Each layer computes the graph op's expression, in place where the graph
+    Each layer computes the autodiff op's expression, in place where the graph
     allocates a new array, so the result is the same bit for bit (relu's
     ``maximum`` differs from the graph's ``where`` only on NaN). Inference
     checks the input and the output for non-finite values. A training pass
@@ -187,16 +192,19 @@ def mlp_forward(spec: MlpSpec, group: list[np.ndarray], x: np.ndarray,
     return h
 
 
-def mlp_backward(spec: MlpSpec, group: list[np.ndarray], inputs: list[np.ndarray],
-                 out: np.ndarray, g: np.ndarray, grads: list, wrt_input: bool = True):
+def mlp_backward(spec: MlpSpec, group, inputs: list[np.ndarray], out: np.ndarray,
+                 g: np.ndarray, grads, add: bool = True, wrt_input: bool = True):
     """Backpropagate ``g``, the gradient with respect to the output ``out`` of
     a training ``mlp_forward`` that recorded ``inputs``.
 
-    Each parameter's gradient is added to ``grads`` (a None entry takes it
-    as is), in the order the passes are backpropagated. Returns the gradient
-    with respect to the input, or None without ``wrt_input``: a data batch's
-    gradient is never read. Every expression is the graph vjp's own, so the
-    gradients equal the graph's bit for bit.
+    ``grads`` are the gradient views of the parameters in ``group``: each
+    parameter's gradient is added to its view, or, without ``add``, written
+    over it, so the first pass over a network needs no zeroed buffer (zeros
+    plus -0.0 would give +0.0). Returns the gradient with respect to the
+    input, or None without ``wrt_input``: a data batch's gradient is never
+    read. Every expression is the graph vjp's own, so the gradients equal
+    the graph's bit for bit when the passes are backpropagated in the
+    graph's order.
     """
     if spec.head == "softmax":
         g = out * (g - (g * out).sum(axis=1, keepdims=True))
@@ -206,16 +214,18 @@ def mlp_backward(spec: MlpSpec, group: list[np.ndarray], inputs: list[np.ndarray
         if i < len(spec.widths) - 2:
             y = inputs[i + 1]
             g = g * (y > 0) if spec.activation == "relu" else g * (1.0 - y * y)
-        for k, grad in ((2 * i, inputs[i].T @ g), (2 * i + 1, g.sum(axis=0))):
-            if grads[k] is None:
-                grads[k] = grad
-            else:
-                grads[k] += grad
+        w_grad, b_grad = grads[2 * i], grads[2 * i + 1]
+        if add:
+            w_grad += inputs[i].T @ g
+            b_grad += g.sum(axis=0)
+        else:
+            np.matmul(inputs[i].T, g, out=w_grad)
+            g.sum(axis=0, out=b_grad)
         g = g @ group[2 * i].T if i > 0 or wrt_input else None
     return g
 
 
-def _forward(spec: MlpSpec, group: list[np.ndarray], x, what: str) -> np.ndarray:
+def _forward(spec: MlpSpec, group, x, what: str) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != spec.widths[0]:
         raise ValueError(f"{what} width {x.shape[1]} != {spec.widths[0]}")
@@ -247,7 +257,8 @@ def _spec_from_dict(d: dict) -> MlpSpec:
 
 
 def save_checkpoint(params: ModelParams, path, gev=None) -> None:
-    """Binary checkpoint: magic, length-prefixed JSON manifest, raw float64 data.
+    """Binary checkpoint: magic, length-prefixed JSON manifest, then the
+    parameter vector as raw little-endian float64.
 
     ``gev`` is an optional (l, s, c) triple appended after the parameters.
     """
@@ -264,9 +275,7 @@ def save_checkpoint(params: ModelParams, path, gev=None) -> None:
         f.write(MAGIC)
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        for group in params.groups().values():
-            for t in group:
-                f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        f.write(params.flat.astype("<f8", copy=False).tobytes())
         if gev is not None:
             f.write(np.array([gev.l, gev.s, gev.c], dtype="<f8").tobytes())
 
@@ -291,10 +300,7 @@ def load_checkpoint(path):
         manifest = json.loads(data[off:off + mlen].decode("utf-8"))
         specs = [_spec_from_dict(manifest["specs"][k]) for k in ("g", "c", "d")]
         _check_specs(*specs)
-        params = ModelParams(*specs)
-        for name, spec in zip(params.groups(), specs):
-            if manifest["groups"][name] != _group_shapes(spec):
-                raise CheckpointError(f"{path}: shape manifest mismatch in {name}")
+        shapes = manifest["groups"]
         gev_present = manifest["gev_present"]
         if not isinstance(gev_present, bool):
             raise ValueError("gev_present must be a boolean")
@@ -302,19 +308,23 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: corrupt manifest: {e!r}") from e
     off += mlen
 
-    count = sum(int(np.prod(shape)) for spec in specs for shape in _group_shapes(spec))
-    count += 3 if gev_present else 0
-    if len(data) - off != 8 * count:
+    # the parameters are sized from the data, so a manifest's widths never
+    # allocate more than the file holds
+    n_values, odd = divmod(len(data) - off, 8)
+    n_params = n_values - (3 if gev_present else 0)
+    values = np.frombuffer(data, dtype="<f8", count=n_values, offset=off)
+    try:
+        if odd or n_params < 0:
+            raise ValueError(f"{n_values} float64 values and {odd} bytes")
+        params = ModelParams(*specs, values[:n_params].astype(np.float64))
+    except ValueError as e:
         raise CheckpointError(
-            f"{path}: {len(data) - off} data bytes, the manifest needs {8 * count}")
-    values = np.frombuffer(data, dtype="<f8", count=count, offset=off)
+            f"{path}: {len(data) - off} data bytes do not fit the manifest: {e}") from e
+    if shapes != {name: [list(t.shape) for t in group] for name, group in params.groups().items()}:
+        raise CheckpointError(f"{path}: shape manifest mismatch")
     if not np.all(np.isfinite(values)):
         raise CheckpointError(f"{path}: non-finite parameter values")
-    for spec, group in zip(specs, params.groups().values()):
-        for shape in _group_shapes(spec):
-            n = int(np.prod(shape))
-            group.append(values[:n].reshape(shape).copy())
-            values = values[n:]
+    values = values[n_params:]
 
     gev = None
     if gev_present:

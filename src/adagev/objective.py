@@ -180,9 +180,11 @@ def loss_classification(probs, labels, scale: float = 1.0) -> tuple[float, np.nd
 
 @dataclass
 class StepResult:
-    """Gradients per parameter group plus scalar diagnostics for logging."""
+    """The gradient, one vector in the parameters' layout, and its views per
+    parameter group, plus scalar diagnostics for logging."""
 
-    grads: dict[str, list[np.ndarray]]
+    grad: np.ndarray
+    grads: dict[str, tuple[np.ndarray, ...]]
     loss_d: float
     loss_e: float
     loss_c: float
@@ -234,16 +236,20 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
     probs_s, in_cs = forward(spec_c, params.theta_c, feat_s)
     l_c, g_ps = loss_classification(probs_s, batch.source_y, scale=lw.lambda_c)
 
-    grads = {name: [None] * len(group) for name, group in params.groups().items()}
+    # each network's first pass writes its gradients, the later ones add to them
+    grad = np.empty_like(params.flat)
+    _, (grad_g, grad_c, grad_d) = md.layout(params.specs, grad)
     # the gradient reversal layer: the features get the negated input gradients
-    g_fs = -md.mlp_backward(spec_d, params.theta_d, in_ds, d_src, g_dsrc, grads["theta_d"])
-    g_ft = -md.mlp_backward(spec_d, params.theta_d, in_dt, d_tgt, g_dtgt, grads["theta_d"])
-    g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, probs_u, g_pu, grads["theta_c"])
-    g_fs += md.mlp_backward(spec_c, params.theta_c, in_cs, probs_s, g_ps, grads["theta_c"])
+    g_fs = -md.mlp_backward(spec_d, params.theta_d, in_ds, d_src, g_dsrc, grad_d, add=False)
+    g_ft = -md.mlp_backward(spec_d, params.theta_d, in_dt, d_tgt, g_dtgt, grad_d)
+    g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, probs_u, g_pu, grad_c, add=False)
+    g_fs += md.mlp_backward(spec_c, params.theta_c, in_cs, probs_s, g_ps, grad_c)
     # the graph's order of the extractor's sums; the source pass must come last
-    for inputs, feat, g in ((in_gt, feat_t, g_ft), (in_gu, feat_u, g_fu), (in_gs, feat_s, g_fs)):
-        md.mlp_backward(spec_g, params.theta_g, inputs, feat, g, grads["theta_g"],
+    for k, (inputs, feat, g) in enumerate(((in_gt, feat_t, g_ft), (in_gu, feat_u, g_fu),
+                                           (in_gs, feat_s, g_fs))):
+        md.mlp_backward(spec_g, params.theta_g, inputs, feat, g, grad_g, add=k > 0,
                         wrt_input=False)
 
     total = -lw.lambda_d * l_d + lw.lambda_e * l_e + lw.lambda_c * l_c
-    return StepResult(grads, l_d, l_e, l_c, total, w)
+    grads = dict(zip(params.groups(), (grad_g, grad_c, grad_d)))
+    return StepResult(grad, grads, l_d, l_e, l_c, total, w)

@@ -89,29 +89,27 @@ class _Adam:
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m, self.v, self.t = None, None, 0
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+    def step(self, p: np.ndarray, g: np.ndarray):
         if self.m is None:
-            self.m = [np.zeros_like(p) for p in params]
-            self.v = [np.zeros_like(p) for p in params]
+            self.m, self.v = np.zeros_like(p), np.zeros_like(p)
         self.t += 1
         bias1, bias2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
         # In place, with the operands of m = b1*m + (1-b1)*g,
         # v = b2*v + (1-b2)*g*g and p -= lr*m_hat / (sqrt(v_hat) + eps)
         # combined in that order, so every value is the same bit for bit.
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1 - self.beta1) * g
-            v *= self.beta2
-            gg = (1 - self.beta2) * g
-            gg *= g
-            v += gg
-            step = m / bias1
-            step *= self.lr
-            den = v / bias2
-            np.sqrt(den, out=den)
-            den += self.eps
-            step /= den
-            p -= step
+        self.m *= self.beta1
+        self.m += (1 - self.beta1) * g
+        self.v *= self.beta2
+        gg = (1 - self.beta2) * g
+        gg *= g
+        self.v += gg
+        step = self.m / bias1
+        step *= self.lr
+        den = self.v / bias2
+        np.sqrt(den, out=den)
+        den += self.eps
+        step /= den
+        p -= step
 
 
 class _SgdMomentum:
@@ -119,12 +117,11 @@ class _SgdMomentum:
         self.lr, self.momentum = lr, momentum
         self.buf = None
 
-    def step(self, params: list[np.ndarray], grads: list[np.ndarray]):
+    def step(self, p: np.ndarray, g: np.ndarray):
         if self.buf is None:
-            self.buf = [np.zeros_like(p) for p in params]
-        for p, g, b in zip(params, grads, self.buf):
-            b[:] = self.momentum * b + g
-            p -= self.lr * b
+            self.buf = np.zeros_like(p)
+        self.buf[:] = self.momentum * self.buf + g
+        p -= self.lr * self.buf
 
 
 def _make_optimizer(tc: TrainConfig):
@@ -165,7 +162,6 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     optimizer = _make_optimizer(tc)
     need_aux = tc.weight_config.z_mode != "same_batch"
 
-    flat_params = params.theta_g + params.theta_c + params.theta_d
     iters = math.ceil(len(pool.source_known_x) / tc.batch_size)
     log = []
     epoch = it = 0
@@ -176,8 +172,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
             for it in range(1, iters + 1):
                 batch = dt.sample_batch_triple(pool, tc.batch_size, rng, with_aux=need_aux)
                 step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_config)
-                flat_grads = step.grads["theta_g"] + step.grads["theta_c"] + step.grads["theta_d"]
-                optimizer.step(flat_params, flat_grads)
+                optimizer.step(params.flat, step.grad)
                 stats["L_d"] += step.loss_d
                 stats["L_e"] += step.loss_e
                 stats["L_c"] += step.loss_c
@@ -279,19 +274,23 @@ def _train_binary_head(features: np.ndarray, labels: np.ndarray, seed: int,
                        steps: int = 300, lr: float = 1e-2):
     """Post-hoc known-vs-unknown head on frozen features: [f,16,1] MLP, BCE."""
     spec = md.MlpSpec((features.shape[1], 16, 1), activation="relu", head="sigmoid")
-    rng = np.random.default_rng(seed)
-    theta = md.init_group(spec, rng)
+    flat, (theta,) = md.init_vector((spec,), np.random.default_rng(seed))
+    grad, (grads,) = md.layout((spec,))
     optimizer = _Adam(lr)
     y = labels.astype(np.float64)[:, None]
+    # d/dp of BCE = -mean(y log p + (1-y) log(1-p)) with log clamped at 1e-12,
+    # in the autodiff graph's expressions, so the weights match it bit for bit
+    g_log1 = -1.0 / len(y) * y
+    g_log2 = -1.0 / len(y) * (1.0 - y)
     for _ in range(steps):
-        nodes = md.group_nodes(theta)
-        p = md.mlp_graph(spec, nodes, features)
-        # BCE: -mean(y log p + (1-y) log(1-p))
-        term1 = ad.mul(ad.log_clamped(p), y)
-        term2 = ad.mul(ad.log_clamped(ad.add(ad.scale(p, -1.0), 1.0)), 1.0 - y)
-        loss = ad.scale(ad.reduce_mean(ad.add(term1, term2)), -1.0)
-        ad.backward(loss)
-        optimizer.step(theta, [n.grad for n in nodes])
+        inputs = []
+        p = md.mlp_forward(spec, theta, features, inputs)
+        one_minus = 1.0 - p
+        g_p = np.where(p > ad.LOG_CLAMP, g_log1 / np.maximum(p, ad.LOG_CLAMP), 0.0)
+        g_p += np.where(one_minus > ad.LOG_CLAMP,
+                        g_log2 / np.maximum(one_minus, ad.LOG_CLAMP), 0.0) * -1.0
+        md.mlp_backward(spec, theta, inputs, p, g_p, grads, add=False, wrt_input=False)
+        optimizer.step(flat, grad)
     return spec, theta
 
 

@@ -153,7 +153,7 @@ def test_criterion_3_saddle_point_routing():
     params = md.init_params(spec_g, spec_c, spec_d, seed=7)
     for group in params.groups().values():
         for i in range(1, len(group), 2):
-            group[i] = rng.standard_normal(group[i].shape) * 0.1
+            group[i][...] = rng.standard_normal(group[i].shape) * 0.1
     batch = dt.DomainBatch(
         source_x=rng.standard_normal((5, 3)),
         source_y=rng.integers(0, 3, 5),

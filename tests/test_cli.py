@@ -1,4 +1,6 @@
+import contextlib
 import inspect
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adagev import cli, data as dt, evt, model as md, objective as obj, pipeline as pl
 
@@ -457,6 +461,15 @@ class TestSweep:
         assert (outdir / "report_001.json").exists()
         assert "OS" in capsys.readouterr().out
 
+    def test_lambda_under_a_grid_is_still_checked(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        outdir = tmp_path / "sweep"
+        rc = run("sweep", "--out", str(outdir), "--grid-lambda-d", "0.5", "--lambda-d", "nan",
+                 *flags)
+        assert rc == 2
+        assert "lambda_d must be" in capsys.readouterr().err
+        assert not outdir.exists()
+
 
 def test_cli_defaults_match_library_defaults():
     """Every CLI default is also a library default; the two must not drift apart."""
@@ -494,3 +507,132 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "False"
+
+
+class TestIntLists:
+    @pytest.mark.parametrize("flag,value", [("--hidden", "16,"), ("--known", "0,,1"),
+                                            ("--target-unknown", ",7")])
+    def test_empty_item_is_usage_error(self, small_data, tmp_path, capsys, flag, value):
+        _, flags = small_data
+        rc = run("train", "--out", str(tmp_path / "run"), *flags, flag, value)
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(value) in err[0]
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_string_is_the_empty_list(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        rc = run("train", "--out", str(tmp_path / "run"), *flags, "--source-unknown", "")
+        assert rc == 3
+        assert capsys.readouterr().err == "data error: source_unknown pool is empty\n"
+
+
+# --- the exit-code rule, by property ---------------------------------------
+#
+# Each example runs one command on a tiny dataset with one flag replaced by a
+# drawn value, given once or twice. A value marked invalid must
+# exit 2 whatever the rest of the command line; any other value may succeed or
+# fail, but only with a documented code and one stderr line.
+
+PATH_KEYS = {"data", "source_images", "source_labels", "target_images", "target_labels",
+             "out", "checkpoint", "input"}
+ROLE_KEYS = {"known", "source_unknown", "target_unknown"}
+MISSING = "no-such-dir/file"  # under the test's directory
+
+
+def usage_error(strategy):
+    """Values invalid on their own: each must exit 2."""
+    return strategy.map(lambda value: (value, True))
+
+
+def any_code(strategy):
+    """Values that may be valid, or conflict with a file or another flag."""
+    return strategy.map(lambda value: (value, False))
+
+
+def flag_values(command, key, flag):
+    """(value, invalid) pairs for one flag: valid, boundary, non-finite,
+    wrong-type, empty and repeated values, by the flag's kind."""
+    junk = usage_error(st.sampled_from(["", "x", "1e", "0x10", "--"]))
+    non_finite = usage_error(st.sampled_from(["nan", "inf", "-inf", "NaN"]))
+    if isinstance(flag.kind, list):
+        return st.one_of(any_code(st.sampled_from(flag.kind)), junk)
+    if flag.kind is int:
+        return st.one_of(any_code(st.integers(0, 3).map(str)),
+                         usage_error(st.integers(-3, -1).map(str)),
+                         usage_error(st.sampled_from(["1.5", "2e0"])), non_finite, junk)
+    if flag.kind is float:
+        return st.one_of(any_code(st.floats(0.05, 2.0).map(repr)),
+                         any_code(st.sampled_from(["0", "-1", "1e-300"])), non_finite, junk)
+    if key in ROLE_KEYS or key == "hidden":
+        ids = st.lists(st.integers(0, 9), min_size=1, max_size=3).map(
+            lambda v: ",".join(map(str, v)))
+        repeated = st.integers(0, 9).map(lambda i: f"{i},{i}")
+        return st.one_of(any_code(ids), any_code(st.just("")),
+                         (usage_error if key in ROLE_KEYS else any_code)(repeated),
+                         usage_error(st.sampled_from(["1,", ",1", "1,,2", "a", "1.5", "nan"])))
+    if key == "translate":
+        return st.one_of(any_code(st.just("0.1,-0.2")), usage_error(
+            st.sampled_from(["", "1", "1,2,3", "a,b", "nan,0", "0,inf"])))
+    if key == "tail":
+        return st.one_of(any_code(st.sampled_from(["top:0.5", "block:2", "block:50"])),
+                         (any_code if command == "fit-gev" else usage_error)(st.just("none")),
+                         usage_error(st.sampled_from(["", "block:", "block:x", "block:0",
+                                                      "top:0", "top:1", "top:nan", "top:",
+                                                      "max:3"])))
+    if key.startswith("grid_"):
+        return st.one_of(any_code(st.sampled_from(["0.5", "0,1"])), usage_error(
+            st.sampled_from(["", "a", "1,,2", "nan", "0,inf", "-1"])))
+    assert key in PATH_KEYS, key
+    return any_code(st.sampled_from(["", MISSING]))
+
+
+@pytest.fixture(scope="session")
+def exit_code_setup(tmp_path_factory):
+    """A tiny dataset, a checkpoint trained on it, entropy values to fit, and
+    a valid command line for every command."""
+    root = tmp_path_factory.mktemp("exit-codes")
+    data = str(root / "blobs.csv")
+    assert run("gen-data", "--out", data, "--source-per-class", "30",
+               "--target-per-class", "20") == 0
+    train = ["--data", data, "--epochs", "1", "--batch", "16", "--hidden", "8",
+             "--tail", "top:0.5"]
+    assert run("train", "--out", str(root / "model"), *train) == 0
+    values = root / "values.txt"
+    values.write_text("\n".join(map(str, evt.gev_sample(evt.GevParams(1, 0.2, 0.1), 60, 0))))
+    base = {
+        "gen-data": ["--source-per-class", "5", "--target-per-class", "4"],
+        "train": train, "ablate": train, "sweep": train,
+        "eval": ["--data", data, "--checkpoint", str(root / "model" / "checkpoint.bin")],
+        "fit-gev": ["--input", str(values)],
+    }
+    return root, {name: [name, *argv, "--out", str(root / name)] for name, argv in base.items()}
+
+
+@st.composite
+def one_flag_changed(draw):
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    flags = {key: flag for group in cli.COMMANDS[command].groups for key, flag in group.items()}
+    key = draw(st.sampled_from(sorted(flags)))
+    value, invalid = draw(flag_values(command, key, flags[key]))
+    return command, ["--" + key.replace("_", "-"), value] * draw(st.integers(1, 2)), invalid
+
+
+@given(case=one_flag_changed())
+@settings(max_examples=100, deadline=None)
+def test_exit_codes_follow_the_documented_rule(exit_code_setup, case):
+    root, argv = exit_code_setup
+    command, changed, invalid = case
+    changed = [str(root / v) if v == MISSING else v for v in changed]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            rc = cli.main([*argv[command], *changed])
+        except SystemExit as e:
+            rc = e.code
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3, 4), (rc, lines)
+    assert len(lines) == (0 if rc == 0 else 1), lines
+    assert "Traceback" not in err.getvalue()
+    if invalid:
+        assert rc == 2, (changed, lines)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from adagev import autodiff as ad
 from adagev import model as md
 from adagev.evt import GevParams
+from graph_reference import mlp_graph, param_nodes
 
 
 @pytest.fixture
@@ -62,7 +63,7 @@ class TestForward:
         sc = md.MlpSpec((2, 2), head="softmax")
         sd = md.MlpSpec((2, 1), head="sigmoid")
         p = md.init_params(sg, sc, sd, seed=0)
-        p.theta_g[0] = np.eye(2)
+        p.theta_g[0][...] = np.eye(2)
         x = np.array([[1.0, -2.0], [0.5, 3.0]])
         np.testing.assert_array_equal(md.forward_features(p, x), x)
 
@@ -82,7 +83,7 @@ class TestForward:
             md.forward_features(params, np.zeros((2, 7)))
 
     def test_zero_classifier_uniform(self, params):
-        params.theta_c[0] = np.zeros_like(params.theta_c[0])
+        params.theta_c[0][...] = np.zeros_like(params.theta_c[0])
         probs = md.forward_classifier(params, np.ones((3, params.feature_dim)))
         np.testing.assert_allclose(probs, 0.25)
 
@@ -99,7 +100,7 @@ class TestForward:
 
     def test_zero_domain_half(self, params):
         for i in range(0, len(params.theta_d), 2):
-            params.theta_d[i] = np.zeros_like(params.theta_d[i])
+            params.theta_d[i][...] = np.zeros_like(params.theta_d[i])
         out = md.forward_domain(params, np.ones((4, params.feature_dim)))
         np.testing.assert_allclose(out, 0.5)
 
@@ -119,11 +120,11 @@ class TestForward:
                                                               ("none", "softmax", "sigmoid")))
 def test_graph_free_forward_equals_graph_bit_for_bit(activation, head):
     spec = md.MlpSpec((5, 16, 8, 3 if head == "softmax" else 1), activation, head)
-    group = md.init_group(spec, np.random.default_rng(6))
-    group[1] += 0.1  # nonzero biases, so the bias add is exercised
+    _, (group,) = md.init_vector((spec,), np.random.default_rng(6))
+    group[1][...] += 0.1  # nonzero biases, so the bias add is exercised
     x = np.random.default_rng(7).standard_normal((40, 5)) * 3
     x_before = x.copy()
-    graph = md.mlp_graph(spec, md.group_nodes(group), ad.leaf(x)).value
+    graph = mlp_graph(spec, param_nodes(group), ad.leaf(x)).value
     plain = md.mlp_forward(spec, group, x)
     assert plain.tobytes() == graph.tobytes()
     np.testing.assert_array_equal(x, x_before)  # the in-place layers leave the input alone
@@ -135,7 +136,9 @@ def test_backward_matches_finite_differences(activation, head):
     # the scalar sum(out * c) has the upstream gradient c
     spec = md.MlpSpec((4, 6, 5, 3), activation, head)
     rng = np.random.default_rng(8)
-    group = [t + 0.1 * rng.standard_normal(t.shape) for t in md.init_group(spec, rng)]
+    _, (group,) = md.init_vector((spec,), rng)
+    for t in group:
+        t += 0.1 * rng.standard_normal(t.shape)
     x = rng.standard_normal((7, 4))
     c = rng.standard_normal((7, 3))
 
@@ -144,9 +147,9 @@ def test_backward_matches_finite_differences(activation, head):
 
     inputs = []
     out = md.mlp_forward(spec, group, x, inputs)
-    grads = [None] * len(group)
-    g_x = md.mlp_backward(spec, group, inputs, out, c, grads)
-    assert md.mlp_backward(spec, group, inputs, out, c, [None] * len(group),
+    _, (grads,) = md.layout((spec,))
+    g_x = md.mlp_backward(spec, group, inputs, out, c, grads, add=False)
+    assert md.mlp_backward(spec, group, inputs, out, c, md.layout((spec,))[1][0],
                            wrt_input=False) is None
     h = 1e-6
     for tensor, analytic in zip([*group, x], [*grads, g_x]):
@@ -162,6 +165,23 @@ def test_backward_matches_finite_differences(activation, head):
         np.testing.assert_allclose(analytic, numeric, rtol=1e-5, atol=1e-8)
 
 
+def test_backward_writes_over_then_adds_to_the_gradient_views():
+    spec = md.MlpSpec((3, 5, 4), "relu", "softmax")
+    rng = np.random.default_rng(9)
+    _, (group,) = md.init_vector((spec,), rng)
+    x, c = rng.standard_normal((6, 3)), rng.standard_normal((6, 4))
+    inputs = []
+    out = md.mlp_forward(spec, group, x, inputs)
+    grad, (grads,) = md.layout((spec,), np.full(sum(t.size for t in group), np.nan))
+    md.mlp_backward(spec, group, inputs, out, c, grads, add=False, wrt_input=False)
+    zeros, (from_zero,) = md.layout((spec,))
+    md.mlp_backward(spec, group, inputs, out, c, from_zero, wrt_input=False)
+    assert grad.tobytes() == zeros.tobytes()  # the NaNs are all written over
+    first = grad.copy()
+    md.mlp_backward(spec, group, inputs, out, c, grads, wrt_input=False)
+    assert grad.tobytes() == (2 * first).tobytes()
+
+
 class TestGraphFreeForwardNonFinite:
     def test_non_finite_input(self, params):
         x = np.ones((2, 3))
@@ -170,7 +190,7 @@ class TestGraphFreeForwardNonFinite:
             md.forward_features(params, x)
 
     def test_overflowing_output(self, params):
-        params.theta_c[0] = np.full_like(params.theta_c[0], 1e300)
+        params.theta_c[0][...] = np.full_like(params.theta_c[0], 1e300)
         params.theta_c[0][:, 0] = -1e300
         with pytest.raises(ad.NonFiniteError), np.errstate(over="ignore", invalid="ignore"):
             md.forward_classifier(params, np.full((2, params.feature_dim), 1e10))
@@ -178,7 +198,7 @@ class TestGraphFreeForwardNonFinite:
     def test_training_pass_checks_every_affine_output(self):
         # tanh turns the overflowed first layer into 1.0, which inference passes
         spec = md.MlpSpec((2, 3, 2), "tanh", "softmax")
-        group = md.init_group(spec, np.random.default_rng(0))
+        _, (group,) = md.init_vector((spec,), np.random.default_rng(0))
         group[0][:] = 1e308
         x = np.full((2, 2), 10.0)
         assert np.isfinite(md.mlp_forward(spec, group, x)).all()
@@ -186,7 +206,7 @@ class TestGraphFreeForwardNonFinite:
             md.mlp_forward(spec, group, x, [])
         x[0, 0] = np.inf  # a non-finite input makes the first affine output non-finite
         with pytest.raises(ad.NonFiniteError, match="op 'linear'"):
-            md.mlp_forward(spec, md.init_group(spec, np.random.default_rng(0)), x, [])
+            md.mlp_forward(spec, md.init_vector((spec,), np.random.default_rng(0))[1][0], x, [])
 
     def test_training_pass_records_inputs_and_equals_inference(self, params):
         x = np.random.default_rng(3).standard_normal((5, 3))
@@ -198,7 +218,87 @@ class TestGraphFreeForwardNonFinite:
         np.testing.assert_array_equal(inputs[1], hidden)
 
 
+class TestLayout:
+    def test_groups_are_views_into_flat_in_checkpoint_order(self, params, tmp_path):
+        md.save_checkpoint(params, tmp_path / "ckpt.bin")
+        loaded, _ = md.load_checkpoint(tmp_path / "ckpt.bin")
+        for p in (params, loaded):
+            tensors = [t for group in p.groups().values() for t in group]
+            assert all(np.shares_memory(t, p.flat) for t in tensors)
+            assert p.flat.tobytes() == b"".join(t.tobytes() for t in tensors)
+            assert sum(t.size for t in tensors) == p.flat.size
+
+    def test_writes_through_a_view_reach_flat(self, params):
+        # the discriminator's last weights sit just before its last bias
+        params.theta_d[-2][...] = 7.0
+        np.testing.assert_array_equal(params.flat[-1 - params.theta_d[-2].size:-1], 7.0)
+
+    def test_groups_cannot_be_rebound(self, params):
+        with pytest.raises(TypeError):
+            params.theta_g[0] = np.eye(3)
+
+    def test_init_draws_the_per_array_sequence(self, specs):
+        # each weight matrix drawn in turn from one generator, biases zero
+        rng = np.random.default_rng(42)
+        expected = []
+        for spec in specs:
+            for fi, fo in zip(spec.widths[:-1], spec.widths[1:]):
+                bound = np.sqrt(6.0 / (fi + fo))
+                expected += [rng.uniform(-bound, bound, size=(fi, fo)), np.zeros(fo)]
+        params = md.init_params(*specs, seed=42)
+        assert params.flat.tobytes() == b"".join(t.tobytes() for t in expected)
+
+    def test_wrong_vector_rejected(self, specs, params):
+        with pytest.raises(ValueError, match="float64 vector"):
+            md.ModelParams(*specs, params.flat[:-1].copy())
+        with pytest.raises(ValueError, match="float64 vector"):
+            md.ModelParams(*specs, params.flat.astype(np.float32))
+
+
+def save_checkpoint_per_array(params, path, gev=None):
+    """The checkpoint-v1 writer as it was before the flat vector: the manifest,
+    then every tensor in turn; the reference of the format."""
+    manifest = {
+        "specs": {k: {"widths": list(s.widths), "activation": s.activation, "head": s.head}
+                  for k, s in zip("gcd", (params.spec_g, params.spec_c, params.spec_d))},
+        "groups": {name: [list(t.shape) for t in group]
+                   for name, group in params.groups().items()},
+        "gev_present": gev is not None,
+    }
+    blob = json.dumps(manifest).encode("utf-8")
+    with open(path, "wb") as f:
+        f.write(md.MAGIC)
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        for group in params.groups().values():
+            for t in group:
+                f.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
+        if gev is not None:
+            f.write(np.array([gev.l, gev.s, gev.c], dtype="<f8").tobytes())
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("gev", [None, GevParams(1.3, 0.03, -0.35)])
+    def test_same_bytes_as_per_array_writer(self, params, tmp_path, gev):
+        params.flat[...] += np.random.default_rng(0).standard_normal(params.flat.size)
+        md.save_checkpoint(params, tmp_path / "flat.bin", gev=gev)
+        save_checkpoint_per_array(params, tmp_path / "ref.bin", gev=gev)
+        assert (tmp_path / "flat.bin").read_bytes() == (tmp_path / "ref.bin").read_bytes()
+
+    def test_per_array_file_loads_bit_exact(self, params, tmp_path):
+        params.flat[...] += np.random.default_rng(1).standard_normal(params.flat.size)
+        save_checkpoint_per_array(params, tmp_path / "ref.bin", gev=GevParams(0.5, 0.2, 0.1))
+        loaded, gev = md.load_checkpoint(tmp_path / "ref.bin")
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+        assert gev == GevParams(0.5, 0.2, 0.1)
+
+    def test_huge_manifest_widths_allocate_nothing(self, params, tmp_path):
+        path = tmp_path / "ckpt.bin"
+        md.save_checkpoint(params, path)
+        rewrite_manifest(path, lambda m: m["specs"]["g"].update(widths=[10**12, 64, 64]))
+        with pytest.raises(md.CheckpointError, match="data bytes"):
+            md.load_checkpoint(path)
+
     def test_round_trip_bit_exact(self, params, tmp_path):
         path = tmp_path / "ckpt.bin"
         md.save_checkpoint(params, path)

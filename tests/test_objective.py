@@ -9,6 +9,7 @@ from adagev import autodiff as ad
 from adagev import data as dt
 from adagev import model as md
 from adagev import objective as obj
+from graph_reference import gather_rows, mlp_graph, param_nodes, row_sum, weighted_sum
 
 
 def random_probs(rng, b, k):
@@ -175,7 +176,7 @@ def tiny_setup(seed=0, b=4):
     # nonzero biases so every gradient entry is informative
     for group in params.groups().values():
         for i in range(1, len(group), 2):
-            group[i] = rng.standard_normal(group[i].shape) * 0.1
+            group[i][...] = rng.standard_normal(group[i].shape) * 0.1
     batch = dt.DomainBatch(
         source_x=rng.standard_normal((b, 3)),
         source_y=rng.integers(0, 3, b),
@@ -286,37 +287,38 @@ def graph_step(batch, params, lw, wc):
     def log_mean(x):
         return ad.reduce_mean(ad.log_clamped(x))
 
-    g_nodes, c_nodes, d_nodes = (md.group_nodes(t) for t in params.groups().values())
-    feat_s = md.mlp_graph(params.spec_g, g_nodes, batch.source_x)
-    feat_u = md.mlp_graph(params.spec_g, g_nodes, batch.unknown_x)
-    feat_t = md.mlp_graph(params.spec_g, g_nodes, batch.target_x)
-    probs_t = md.mlp_graph(params.spec_c, c_nodes, feat_t)
+    g_nodes, c_nodes, d_nodes = (param_nodes(t) for t in params.groups().values())
+    feat_s = mlp_graph(params.spec_g, g_nodes, batch.source_x)
+    feat_u = mlp_graph(params.spec_g, g_nodes, batch.unknown_x)
+    feat_t = mlp_graph(params.spec_g, g_nodes, batch.target_x)
+    probs_t = mlp_graph(params.spec_c, c_nodes, feat_t)
     aux_h = None
     if wc.z_mode != "same_batch":
         aux_h = obj.entropy(md.forward_classifier(
             params, md.forward_features(params, batch.target_aux_x)))
     w = obj.batch_weights(obj.entropy(probs_t.value), wc, aux_h)
 
-    d_src = md.mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
-    d_tgt = md.mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
+    d_src = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
+    d_tgt = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
     one_minus = ad.add(ad.scale(d_tgt, -1.0), 1.0)
-    l_d = ad.add(log_mean(d_src), ad.weighted_sum(ad.log_clamped(one_minus), w))
+    l_d = ad.add(log_mean(d_src), weighted_sum(ad.log_clamped(one_minus), w))
 
-    probs_u = md.mlp_graph(params.spec_c, c_nodes, feat_u)
-    h_u = ad.scale(ad.row_sum(ad.mul(probs_u, ad.log_clamped(probs_u))), -1.0)
+    probs_u = mlp_graph(params.spec_c, c_nodes, feat_u)
+    h_u = ad.scale(row_sum(ad.mul(probs_u, ad.log_clamped(probs_u))), -1.0)
     l_e = ad.scale(ad.reduce_mean(h_u), -1.0)
 
-    probs_s = md.mlp_graph(params.spec_c, c_nodes, feat_s)
-    l_c = ad.scale(log_mean(ad.gather_rows(probs_s, batch.source_y)), -1.0)
+    probs_s = mlp_graph(params.spec_c, c_nodes, feat_s)
+    l_c = ad.scale(log_mean(gather_rows(probs_s, batch.source_y)), -1.0)
 
     j = ad.add(ad.add(ad.scale(l_d, lw.lambda_d), ad.scale(l_e, lw.lambda_e)),
                ad.scale(l_c, lw.lambda_c))
     ad.backward(j)
     grads = {name: [n.grad for n in nodes] for name, nodes in
              zip(params.groups(), (g_nodes, c_nodes, d_nodes))}
+    grad = np.concatenate([g.ravel() for group in grads.values() for g in group])
     losses = [float(n.value) for n in (l_d, l_e, l_c)]
     total = -lw.lambda_d * losses[0] + lw.lambda_e * losses[1] + lw.lambda_c * losses[2]
-    return obj.StepResult(grads, *losses, total, w)
+    return obj.StepResult(grad, grads, *losses, total, w)
 
 
 SPEC_SETS = {
@@ -338,7 +340,7 @@ LOSS_WEIGHTS = {"default": obj.LossWeights(), "no-adversary": obj.LossWeights(0,
 def as_bytes(step):
     grads = [t.tobytes() for name in ("theta_g", "theta_c", "theta_d") for t in step.grads[name]]
     scalars = np.array([step.loss_d, step.loss_e, step.loss_c, step.total]).tobytes()
-    return grads, scalars, step.weights.tobytes()
+    return step.grad.tobytes(), grads, scalars, step.weights.tobytes()
 
 
 @pytest.mark.parametrize("specs,weight_mode,z_mode,weights", itertools.product(
@@ -350,7 +352,7 @@ def test_fused_step_equals_graph_bit_for_bit(specs, weight_mode, z_mode, weights
     params = md.init_params(*SPEC_SETS[specs], seed=seed)
     for group in params.groups().values():
         for i in range(1, len(group), 2):
-            group[i] = rng.standard_normal(group[i].shape) * 0.1
+            group[i][...] = rng.standard_normal(group[i].shape) * 0.1
 
     def rows():
         return rng.standard_normal((16, params.spec_g.widths[0]))

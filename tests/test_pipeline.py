@@ -5,11 +5,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adagev import autodiff as ad
 from adagev import data as dt
 from adagev import evt
 from adagev import model as md
 from adagev import objective as obj
 from adagev import pipeline as pl
+from graph_reference import mlp_graph, param_nodes
 
 
 def tiny_pool(seed=0):
@@ -432,26 +434,67 @@ class TestBinaryHead:
         assert ((p > 0.5) == labels.astype(bool)).mean() > 0.95
 
 
+def train_binary_head_graph(features, labels, seed, steps=300, lr=1e-2):
+    """The binary head as it trained on the autodiff graph, with the BCE loss
+    as graph nodes: the bit-for-bit reference of ``_train_binary_head``."""
+    spec = md.MlpSpec((features.shape[1], 16, 1), activation="relu", head="sigmoid")
+    flat, (theta,) = md.init_vector((spec,), np.random.default_rng(seed))
+    optimizer = pl._Adam(lr)
+    y = labels.astype(np.float64)[:, None]
+    for _ in range(steps):
+        nodes = param_nodes(theta)
+        p = mlp_graph(spec, nodes, features)
+        # BCE: -mean(y log p + (1-y) log(1-p))
+        term1 = ad.mul(ad.log_clamped(p), y)
+        term2 = ad.mul(ad.log_clamped(ad.add(ad.scale(p, -1.0), 1.0)), 1.0 - y)
+        loss = ad.scale(ad.reduce_mean(ad.add(term1, term2)), -1.0)
+        ad.backward(loss)
+        optimizer.step(flat, np.concatenate([n.grad.ravel() for n in nodes]))
+    return spec, theta
+
+
+@pytest.mark.parametrize("offset", [4.0, 0.5])
+def test_binary_head_equals_graph_bit_for_bit(offset):
+    # far apart, the head saturates; close, it keeps misclassifying
+    rng = np.random.default_rng(1)
+    feats = np.vstack([rng.standard_normal((50, 6)) + offset,
+                       rng.standard_normal((40, 6)) - offset])
+    labels = np.concatenate([np.ones(50), np.zeros(40)])
+    _, theta = pl._train_binary_head(feats, labels, seed=3)
+    _, ref = train_binary_head_graph(feats, labels, seed=3)
+    assert [t.tobytes() for t in theta] == [t.tobytes() for t in ref]
+
+
 def test_adam_step_equals_out_of_place_expressions_bit_for_bit():
     rng = np.random.default_rng(0)
-    shapes = [(3, 4), (4,), (4, 1)]
-    params = [rng.standard_normal(s) for s in shapes]
-    ref = [p.copy() for p in params]
-    m = [np.zeros(s) for s in shapes]
-    v = [np.zeros(s) for s in shapes]
+    params = rng.standard_normal(19)
+    ref = params.copy()
+    m, v = np.zeros(19), np.zeros(19)
     adam = pl._Adam(1e-2)
     b1, b2, eps = adam.beta1, adam.beta2, adam.eps
     for t in range(1, 6):
-        grads = [rng.standard_normal(s) for s in shapes]
-        adam.step(params, grads)
-        for i, g in enumerate(grads):
-            m[i] = b1 * m[i] + (1 - b1) * g
-            v[i] = b2 * v[i] + (1 - b2) * g * g
-            m_hat = m[i] / (1 - b1 ** t)
-            v_hat = v[i] / (1 - b2 ** t)
-            ref[i] = ref[i] - 1e-2 * m_hat / (np.sqrt(v_hat) + eps)
-        for p, r in zip(params, ref):
-            assert p.tobytes() == r.tobytes()
+        g = rng.standard_normal(19)
+        adam.step(params, g)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        ref = ref - 1e-2 * m_hat / (np.sqrt(v_hat) + eps)
+        assert params.tobytes() == ref.tobytes()
+
+
+def test_sgd_momentum_step_equals_out_of_place_expressions_bit_for_bit():
+    rng = np.random.default_rng(0)
+    params = rng.standard_normal(19)
+    ref = params.copy()
+    buf = np.zeros(19)
+    sgd = pl._SgdMomentum(1e-2)
+    for _ in range(5):
+        g = rng.standard_normal(19)
+        sgd.step(params, g)
+        buf = sgd.momentum * buf + g
+        ref = ref - 1e-2 * buf
+        assert params.tobytes() == ref.tobytes()
 
 
 class TestDivergence:
