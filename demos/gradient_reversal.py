@@ -54,9 +54,10 @@ def main():
         feat_t = md.forward_features(params, batch.target_x)
         probs_t = md.forward_classifier(params, feat_t)
         weights = obj.batch_weights(obj.entropy(probs_t), obj.WeightConfig())
-        d_s = md.forward_domain(params, feat_s)
-        d_t = md.forward_domain(params, feat_t)
-        return lw.lambda_d * obj.loss_domain(d_s, d_t, weights)[0]
+        # the losses take logits: a training pass, which records its layer inputs
+        z_s = md.mlp_forward(spec_d, params.theta_d, feat_s, [])
+        z_t = md.mlp_forward(spec_d, params.theta_d, feat_t, [])
+        return lw.lambda_d * obj.loss_domain(z_s, z_t, weights)[0]
 
     orig = w[0, 0]
     w[0, 0] = orig + h

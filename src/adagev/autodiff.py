@@ -5,12 +5,15 @@ value together with its parents and the vector-Jacobian product needed
 for the backward sweep. Graphs are dynamic: build one per batch, call
 :func:`backward` on a scalar node, read gradients off the leaves.
 
-Training does not run on this engine: the networks backpropagate with
-``model.mlp_backward``, whose expressions are these ops' vjps. The engine
-serves the gradient checks (acceptance criteria 1-3), the gradient
-reversal demo and the tests' graph references, which hold the training
-step, the networks and the binary head to the same bits. ``LOG_CLAMP``
-and ``NonFiniteError`` are shared with the program.
+Training does not run on this engine. ``model.mlp_backward`` uses the
+vjps of ``linear``, ``relu`` and ``tanh``, the heads compute the values of
+``stable_softmax`` and ``sigmoid``, and the losses' gradients on the logits
+are the vjps of ``stable_softmax`` and the tests' ``log_softmax`` and
+``log_sigmoid``. The engine serves the gradient checks (acceptance criteria
+1-3), the gradient reversal demo and the tests' graph references, which
+hold the training step, the networks and the binary head to the same bits.
+``LOG_CLAMP`` (the entropy of a probability row) and ``NonFiniteError``
+are shared with the program.
 
 The one non-standard op is :func:`grad_reverse`, which is the identity
 in the forward pass and multiplies the upstream gradient by ``-scale``

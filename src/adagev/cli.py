@@ -11,12 +11,13 @@ and no other; a failure prints one stderr line and never a traceback. A
 flag or config value invalid on its own (malformed, non-finite, out of
 range, a repeated role id) exits 2; one that conflicts with a data file or
 a checkpoint, or an unreadable or damaged file, exits 3; training that
-diverges and a GEV fit that fails exit 4.
+diverges, a forward pass that overflows and a GEV fit that fails exit 4.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from collections import namedtuple
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import data as dt
 from . import evt
 from . import model as md
@@ -316,35 +318,38 @@ def cmd_fit_gev(cfg) -> int:
     return 0
 
 
-def cmd_sweep(cfg) -> int:
-    def axis(key, fallback):
-        raw = cfg[key]
-        if raw is None:
-            return [fallback]
-        return [float(v) for v in str(raw).split(",")]
+def _grid(cfg, key):
+    """The loss weights of --grid-<key>, each checked, or the one of --<key>."""
+    raw = cfg["grid_" + key]
+    if raw is None:
+        return [cfg[key]]
+    try:
+        values = [float(v) for v in str(raw).split(",")]
+        for v in values:
+            obj.LossWeights(**{key: v})
+    except ValueError as e:
+        raise UsageError(f"--grid-{key.replace('_', '-')}: {e}") from e
+    return values
 
-    # the flag values are checked even where a grid replaces them
+
+def cmd_sweep(cfg) -> int:
+    # the flag values are checked even where a grid replaces them, and every
+    # grid point before the first one trains
     obj.LossWeights(cfg["lambda_d"], cfg["lambda_e"], cfg["lambda_c"])
-    grid_d = axis("grid_lambda_d", cfg["lambda_d"])
-    grid_e = axis("grid_lambda_e", cfg["lambda_e"])
-    grid_c = axis("grid_lambda_c", cfg["lambda_c"])
+    points = list(itertools.product(*(_grid(cfg, key)
+                                      for key in ("lambda_d", "lambda_e", "lambda_c"))))
 
     pool, specs = _training_setup(cfg)
     outdir = Path(cfg["out"])
     summary = []
-    idx = 0
-    for ld in grid_d:
-        for le in grid_e:
-            for lc in grid_c:
-                point = dict(cfg, lambda_d=ld, lambda_e=le, lambda_c=lc)
-                result = pl.train(pool, specs, _train_config(point))
-                report = pl.evaluate(result.params, result.gev, pool)
-                _write_json(outdir / f"report_{idx:03d}.json",
-                            _report_payload(report, result.gev, point))
-                summary.append({"index": idx, "lambda_d": ld, "lambda_e": le,
-                                "lambda_c": lc, "OS": report.os_score,
-                                "OS_star": report.os_star, "UNK": report.unk_recall})
-                idx += 1
+    for idx, (ld, le, lc) in enumerate(points):
+        point = dict(cfg, lambda_d=ld, lambda_e=le, lambda_c=lc)
+        result = pl.train(pool, specs, _train_config(point))
+        report = pl.evaluate(result.params, result.gev, pool)
+        _write_json(outdir / f"report_{idx:03d}.json", _report_payload(report, result.gev, point))
+        summary.append({"index": idx, "lambda_d": ld, "lambda_e": le, "lambda_c": lc,
+                        "OS": report.os_score, "OS_star": report.os_star,
+                        "UNK": report.unk_recall})
     _write_json(outdir / "summary.json", {"points": summary})
     _write_json(outdir / "config.json", {"command": "sweep", **cfg})
     print(f"{'idx':>4} {'l_d':>6} {'l_e':>6} {'l_c':>6} {'OS':>8} {'OS*':>8} {'UNK':>8}")
@@ -414,7 +419,7 @@ def main(argv=None) -> int:
         if isinstance(e, dt.DataError):
             print(f"data error: {e}", file=sys.stderr)
             return EXIT_DATA
-        if isinstance(e, evt.FitError):
+        if isinstance(e, (evt.FitError, ad.NonFiniteError)):
             print(f"numerical failure: {e}", file=sys.stderr)
             return EXIT_NUMERICAL
         print(f"error: {e}", file=sys.stderr)

@@ -6,7 +6,9 @@ the probability that a sample came from the target domain. All three are
 small MLPs. ``mlp_forward`` is the one layer loop of inference and of
 training, whose backward pass is ``mlp_backward``: numpy expressions equal
 bit for bit to the autodiff graph of the same network, which the tests
-keep as the reference.
+keep as the reference. A training pass ends at the logits; only inference
+applies the head, ``softmax`` or ``sigmoid``, which the losses share and
+which equal the graph ops ``stable_softmax`` and ``sigmoid`` bit for bit.
 
 Every parameter lives in one float64 vector, in checkpoint-v1 order (the
 extractor, the classifier, then the discriminator; each as W0, b0, W1,
@@ -146,6 +148,22 @@ def init_params(spec_g: MlpSpec, spec_c: MlpSpec, spec_d: MlpSpec, seed: int) ->
     return ModelParams(spec_g, spec_c, spec_d, flat)
 
 
+def softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise softmax of the logits ``z``, and its log: -inf where a row's
+    logits span more than the float range and the probability is 0."""
+    with np.errstate(over="ignore"):
+        shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    return e / total, shifted - np.log(total)
+
+
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function of the logits ``z``."""
+    with np.errstate(over="ignore"):  # exp(-z) = inf gives the limit 0
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 def mlp_forward(spec: MlpSpec, group, x: np.ndarray, inputs: list | None = None) -> np.ndarray:
     """The network's output for the rows of ``x``, from the parameter views
     ``group`` (W0, b0, W1, b1, ...).
@@ -153,11 +171,11 @@ def mlp_forward(spec: MlpSpec, group, x: np.ndarray, inputs: list | None = None)
     Each layer computes the autodiff op's expression, in place where the graph
     allocates a new array, so the result is the same bit for bit (relu's
     ``maximum`` differs from the graph's ``where`` only on NaN). Inference
-    checks the input and the output for non-finite values. A training pass
-    gives a list ``inputs``, which receives each layer's input for
-    ``mlp_backward``, and checks every affine output instead, with the
-    graph's ``linear`` error: ``tanh`` would hide an overflow, and those
-    checks also catch a non-finite input or output.
+    applies the head and checks the input and the output for non-finite
+    values. A training pass gives a list ``inputs``, which receives each
+    layer's input for ``mlp_backward``, returns the logits, and checks every
+    affine output instead, with the graph's ``linear`` error: ``tanh`` would
+    hide an overflow, and those checks also catch a non-finite input or output.
     """
     training = inputs is not None
     if not training and not np.isfinite(x).all():
@@ -178,38 +196,31 @@ def mlp_forward(spec: MlpSpec, group, x: np.ndarray, inputs: list | None = None)
                     h += 0.0  # -0.0 becomes 0.0, as where(h > 0, h, 0.0) gives
                 else:
                     np.tanh(h, out=h)
+        if training:
+            return h
         if spec.head == "softmax":
-            h -= h.max(axis=1, keepdims=True)
-            np.exp(h, out=h)
-            h /= h.sum(axis=1, keepdims=True)
+            h = softmax(h)[0]
         elif spec.head == "sigmoid":
-            np.negative(h, out=h)
-            np.exp(h, out=h)
-            h += 1.0
-            np.divide(1.0, h, out=h)
-    if not training and not np.isfinite(h).all():
+            h = sigmoid(h)
+    if not np.isfinite(h).all():
         raise ad.NonFiniteError("forward produced non-finite values")
     return h
 
 
-def mlp_backward(spec: MlpSpec, group, inputs: list[np.ndarray], out: np.ndarray,
-                 g: np.ndarray, grads, add: bool = True, wrt_input: bool = True):
-    """Backpropagate ``g``, the gradient with respect to the output ``out`` of
-    a training ``mlp_forward`` that recorded ``inputs``.
+def mlp_backward(spec: MlpSpec, group, inputs: list[np.ndarray], g: np.ndarray, grads,
+                 add: bool = True, wrt_input: bool = True):
+    """Backpropagate ``g``, the gradient with respect to the logits of a
+    training ``mlp_forward`` that recorded ``inputs``.
 
     ``grads`` are the gradient views of the parameters in ``group``: each
     parameter's gradient is added to its view, or, without ``add``, written
     over it, so the first pass over a network needs no zeroed buffer (zeros
     plus -0.0 would give +0.0). Returns the gradient with respect to the
     input, or None without ``wrt_input``: a data batch's gradient is never
-    read. Every expression is the graph vjp's own, so the gradients equal
-    the graph's bit for bit when the passes are backpropagated in the
-    graph's order.
+    read. Every expression is the vjp of the graph ops ``linear``, ``relu``
+    and ``tanh``, so the gradients equal the graph's bit for bit when the
+    passes are backpropagated in the graph's order.
     """
-    if spec.head == "softmax":
-        g = out * (g - (g * out).sum(axis=1, keepdims=True))
-    elif spec.head == "sigmoid":
-        g = g * out * (1.0 - out)
     for i in reversed(range(len(spec.widths) - 1)):
         if i < len(spec.widths) - 2:
             y = inputs[i + 1]

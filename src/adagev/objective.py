@@ -8,9 +8,11 @@ ascends it; both directions come out of one backward pass because the
 discriminator input passes through a gradient reversal layer.
 
 The training step is one fused numpy forward and backward, with no
-autodiff graph: each loss returns its gradient next to its value, and
-``model.mlp_backward`` carries it through the networks. The tests check it
-against the same step built as an autodiff graph, bit for bit.
+autodiff graph: each loss takes a training pass's logits and returns its
+closed-form gradient on them next to its value, and ``model.mlp_backward``
+carries it through the networks. The tests hold the step bit for bit to
+the same step built as an autodiff graph, whose losses use the graph ops
+``log_softmax``, ``stable_softmax`` and ``log_sigmoid``.
 
 Per-target instance weights are exp(-H)/Z by default: high-entropy
 (likely unknown) target samples get down-weighted so they are not
@@ -58,16 +60,11 @@ class WeightConfig:
             raise ValueError(f"z_mode must be one of {Z_MODES}")
 
 
-def _check_prob_rows(p: np.ndarray) -> None:
-    sums = p.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(p < -1e-12):
-        raise ValueError("rows must be probability vectors (sum 1 within 1e-6)")
-
-
 def entropy(probs: np.ndarray) -> np.ndarray:
     """Per-row entropy of a probability matrix, as plain values."""
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    _check_prob_rows(probs)
+    if np.any(np.abs(probs.sum(axis=1) - 1.0) > 1e-6) or np.any(probs < -1e-12):
+        raise ValueError("rows must be probability vectors (sum 1 within 1e-6)")
     return -np.sum(probs * np.log(np.maximum(probs, ad.LOG_CLAMP)), axis=1)
 
 
@@ -107,75 +104,89 @@ def batch_weights(entropies: np.ndarray, cfg: WeightConfig,
     return u / z
 
 
-def loss_domain(d_src, d_tgt, w: np.ndarray, require_normalized: bool = True,
+def loss_domain(z_src, z_tgt, w: np.ndarray, require_normalized: bool = True,
                 scale: float = 1.0) -> tuple[float, np.ndarray, np.ndarray]:
-    """Adversarial domain loss: E log d(src) + sum_j w_j log(1 - d(tgt)_j).
+    """Adversarial domain loss on the discriminator's logits:
+    E log d(src) + sum_j w_j log(1 - d(tgt)_j), with d = sigmoid(z).
 
     Low when the discriminator separates the domains correctly. The
     discriminator minimizes this; the feature extractor maximizes it.
     ``require_normalized`` is dropped when the partition function is
     estimated from outside the batch, in which case the in-batch weights
     need not sum to one. Returns the loss and ``scale`` times its gradients
-    with respect to ``d_src`` and ``d_tgt``; the weights get none.
+    with respect to ``z_src`` and ``z_tgt``, scale*sigmoid(-z_src)/B and
+    -scale*w*sigmoid(z_tgt); the weights get none.
     """
-    d_src = np.asarray(d_src, dtype=np.float64)
-    d_tgt = np.asarray(d_tgt, dtype=np.float64)
+    z_src = np.asarray(z_src, dtype=np.float64)
+    z_tgt = np.asarray(z_tgt, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("target weights must be finite and nonnegative")
     if require_normalized and abs(w.sum() - 1.0) > 1e-6:
         raise ValueError(f"target weights must sum to 1, got {w.sum()}")
-    if w.ndim != 1 or d_tgt.shape not in ((len(w),), (len(w), 1)):
-        raise ValueError(f"weights {w.shape} do not match discriminator outputs {d_tgt.shape}")
-    wv = w.reshape(d_tgt.shape)
-    # the graph's chain rule rounds scale/B and scale*w before the division by d
-    up = float(scale)
-    src_clamped = np.maximum(d_src, ad.LOG_CLAMP)
-    one_minus = 1.0 - d_tgt
-    tgt_clamped = np.maximum(one_minus, ad.LOG_CLAMP)
-    value = np.log(src_clamped).mean() + (wv * np.log(tgt_clamped)).sum()
-    g_src = np.where(d_src > ad.LOG_CLAMP, up / d_src.size / src_clamped, 0.0)
-    g_tgt = np.where(one_minus > ad.LOG_CLAMP, up * wv / tgt_clamped, 0.0)
-    g_tgt *= -1.0  # d(1 - d_tgt)/d d_tgt
+    if w.ndim != 1 or z_tgt.shape not in ((len(w),), (len(w), 1)):
+        raise ValueError(f"weights {w.shape} do not match discriminator outputs {z_tgt.shape}")
+    wv = w.reshape(z_tgt.shape)
+    # log sigmoid(z) = -log(1 + exp(-z)), and log(1 - sigmoid(z)) = log sigmoid(-z)
+    value = -np.logaddexp(0.0, -z_src).mean() - (wv * np.logaddexp(0.0, z_tgt)).sum()
+    g_src = (scale / z_src.size) * md.sigmoid(-z_src)
+    g_tgt = -(scale * wv) * md.sigmoid(z_tgt)
     return float(value), g_src, g_tgt
 
 
-def loss_entropy_unknown(probs, scale: float = 1.0) -> tuple[float, np.ndarray]:
+def _log_softmax(logits) -> tuple[np.ndarray, np.ndarray]:
+    """``model.softmax`` of the logits and its log, which must be finite, as
+    the graph op ``log_softmax``'s value must."""
+    p, log_p = md.softmax(np.asarray(logits, dtype=np.float64))
+    if not np.isfinite(log_p).all():
+        raise ad.NonFiniteError("op 'log_softmax' produced non-finite values")
+    return p, log_p
+
+
+def loss_entropy_unknown(logits, scale: float = 1.0) -> tuple[float, np.ndarray]:
     """-mean entropy of source unknown-class predictions, and ``scale`` times
-    its gradient with respect to ``probs``.
+    its gradient with respect to the classifier's ``logits``,
+    scale*p*(log p + H)/B.
 
     Minimizing drives those predictions toward the uniform distribution.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    _check_prob_rows(probs)
-    clamped = np.maximum(probs, ad.LOG_CLAMP)
-    log_p = np.log(clamped)
-    value = (probs * log_p).sum(axis=1).mean()
-    up = float(scale) / len(probs)  # the graph's two negations cancel exactly
-    grad = up * log_p
-    grad += np.where(probs > ad.LOG_CLAMP, up * probs / clamped, 0.0)
+    p, log_p = _log_softmax(logits)
+    value = (p * log_p).sum(axis=1).mean()
+    grad = float(scale) / len(p) * log_p
+    grad -= (grad * p).sum(axis=1, keepdims=True)  # + scale/B * H
+    grad *= p
     return float(value), grad
 
 
-def loss_classification(probs, labels, scale: float = 1.0) -> tuple[float, np.ndarray]:
+def loss_classification(logits, labels, scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Mean cross-entropy -log p[y] over a labeled batch, and ``scale`` times
-    its gradient with respect to ``probs``."""
-    probs = np.asarray(probs, dtype=np.float64)
-    _check_prob_rows(probs)
+    its gradient with respect to the classifier's ``logits``,
+    scale*(p - onehot(y))/B."""
+    p, log_p = _log_softmax(logits)
     labels = np.asarray(labels, dtype=np.int64)
-    k = probs.shape[1]
-    if labels.shape != (len(probs),):
-        raise ValueError(f"labels {labels.shape} do not match probabilities {probs.shape}")
+    k = p.shape[1]
+    if labels.shape != (len(p),):
+        raise ValueError(f"labels {labels.shape} do not match logits {p.shape}")
     if labels.min() < 0 or labels.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")
-    rows = np.arange(len(probs))
-    picked = probs[rows, labels]
-    clamped = np.maximum(picked, ad.LOG_CLAMP)
-    value = -np.log(clamped).mean()
-    up = -float(scale) / len(probs)
-    grad = np.zeros_like(probs)
-    grad[rows, labels] = np.where(picked > ad.LOG_CLAMP, up / clamped, 0.0)
+    rows = np.arange(len(p))
+    value = -log_p[rows, labels].mean()
+    up = float(scale) / len(p)
+    grad = up * p
+    grad[rows, labels] -= up
     return float(value), grad
+
+
+def loss_binary(logits, labels) -> tuple[float, np.ndarray]:
+    """Binary cross-entropy of 0/1 ``labels`` on one-column ``logits`` z, and
+    its gradient (sigmoid(z) - y)/N, taken as -s*sigmoid(-s*z)/N with
+    s = 2y - 1 so that it does not cancel where sigmoid(z) rounds to y."""
+    z = np.asarray(logits, dtype=np.float64)
+    sign = 2.0 * np.asarray(labels, dtype=np.float64).reshape(z.shape) - 1.0
+    margin = sign * z
+    grad = md.sigmoid(-margin)
+    grad *= -sign / len(z)
+    return float(np.logaddexp(0.0, -margin).mean()), grad
 
 
 @dataclass
@@ -216,7 +227,7 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
     feat_t, in_gt = forward(spec_g, params.theta_g, batch.target_x)
 
     # detached: the weights carry no gradient
-    h_t = entropy(forward(spec_c, params.theta_c, feat_t)[0])
+    h_t = entropy(md.softmax(forward(spec_c, params.theta_c, feat_t)[0])[0])
     aux_h = None
     if wc.z_mode != "same_batch":
         if batch.target_aux_x is None:
@@ -225,30 +236,28 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
         aux_h = entropy(aux_probs)
     w = batch_weights(h_t, wc, aux_h)
 
-    d_src, in_ds = forward(spec_d, params.theta_d, feat_s)
-    d_tgt, in_dt = forward(spec_d, params.theta_d, feat_t)
+    z_src, in_ds = forward(spec_d, params.theta_d, feat_s)
+    z_tgt, in_dt = forward(spec_d, params.theta_d, feat_t)
     normalized = wc.z_mode == "same_batch"
-    l_d, g_dsrc, g_dtgt = loss_domain(d_src, d_tgt, w, normalized, scale=lw.lambda_d)
+    l_d, g_zsrc, g_ztgt = loss_domain(z_src, z_tgt, w, normalized, scale=lw.lambda_d)
 
-    probs_u, in_cu = forward(spec_c, params.theta_c, feat_u)
-    l_e, g_pu = loss_entropy_unknown(probs_u, scale=lw.lambda_e)
+    logits_u, in_cu = forward(spec_c, params.theta_c, feat_u)
+    l_e, g_zu = loss_entropy_unknown(logits_u, scale=lw.lambda_e)
 
-    probs_s, in_cs = forward(spec_c, params.theta_c, feat_s)
-    l_c, g_ps = loss_classification(probs_s, batch.source_y, scale=lw.lambda_c)
+    logits_s, in_cs = forward(spec_c, params.theta_c, feat_s)
+    l_c, g_zs = loss_classification(logits_s, batch.source_y, scale=lw.lambda_c)
 
     # each network's first pass writes its gradients, the later ones add to them
     grad = np.empty_like(params.flat)
     _, (grad_g, grad_c, grad_d) = md.layout(params.specs, grad)
     # the gradient reversal layer: the features get the negated input gradients
-    g_fs = -md.mlp_backward(spec_d, params.theta_d, in_ds, d_src, g_dsrc, grad_d, add=False)
-    g_ft = -md.mlp_backward(spec_d, params.theta_d, in_dt, d_tgt, g_dtgt, grad_d)
-    g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, probs_u, g_pu, grad_c, add=False)
-    g_fs += md.mlp_backward(spec_c, params.theta_c, in_cs, probs_s, g_ps, grad_c)
+    g_fs = -md.mlp_backward(spec_d, params.theta_d, in_ds, g_zsrc, grad_d, add=False)
+    g_ft = -md.mlp_backward(spec_d, params.theta_d, in_dt, g_ztgt, grad_d)
+    g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, g_zu, grad_c, add=False)
+    g_fs += md.mlp_backward(spec_c, params.theta_c, in_cs, g_zs, grad_c)
     # the graph's order of the extractor's sums; the source pass must come last
-    for k, (inputs, feat, g) in enumerate(((in_gt, feat_t, g_ft), (in_gu, feat_u, g_fu),
-                                           (in_gs, feat_s, g_fs))):
-        md.mlp_backward(spec_g, params.theta_g, inputs, feat, g, grad_g, add=k > 0,
-                        wrt_input=False)
+    for k, (inputs, g) in enumerate(((in_gt, g_ft), (in_gu, g_fu), (in_gs, g_fs))):
+        md.mlp_backward(spec_g, params.theta_g, inputs, g, grad_g, add=k > 0, wrt_input=False)
 
     total = -lw.lambda_d * l_d + lw.lambda_e * l_e + lw.lambda_c * l_c
     grads = dict(zip(params.groups(), (grad_g, grad_c, grad_d)))

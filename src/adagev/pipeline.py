@@ -277,19 +277,11 @@ def _train_binary_head(features: np.ndarray, labels: np.ndarray, seed: int,
     flat, (theta,) = md.init_vector((spec,), np.random.default_rng(seed))
     grad, (grads,) = md.layout((spec,))
     optimizer = _Adam(lr)
-    y = labels.astype(np.float64)[:, None]
-    # d/dp of BCE = -mean(y log p + (1-y) log(1-p)) with log clamped at 1e-12,
-    # in the autodiff graph's expressions, so the weights match it bit for bit
-    g_log1 = -1.0 / len(y) * y
-    g_log2 = -1.0 / len(y) * (1.0 - y)
     for _ in range(steps):
         inputs = []
-        p = md.mlp_forward(spec, theta, features, inputs)
-        one_minus = 1.0 - p
-        g_p = np.where(p > ad.LOG_CLAMP, g_log1 / np.maximum(p, ad.LOG_CLAMP), 0.0)
-        g_p += np.where(one_minus > ad.LOG_CLAMP,
-                        g_log2 / np.maximum(one_minus, ad.LOG_CLAMP), 0.0) * -1.0
-        md.mlp_backward(spec, theta, inputs, p, g_p, grads, add=False, wrt_input=False)
+        z = md.mlp_forward(spec, theta, features, inputs)
+        md.mlp_backward(spec, theta, inputs, obj.loss_binary(z, labels)[1], grads, add=False,
+                        wrt_input=False)
         optimizer.step(flat, grad)
     return spec, theta
 

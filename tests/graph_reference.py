@@ -7,6 +7,7 @@ import numpy as np
 from adagev import autodiff as ad
 
 ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+HEADS = {"none": lambda h: h, "softmax": ad.stable_softmax, "sigmoid": ad.sigmoid}
 
 
 def param_nodes(group):
@@ -15,7 +16,9 @@ def param_nodes(group):
 
 
 def mlp_graph(spec, nodes, x):
-    """Forward an MLP as a graph; ``x`` is a node, or an array for a data batch."""
+    """Forward an MLP to its logits as a graph, as a training pass does; ``x``
+    is a node, or an array for a data batch. ``HEADS[spec.head]`` of the
+    result is the inference output."""
     act = ACTIVATIONS[spec.activation]
     n_layers = len(spec.widths) - 1
     h = x
@@ -23,11 +26,34 @@ def mlp_graph(spec, nodes, x):
         h = ad.linear(h, nodes[2 * i], nodes[2 * i + 1])
         if i < n_layers - 1:
             h = act(h)
-    if spec.head == "softmax":
-        h = ad.stable_softmax(h)
-    elif spec.head == "sigmoid":
-        h = ad.sigmoid(h)
     return h
+
+
+def log_softmax(logits):
+    """Row-wise log-softmax of a [B,K] tensor; the vjp is g - p * sum(g) per row."""
+    logits = ad.as_node(logits)
+    shifted = logits.value - logits.value.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    p = e / total
+
+    def vjp(g):
+        return (g - p * g.sum(axis=1, keepdims=True),)
+
+    return ad.Node(shifted - np.log(total), (logits,), vjp, op="log_softmax")
+
+
+def log_sigmoid(x):
+    """log sigmoid(x) = -log(1 + exp(-x)), without overflow; the vjp is
+    g * sigmoid(-x)."""
+    x = ad.as_node(x)
+    with np.errstate(over="ignore"):
+        sig_neg = 1.0 / (1.0 + np.exp(x.value))
+
+    def vjp(g):
+        return (g * sig_neg,)
+
+    return ad.Node(-np.logaddexp(0.0, -x.value), (x,), vjp, op="log_sigmoid")
 
 
 def row_sum(x):

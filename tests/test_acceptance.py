@@ -166,15 +166,18 @@ def test_criterion_3_saddle_point_routing():
         obj.entropy(md.forward_classifier(params, md.forward_features(params, batch.target_x))),
         wc)
 
+    def logits(spec, group, x):  # a training pass ends at the logits
+        return md.mlp_forward(spec, group, x, [])
+
     def group_objective(which):
         feat_s = md.forward_features(params, batch.source_x)
         feat_t = md.forward_features(params, batch.target_x)
-        l_d = obj.loss_domain(md.forward_domain(params, feat_s),
-                              md.forward_domain(params, feat_t), base_w)[0]
-        l_e = obj.loss_entropy_unknown(
-            md.forward_classifier(params, md.forward_features(params, batch.unknown_x)))[0]
+        l_d = obj.loss_domain(logits(spec_d, params.theta_d, feat_s),
+                              logits(spec_d, params.theta_d, feat_t), base_w)[0]
+        l_e = obj.loss_entropy_unknown(logits(
+            spec_c, params.theta_c, md.forward_features(params, batch.unknown_x)))[0]
         l_c = obj.loss_classification(
-            md.forward_classifier(params, feat_s), batch.source_y)[0]
+            logits(spec_c, params.theta_c, feat_s), batch.source_y)[0]
         if which == "theta_d":
             return lw.lambda_d * l_d
         if which == "theta_g":

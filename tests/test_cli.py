@@ -261,15 +261,28 @@ class TestTrain:
     def test_config_kinds_accepted(self, small_data, tmp_path):
         path, _ = small_data
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"epochs": 1.0, "batch": 16, "lr": 1, "hidden": "8",
+        config.write_text(json.dumps({"epochs": 1.0, "batch": 16, "lambda_e": 1, "hidden": "8",
                                       "tail": "top:0.5", "optimizer": "sgd-momentum",
                                       "seed": None}))
         outdir = tmp_path / "run"
         rc = run("train", "--out", str(outdir), "--data", str(path), "--config", str(config))
         assert rc == 0
         echo = json.loads((outdir / "config.json").read_text())
-        assert (echo["epochs"], echo["lr"], echo["seed"]) == (1, 1, 0)
+        assert (echo["epochs"], echo["lambda_e"], echo["seed"]) == (1, 1, 0)
         assert type(echo["epochs"]) is int
+
+    def test_saturated_classifier_is_numerical_failure(self, small_data, tmp_path, capsys):
+        # SGD-momentum at lr 1 saturates the classifier within an epoch, so
+        # the source entropies the GEV is fitted to have no spread
+        path, _ = small_data
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"epochs": 1, "batch": 16, "lr": 1, "hidden": "8",
+                                      "tail": "top:0.5", "optimizer": "sgd-momentum"}))
+        rc = run("train", "--out", str(tmp_path / "run"), "--data", str(path),
+                 "--config", str(config))
+        assert rc == 4
+        assert capsys.readouterr().err == ("numerical failure: GEV fit of the 120 last-epoch "
+                                           "source entropies failed: zero-variance input\n")
 
     def test_non_utf8_data_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bin.csv"
@@ -291,6 +304,17 @@ class TestEval:
         assert 0.0 <= report["OS"] <= 1.0
         assert len(report["confusion"]) == 5
         assert "OS=" in capsys.readouterr().out
+
+    def test_forward_overflow_is_numerical_failure(self, small_data, trained_dir, tmp_path,
+                                                   capsys):
+        path, _ = small_data
+        params, gev = md.load_checkpoint(trained_dir / "checkpoint.bin")
+        params.theta_g[0][...] = 1e308  # a row with |x1 + x2| > 1.8 overflows
+        md.save_checkpoint(params, tmp_path / "ckpt.bin", gev=gev)
+        rc = run("eval", "--checkpoint", str(tmp_path / "ckpt.bin"), "--data", str(path),
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 4
+        assert capsys.readouterr().err == "numerical failure: forward produced non-finite values\n"
 
     def test_missing_checkpoint(self, small_data, tmp_path):
         path, _ = small_data
@@ -368,6 +392,20 @@ class TestAblate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "--tau" in err[0]
         assert not outdir.exists()
+
+    def test_forward_overflow_is_numerical_failure(self, small_data, tmp_path, capsys,
+                                                   monkeypatch):
+        train = pl.train
+
+        def train_then_overflow(*args):
+            result = train(*args)
+            result.params.theta_g[0][...] = 1e308  # the target forward overflows
+            return result
+        monkeypatch.setattr(pl, "train", train_then_overflow)
+        _, flags = small_data
+        rc = run("ablate", "--out", str(tmp_path / "ab"), *flags)
+        assert rc == 4
+        assert capsys.readouterr().err == "numerical failure: forward produced non-finite values\n"
 
     def test_echo_with_null_tau_replays(self, small_data, tmp_path):
         _, flags = small_data
@@ -468,6 +506,23 @@ class TestSweep:
                  *flags)
         assert rc == 2
         assert "lambda_d must be" in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+    @pytest.mark.parametrize("grid,message", [
+        ("0.5,nan", "--grid-lambda-d: lambda_d must be a nonnegative finite real, got nan"),
+        ("0.5,x", "--grid-lambda-d: could not convert string to float: 'x'"),
+    ])
+    def test_bad_grid_point_trains_nothing(self, small_data, tmp_path, capsys, monkeypatch,
+                                           grid, message):
+        def train(*args):
+            raise AssertionError("training started")
+        monkeypatch.setattr(pl, "train", train)
+        _, flags = small_data
+        outdir = tmp_path / "sweep"
+        rc = run("sweep", "--out", str(outdir), "--grid-lambda-d", grid, *flags)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not outdir.exists()
 
 

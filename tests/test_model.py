@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from adagev import autodiff as ad
 from adagev import model as md
 from adagev.evt import GevParams
-from graph_reference import mlp_graph, param_nodes
+from graph_reference import HEADS, mlp_graph, param_nodes
 
 
 @pytest.fixture
@@ -124,7 +124,7 @@ def test_graph_free_forward_equals_graph_bit_for_bit(activation, head):
     group[1][...] += 0.1  # nonzero biases, so the bias add is exercised
     x = np.random.default_rng(7).standard_normal((40, 5)) * 3
     x_before = x.copy()
-    graph = mlp_graph(spec, param_nodes(group), ad.leaf(x)).value
+    graph = HEADS[head](mlp_graph(spec, param_nodes(group), ad.leaf(x))).value
     plain = md.mlp_forward(spec, group, x)
     assert plain.tobytes() == graph.tobytes()
     np.testing.assert_array_equal(x, x_before)  # the in-place layers leave the input alone
@@ -133,7 +133,8 @@ def test_graph_free_forward_equals_graph_bit_for_bit(activation, head):
 @pytest.mark.parametrize("activation,head", itertools.product(("relu", "tanh"),
                                                               ("none", "softmax", "sigmoid")))
 def test_backward_matches_finite_differences(activation, head):
-    # the scalar sum(out * c) has the upstream gradient c
+    # the scalar sum(logits * c) has the upstream gradient c; a training pass
+    # ends at the logits, whatever the head
     spec = md.MlpSpec((4, 6, 5, 3), activation, head)
     rng = np.random.default_rng(8)
     _, (group,) = md.init_vector((spec,), rng)
@@ -143,13 +144,13 @@ def test_backward_matches_finite_differences(activation, head):
     c = rng.standard_normal((7, 3))
 
     def objective():
-        return float((md.mlp_forward(spec, group, x) * c).sum())
+        return float((md.mlp_forward(spec, group, x, []) * c).sum())
 
     inputs = []
-    out = md.mlp_forward(spec, group, x, inputs)
+    md.mlp_forward(spec, group, x, inputs)
     _, (grads,) = md.layout((spec,))
-    g_x = md.mlp_backward(spec, group, inputs, out, c, grads, add=False)
-    assert md.mlp_backward(spec, group, inputs, out, c, md.layout((spec,))[1][0],
+    g_x = md.mlp_backward(spec, group, inputs, c, grads, add=False)
+    assert md.mlp_backward(spec, group, inputs, c, md.layout((spec,))[1][0],
                            wrt_input=False) is None
     h = 1e-6
     for tensor, analytic in zip([*group, x], [*grads, g_x]):
@@ -171,14 +172,14 @@ def test_backward_writes_over_then_adds_to_the_gradient_views():
     _, (group,) = md.init_vector((spec,), rng)
     x, c = rng.standard_normal((6, 3)), rng.standard_normal((6, 4))
     inputs = []
-    out = md.mlp_forward(spec, group, x, inputs)
+    md.mlp_forward(spec, group, x, inputs)
     grad, (grads,) = md.layout((spec,), np.full(sum(t.size for t in group), np.nan))
-    md.mlp_backward(spec, group, inputs, out, c, grads, add=False, wrt_input=False)
+    md.mlp_backward(spec, group, inputs, c, grads, add=False, wrt_input=False)
     zeros, (from_zero,) = md.layout((spec,))
-    md.mlp_backward(spec, group, inputs, out, c, from_zero, wrt_input=False)
+    md.mlp_backward(spec, group, inputs, c, from_zero, wrt_input=False)
     assert grad.tobytes() == zeros.tobytes()  # the NaNs are all written over
     first = grad.copy()
-    md.mlp_backward(spec, group, inputs, out, c, grads, wrt_input=False)
+    md.mlp_backward(spec, group, inputs, c, grads, wrt_input=False)
     assert grad.tobytes() == (2 * first).tobytes()
 
 

@@ -9,12 +9,18 @@ from adagev import autodiff as ad
 from adagev import data as dt
 from adagev import model as md
 from adagev import objective as obj
-from graph_reference import gather_rows, mlp_graph, param_nodes, row_sum, weighted_sum
+from graph_reference import (gather_rows, log_sigmoid, log_softmax, mlp_graph, param_nodes,
+                             row_sum, weighted_sum)
 
 
 def random_probs(rng, b, k):
     p = rng.random((b, k)) + 1e-3
     return p / p.sum(axis=1, keepdims=True)
+
+
+def logit(d):
+    """The discriminator logit of probability d."""
+    return np.log(d) - np.log1p(-d)
 
 
 class TestEntropy:
@@ -99,72 +105,70 @@ class TestBatchWeights:
 
 class TestLossDomain:
     def test_symmetric_midpoint(self):
-        d = np.full((4, 1), 0.5)
+        z = np.zeros((4, 1))
         w = np.full(4, 0.25)
-        loss = obj.loss_domain(d, d, w)[0]
+        loss = obj.loss_domain(z, z, w)[0]
         np.testing.assert_allclose(loss, -2 * np.log(2), atol=1e-12)
 
     def test_correct_discriminator_low(self):
-        d_src = np.full((3, 1), 0.1)
-        d_tgt = np.full((3, 1), 0.9)
-        loss = obj.loss_domain(d_src, d_tgt, np.full(3, 1 / 3))[0]
+        z_src = logit(np.full((3, 1), 0.1))
+        z_tgt = logit(np.full((3, 1), 0.9))
+        loss = obj.loss_domain(z_src, z_tgt, np.full(3, 1 / 3))[0]
         np.testing.assert_allclose(loss, 2 * np.log(0.1), atol=1e-9)
 
     def test_confused_discriminator_high(self):
-        d_src = np.full((3, 1), 0.9)
-        d_tgt = np.full((3, 1), 0.1)
-        loss = obj.loss_domain(d_src, d_tgt, np.full(3, 1 / 3))[0]
+        z_src = logit(np.full((3, 1), 0.9))
+        z_tgt = logit(np.full((3, 1), 0.1))
+        loss = obj.loss_domain(z_src, z_tgt, np.full(3, 1 / 3))[0]
         np.testing.assert_allclose(loss, 2 * np.log(0.9), atol=1e-9)
 
     def test_weight_sum_checked(self):
-        d = np.full((2, 1), 0.5)
+        z = np.zeros((2, 1))
         with pytest.raises(ValueError):
-            obj.loss_domain(d, d, np.array([0.9, 0.5]))
+            obj.loss_domain(z, z, np.array([0.9, 0.5]))
 
     def test_uniform_weights_symmetric_in_batch_order(self):
         rng = np.random.default_rng(5)
-        d_src = rng.random((6, 1)) * 0.8 + 0.1
-        d_tgt = rng.random((6, 1)) * 0.8 + 0.1
+        z_src = logit(rng.random((6, 1)) * 0.8 + 0.1)
+        z_tgt = logit(rng.random((6, 1)) * 0.8 + 0.1)
         w = np.full(6, 1 / 6)
-        a = obj.loss_domain(d_src, d_tgt, w)[0]
+        a = obj.loss_domain(z_src, z_tgt, w)[0]
         perm = rng.permutation(6)
-        b = obj.loss_domain(d_src[perm], d_tgt[perm], w)[0]
+        b = obj.loss_domain(z_src[perm], z_tgt[perm], w)[0]
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
 class TestLossEntropyUnknown:
     def test_uniform_is_minimum(self):
-        loss = obj.loss_entropy_unknown(np.full((3, 4), 0.25))[0]
+        loss = obj.loss_entropy_unknown(np.zeros((3, 4)))[0]
         np.testing.assert_allclose(loss, -np.log(4), atol=1e-9)
 
     def test_one_hot_is_maximum(self):
-        loss = obj.loss_entropy_unknown(np.eye(4))[0]
+        loss = obj.loss_entropy_unknown(50.0 * np.eye(4))[0]
         np.testing.assert_allclose(loss, 0.0, atol=1e-10)
 
     def test_mixed_batch(self):
-        probs = np.vstack([np.full((1, 4), 0.25), np.eye(4)[:1]])
-        loss = obj.loss_entropy_unknown(probs)[0]
+        logits = np.vstack([np.zeros((1, 4)), 50.0 * np.eye(4)[:1]])
+        loss = obj.loss_entropy_unknown(logits)[0]
         np.testing.assert_allclose(loss, -np.log(4) / 2, atol=1e-9)
 
 
 class TestLossClassification:
     def test_perfect_predictions(self):
-        probs = np.eye(3)
-        loss = obj.loss_classification(probs, [0, 1, 2])[0]
+        loss = obj.loss_classification(50.0 * np.eye(3), [0, 1, 2])[0]
         np.testing.assert_allclose(loss, 0.0, atol=1e-10)
 
     def test_uniform_baseline(self):
-        loss = obj.loss_classification(np.full((5, 4), 0.25), [0, 1, 2, 3, 0])[0]
+        loss = obj.loss_classification(np.zeros((5, 4)), [0, 1, 2, 3, 0])[0]
         np.testing.assert_allclose(loss, np.log(4), atol=1e-9)
 
     def test_half_confidence(self):
-        probs = np.array([[0.5, 0.5], [0.5, 0.5]])
-        loss = obj.loss_classification(probs, [0, 1])[0]
+        loss = obj.loss_classification(np.zeros((2, 2)), [0, 1])[0]
         np.testing.assert_allclose(loss, np.log(2), atol=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
-            obj.loss_classification(np.full((2, 3), 1 / 3), [0, 5])
+            obj.loss_classification(np.zeros((2, 3)), [0, 5])
 
 
 def tiny_setup(seed=0, b=4):
@@ -186,6 +190,11 @@ def tiny_setup(seed=0, b=4):
     return params, batch
 
 
+def training_pass(spec, group, x):
+    """The network's logits."""
+    return md.mlp_forward(spec, group, x, [])
+
+
 def group_loss(params, batch, lw, wc, which, fixed_w=None):
     """Value of the objective one parameter group is supposed to descend.
 
@@ -201,11 +210,11 @@ def group_loss(params, batch, lw, wc, which, fixed_w=None):
         w = obj.batch_weights(obj.entropy(probs_t), wc)
     else:
         w = fixed_w
-    d_src = md.forward_domain(params, feat_s)
-    d_tgt = md.forward_domain(params, feat_t)
-    l_d = obj.loss_domain(d_src, d_tgt, w)[0]
-    l_e = obj.loss_entropy_unknown(md.forward_classifier(params, feat_u))[0]
-    l_c = obj.loss_classification(md.forward_classifier(params, feat_s), batch.source_y)[0]
+    l_d = obj.loss_domain(training_pass(params.spec_d, params.theta_d, feat_s),
+                          training_pass(params.spec_d, params.theta_d, feat_t), w)[0]
+    l_e = obj.loss_entropy_unknown(training_pass(params.spec_c, params.theta_c, feat_u))[0]
+    l_c = obj.loss_classification(training_pass(params.spec_c, params.theta_c, feat_s),
+                                  batch.source_y)[0]
     if which == "theta_d":
         return lw.lambda_d * l_d
     if which == "theta_g":
@@ -270,6 +279,87 @@ class TestTotalStepGradients:
             np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+def central_differences(f, z, h=1e-6):
+    """The gradient of the scalar f() in the entries of the array z."""
+    numeric = np.zeros_like(z)
+    for idx in np.ndindex(z.shape):
+        orig = z[idx]
+        z[idx] = orig + h
+        up = f()
+        z[idx] = orig - h
+        down = f()
+        z[idx] = orig
+        numeric[idx] = (up - down) / (2 * h)
+    return numeric
+
+
+class TestLogitGradients:
+    """Each loss's closed-form gradient on the logits, against central differences."""
+
+    def test_domain(self):
+        rng = np.random.default_rng(11)
+        z_src, z_tgt = rng.standard_normal((5, 1)) * 3, rng.standard_normal((5, 1)) * 3
+        w = obj.batch_weights(rng.random(5), obj.WeightConfig())
+        _, g_src, g_tgt = obj.loss_domain(z_src, z_tgt, w, scale=0.7)
+        for z, g in ((z_src, g_src), (z_tgt, g_tgt)):
+            numeric = central_differences(lambda: 0.7 * obj.loss_domain(z_src, z_tgt, w)[0], z)
+            np.testing.assert_allclose(g, numeric, rtol=1e-6, atol=1e-10)
+
+    def test_entropy_unknown(self):
+        rng = np.random.default_rng(12)
+        z = rng.standard_normal((4, 5)) * 3
+        grad = obj.loss_entropy_unknown(z, scale=1.3)[1]
+        numeric = central_differences(lambda: 1.3 * obj.loss_entropy_unknown(z)[0], z)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-10)
+
+    def test_classification(self):
+        rng = np.random.default_rng(13)
+        z, y = rng.standard_normal((4, 5)) * 3, np.array([0, 4, 2, 2])
+        grad = obj.loss_classification(z, y, scale=0.45)[1]
+        numeric = central_differences(lambda: 0.45 * obj.loss_classification(z, y)[0], z)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-10)
+
+    def test_binary(self):
+        rng = np.random.default_rng(14)
+        z, y = rng.standard_normal((6, 1)) * 3, np.array([1.0, 0.0, 0.0, 1.0, 1.0, 0.0])
+        grad = obj.loss_binary(z, y)[1]
+        numeric = central_differences(lambda: obj.loss_binary(z, y)[0], z)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-10)
+        np.testing.assert_allclose(grad, (md.sigmoid(z) - y[:, None]) / 6, rtol=1e-12)
+
+
+class TestSaturatedLogits:
+    """A log clamped at 1e-12 gave these gradients as 0."""
+
+    def test_target_logit_of_30_keeps_its_gradient(self):
+        w = np.array([0.25, 0.75])
+        g_tgt = obj.loss_domain(np.zeros((2, 1)), np.array([[30.0], [0.0]]), w, scale=0.5)[2]
+        np.testing.assert_allclose(g_tgt[0], [-0.5 * 0.25], rtol=1e-12)
+
+    def test_unlikely_true_class_keeps_its_gradient(self):
+        z, y = np.array([[0.0, 40.0, 0.0], [0.0, 0.0, 0.0]]), np.array([0, 2])
+        p = np.exp(z - z.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        assert p[0, 0] < 1e-12
+        grad = obj.loss_classification(z, y, scale=1.5)[1]
+        np.testing.assert_allclose(grad, 1.5 * (p - np.eye(3)[y]) / 2, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(grad[0], [-0.75, 0.75, 0.0], atol=1e-15)
+
+    def test_saturated_discriminator_still_descends(self):
+        # every discriminator logit is 30: the target rows' gradient on the
+        # last bias sums to -lambda_d, since the weights sum to 1
+        params, batch = tiny_setup(seed=6)
+        params.theta_d[0][...] = 0.0
+        params.theta_d[1][...] = 30.0
+        step = obj.total_step_gradients(batch, params, obj.LossWeights(), obj.WeightConfig())
+        np.testing.assert_allclose(step.grads["theta_d"][1], [-0.5], rtol=1e-9)
+
+    def test_logits_beyond_the_float_range_name_log_softmax(self):
+        for loss in (lambda z: obj.loss_classification(z, [0]), obj.loss_entropy_unknown):
+            with pytest.raises(ad.NonFiniteError, match="'log_softmax'"):
+                loss(np.array([[1e308, -1e308]]))
+
+
 def test_tanh_overflow_in_the_step_names_linear():
     # tanh maps an overflowed pre-activation to 1.0, so only the affine
     # output check can see it
@@ -284,31 +374,30 @@ def test_tanh_overflow_in_the_step_names_linear():
 # reference: the same losses as autodiff nodes and one backward pass.
 
 def graph_step(batch, params, lw, wc):
-    def log_mean(x):
-        return ad.reduce_mean(ad.log_clamped(x))
-
     g_nodes, c_nodes, d_nodes = (param_nodes(t) for t in params.groups().values())
     feat_s = mlp_graph(params.spec_g, g_nodes, batch.source_x)
     feat_u = mlp_graph(params.spec_g, g_nodes, batch.unknown_x)
     feat_t = mlp_graph(params.spec_g, g_nodes, batch.target_x)
-    probs_t = mlp_graph(params.spec_c, c_nodes, feat_t)
+    probs_t = ad.stable_softmax(mlp_graph(params.spec_c, c_nodes, feat_t))
     aux_h = None
     if wc.z_mode != "same_batch":
         aux_h = obj.entropy(md.forward_classifier(
             params, md.forward_features(params, batch.target_aux_x)))
     w = obj.batch_weights(obj.entropy(probs_t.value), wc, aux_h)
 
-    d_src = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
-    d_tgt = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
-    one_minus = ad.add(ad.scale(d_tgt, -1.0), 1.0)
-    l_d = ad.add(log_mean(d_src), weighted_sum(ad.log_clamped(one_minus), w))
+    z_src = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
+    z_tgt = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
+    # log d(src) and log(1 - d(tgt)) = log sigmoid(-z_tgt)
+    l_d = ad.add(ad.reduce_mean(log_sigmoid(z_src)),
+                 weighted_sum(log_sigmoid(ad.scale(z_tgt, -1.0)), w))
 
-    probs_u = mlp_graph(params.spec_c, c_nodes, feat_u)
-    h_u = ad.scale(row_sum(ad.mul(probs_u, ad.log_clamped(probs_u))), -1.0)
-    l_e = ad.scale(ad.reduce_mean(h_u), -1.0)
+    logits_u = mlp_graph(params.spec_c, c_nodes, feat_u)
+    # log p enters as a constant: its path adds sum_k p_k d(log p_k) = d(sum_k p_k) = 0
+    neg_h_u = row_sum(ad.mul(ad.stable_softmax(logits_u), log_softmax(logits_u).value))
+    l_e = ad.scale(ad.reduce_mean(ad.scale(neg_h_u, -1.0)), -1.0)
 
-    probs_s = mlp_graph(params.spec_c, c_nodes, feat_s)
-    l_c = ad.scale(log_mean(gather_rows(probs_s, batch.source_y)), -1.0)
+    logits_s = mlp_graph(params.spec_c, c_nodes, feat_s)
+    l_c = ad.scale(ad.reduce_mean(gather_rows(log_softmax(logits_s), batch.source_y)), -1.0)
 
     j = ad.add(ad.add(ad.scale(l_d, lw.lambda_d), ad.scale(l_e, lw.lambda_e)),
                ad.scale(l_c, lw.lambda_c))

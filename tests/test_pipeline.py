@@ -11,7 +11,7 @@ from adagev import evt
 from adagev import model as md
 from adagev import objective as obj
 from adagev import pipeline as pl
-from graph_reference import mlp_graph, param_nodes
+from graph_reference import log_sigmoid, mlp_graph, param_nodes
 
 
 def tiny_pool(seed=0):
@@ -435,19 +435,17 @@ class TestBinaryHead:
 
 
 def train_binary_head_graph(features, labels, seed, steps=300, lr=1e-2):
-    """The binary head as it trained on the autodiff graph, with the BCE loss
-    as graph nodes: the bit-for-bit reference of ``_train_binary_head``."""
+    """The binary head trained on the autodiff graph, with the BCE loss as
+    graph nodes: the bit-for-bit reference of ``_train_binary_head``."""
     spec = md.MlpSpec((features.shape[1], 16, 1), activation="relu", head="sigmoid")
     flat, (theta,) = md.init_vector((spec,), np.random.default_rng(seed))
     optimizer = pl._Adam(lr)
-    y = labels.astype(np.float64)[:, None]
+    sign = 2.0 * labels.astype(np.float64)[:, None] - 1.0
     for _ in range(steps):
         nodes = param_nodes(theta)
-        p = mlp_graph(spec, nodes, features)
-        # BCE: -mean(y log p + (1-y) log(1-p))
-        term1 = ad.mul(ad.log_clamped(p), y)
-        term2 = ad.mul(ad.log_clamped(ad.add(ad.scale(p, -1.0), 1.0)), 1.0 - y)
-        loss = ad.scale(ad.reduce_mean(ad.add(term1, term2)), -1.0)
+        z = mlp_graph(spec, nodes, features)
+        # BCE: -mean(y log sigmoid(z) + (1-y) log sigmoid(-z)) = -mean(log sigmoid(sign*z))
+        loss = ad.scale(ad.reduce_mean(log_sigmoid(ad.mul(z, sign))), -1.0)
         ad.backward(loss)
         optimizer.step(flat, np.concatenate([n.grad.ravel() for n in nodes]))
     return spec, theta
