@@ -202,11 +202,8 @@ def _train_config(cfg) -> pl.TrainConfig:
 def _training_setup(cfg):
     """The pool and network specs that train, ablate and sweep share."""
     pool, rs = _load_pool(cfg)
-    hidden = _parse_int_list(cfg["hidden"])
-    spec_g = md.MlpSpec((pool.feature_dim, *hidden), activation="relu")
-    spec_c = md.MlpSpec((hidden[-1], rs.num_known), head="softmax")
-    spec_d = md.MlpSpec((hidden[-1], 32, 1), activation="relu", head="sigmoid")
-    return pool, (spec_g, spec_c, spec_d)
+    return pool, md.default_specs(pool.feature_dim, rs.num_known,
+                                  _parse_int_list(cfg["hidden"]))
 
 
 def _write_json(path, payload):

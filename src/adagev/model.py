@@ -92,11 +92,13 @@ class ModelParams:
         return {"theta_g": self.theta_g, "theta_c": self.theta_c, "theta_d": self.theta_d}
 
 
-def default_specs(input_dim: int, num_classes: int) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
-    """Small default backbones: g = [d,64,64], clf = [64,K], clf_d = [64,32,1]."""
-    spec_g = MlpSpec((input_dim, 64, 64), activation="relu")
-    spec_c = MlpSpec((64, num_classes), head="softmax")
-    spec_d = MlpSpec((64, 32, 1), activation="relu", head="sigmoid")
+def default_specs(input_dim: int, num_classes: int,
+                  hidden=(64, 64)) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
+    """The relu backbones: g = [d, *hidden], clf = [h, K] and clf_d = [h, 32, 1],
+    with h the last hidden width."""
+    spec_g = MlpSpec((input_dim, *hidden), activation="relu")
+    spec_c = MlpSpec((hidden[-1], num_classes), head="softmax")
+    spec_d = MlpSpec((hidden[-1], 32, 1), activation="relu", head="sigmoid")
     return spec_g, spec_c, spec_d
 
 
@@ -249,11 +251,6 @@ def forward_features(params: ModelParams, x: np.ndarray) -> np.ndarray:
 
 def forward_classifier(params: ModelParams, features: np.ndarray) -> np.ndarray:
     return _forward(params.spec_c, params.theta_c, features, "feature")
-
-
-def forward_domain(params: ModelParams, features: np.ndarray) -> np.ndarray:
-    """Discriminator output; the gradient reversal layer is the identity forward."""
-    return _forward(params.spec_d, params.theta_d, features, "feature")
 
 
 def _spec_dict(spec: MlpSpec) -> dict:

@@ -100,12 +100,15 @@ class _Adam:
         self.m *= self.beta1
         self.m += (1 - self.beta1) * g
         self.v *= self.beta2
-        gg = (1 - self.beta2) * g
-        gg *= g
-        self.v += gg
+        with np.errstate(over="ignore"):  # a gradient above ~4e155 overflows (1-b2)*g*g
+            gg = (1 - self.beta2) * g
+            gg *= g
+            self.v += gg
+            den = self.v / bias2
+        if not np.isfinite(den).all():
+            raise ad.NonFiniteError("optimizer: squared gradient overflowed")
         step = self.m / bias1
         step *= self.lr
-        den = self.v / bias2
         np.sqrt(den, out=den)
         den += self.eps
         step /= den

@@ -4,7 +4,7 @@ graphs: the reference that the graph-free forward and backward passes of
 
 import numpy as np
 
-from adagev import autodiff as ad
+import graph_engine as ad
 
 ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
 HEADS = {"none": lambda h: h, "softmax": ad.stable_softmax, "sigmoid": ad.sigmoid}

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from adagev import autodiff as ad
 from adagev import data as dt
 from adagev import evt
 from adagev import model as md
 from adagev import objective as obj
 from adagev import pipeline as pl
+import graph_engine as ad
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -125,6 +125,56 @@ def test_criterion_1_gradient_correctness():
            f"worst rel err {worst:.2e}, {elapsed:.1f}s")
 
 
+def test_criterion_1_program_backward():
+    """``mlp_backward`` matches central finite differences on the same 100
+    random nets. A net whose hidden layers mix relu and tanh is checked under
+    each: an MlpSpec has one activation for all its layers."""
+
+    def loss(spec, tensors, xv):  # criterion 1's -mean(log softmax) over every entry
+        return -md.softmax(md.mlp_forward(spec, tensors, xv, []))[1].mean()
+
+    rng = np.random.default_rng(2024)
+    t0 = time.time()
+    worst = 0.0
+    h_step = 1e-5
+    for _ in range(100):
+        # the draws of test_criterion_1_gradient_correctness, in its order
+        depth = int(rng.integers(1, 3))
+        widths = [int(rng.integers(2, 5)) for _ in range(depth + 2)]
+        widths[-1] = max(widths[-1], 2)
+        acts = [("relu", "tanh")[rng.integers(2)] for _ in range(depth)]
+        tensors = []
+        for fi, fo in zip(widths[:-1], widths[1:]):
+            tensors.append(rng.standard_normal((fi, fo)))
+            tensors.append(rng.standard_normal(fo) * 0.1)
+        xv = rng.standard_normal((3, widths[0]))
+        for act in sorted(set(acts)):
+            spec = md.MlpSpec(tuple(widths), act)
+            inputs = []
+            p = md.softmax(md.mlp_forward(spec, tensors, xv, inputs))[0]
+            grads = [np.empty_like(t) for t in tensors]
+            md.mlp_backward(spec, tensors, inputs, (p - 1.0 / p.shape[1]) / len(p), grads,
+                            add=False, wrt_input=False)
+            for tensor, grad in zip(tensors, grads):
+                fd = np.zeros_like(tensor)
+                it = np.nditer(tensor, flags=["multi_index"])
+                for _ in it:
+                    idx = it.multi_index
+                    orig = tensor[idx]
+                    tensor[idx] = orig + h_step
+                    up = loss(spec, tensors, xv)
+                    tensor[idx] = orig - h_step
+                    down = loss(spec, tensors, xv)
+                    tensor[idx] = orig
+                    fd[idx] = (up - down) / (2 * h_step)
+                rel = np.abs(grad - fd).max() / max(np.abs(fd).max(), 1e-8)
+                worst = max(worst, rel)
+    elapsed = time.time() - t0
+    report(1, "mlp_backward gradient correctness on the same 100 random networks",
+           worst < 1e-4 and elapsed < 30.0,
+           f"worst rel err {worst:.2e}, {elapsed:.1f}s")
+
+
 def test_criterion_2_grl_contract():
     """Forward bit-identity; backward multiplies the gradient by -1."""
     rng = np.random.default_rng(0)
@@ -142,6 +192,49 @@ def test_criterion_2_grl_contract():
 
     report(2, "GRL forward bit-identity and exact backward sign flip",
            forward_identical and sign_flip_exact)
+
+
+def test_criterion_2_step_reverses_extractor_gradient():
+    """The fused step's extractor gradient of lambda_d*L_d is exactly the
+    negation of the same gradient backpropagated without the reversal."""
+    rng = np.random.default_rng(0)
+    spec_g = md.MlpSpec((3, 6, 5), activation="tanh")
+    spec_c = md.MlpSpec((5, 3), head="softmax")
+    spec_d = md.MlpSpec((5, 4, 1), activation="relu", head="sigmoid")
+    params = md.init_params(spec_g, spec_c, spec_d, seed=0)
+    batch = dt.DomainBatch(
+        source_x=rng.standard_normal((6, 3)),
+        source_y=rng.integers(0, 3, 6),
+        unknown_x=rng.standard_normal((6, 3)),
+        target_x=rng.standard_normal((6, 3)),
+    )
+    lw, wc = obj.LossWeights(lambda_d=0.5, lambda_e=0.0, lambda_c=0.0), obj.WeightConfig()
+    step = obj.total_step_gradients(batch, params, lw, wc)
+
+    def forward(spec, group, x):
+        inputs = []
+        return md.mlp_forward(spec, group, x, inputs), inputs
+
+    feat_s, in_gs = forward(spec_g, params.theta_g, batch.source_x)
+    feat_t, in_gt = forward(spec_g, params.theta_g, batch.target_x)
+    w = obj.batch_weights(obj.entropy(md.softmax(forward(spec_c, params.theta_c, feat_t)[0])[0]),
+                          wc)
+    z_s, in_ds = forward(spec_d, params.theta_d, feat_s)
+    z_t, in_dt = forward(spec_d, params.theta_d, feat_t)
+    _, g_zs, g_zt = obj.loss_domain(z_s, z_t, w, scale=lw.lambda_d)
+    _, (grad_g, _, grad_d) = md.layout(params.specs)
+    # no reversal: the features get the discriminator's input gradients as they are
+    g_fs = md.mlp_backward(spec_d, params.theta_d, in_ds, g_zs, grad_d)
+    g_ft = md.mlp_backward(spec_d, params.theta_d, in_dt, g_zt, grad_d)
+    for inputs, g in ((in_gt, g_ft), (in_gs, g_fs)):  # the step's order of the sums
+        md.mlp_backward(spec_g, params.theta_g, inputs, g, grad_g, wrt_input=False)
+
+    nonzero = all(np.abs(g).max() > 0 for g in grad_g)
+    sign_flip_exact = all(np.array_equal(a, -b) for a, b in zip(step.grads["theta_g"], grad_g))
+    discriminator_same = all(np.array_equal(a, b) for a, b in zip(step.grads["theta_d"], grad_d))
+    report(2, "the step's extractor gradient of lambda_d*L_d is the exact negation "
+              "of the unreversed one",
+           nonzero and sign_flip_exact and discriminator_same)
 
 
 def test_criterion_3_saddle_point_routing():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adagev import autodiff as ad
+import graph_engine as ad
 from graph_reference import weighted_sum
 
 

@@ -162,6 +162,22 @@ class TestTrain:
         assert "diverged at epoch 1, iteration" in err
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    def test_overflowing_squared_gradient_is_numerical_failure(self, small_data, tmp_path,
+                                                                capsys):
+        path, flags = small_data
+        data = tmp_path / "huge.csv"
+        data.write_text(path.read_text() + "target,0,1e160,-1e160\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = run("train", "--out", str(tmp_path / "run"), *flags, "--data", str(data),
+                     "--hidden", "16")
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: training diverged at epoch ")
+        assert err.endswith(": optimizer: squared gradient overflowed\n")
+        assert len(err.splitlines()) == 1 and "RuntimeWarning" not in err
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
     def test_collapsed_gev_fit_is_numerical_failure(self, small_data, tmp_path, capsys):
         _, flags = small_data
         rc = run("train", "--out", str(tmp_path / "run"), *flags, "--epochs", "3",

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adagev import autodiff as ad
 from adagev import model as md
 from adagev.evt import GevParams
+import graph_engine as ad
 from graph_reference import HEADS, mlp_graph, param_nodes
 
 
@@ -101,12 +101,12 @@ class TestForward:
     def test_zero_domain_half(self, params):
         for i in range(0, len(params.theta_d), 2):
             params.theta_d[i][...] = np.zeros_like(params.theta_d[i])
-        out = md.forward_domain(params, np.ones((4, params.feature_dim)))
+        out = md.mlp_forward(params.spec_d, params.theta_d, np.ones((4, params.feature_dim)))
         np.testing.assert_allclose(out, 0.5)
 
     def test_domain_output_open_interval(self, params):
         feats = np.random.default_rng(4).standard_normal((50, params.feature_dim)) * 10
-        out = md.forward_domain(params, feats)
+        out = md.mlp_forward(params.spec_d, params.theta_d, feats)
         assert np.all(out > 0) and np.all(out < 1)
 
     def test_forward_pure(self, params):

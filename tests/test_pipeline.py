@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adagev import autodiff as ad
 from adagev import data as dt
 from adagev import evt
 from adagev import model as md
 from adagev import objective as obj
 from adagev import pipeline as pl
+import graph_engine as ad
 from graph_reference import log_sigmoid, mlp_graph, param_nodes
 
 
@@ -504,3 +504,10 @@ class TestDivergence:
     def test_non_finite_step_names_epoch_and_iteration(self):
         with pytest.raises(pl.NumericalError, match=r"epoch 1, iteration 2: op 'linear'"):
             pl.train(tiny_pool(), md.default_specs(2, 4), tiny_config(learning_rate=1e150))
+
+    def test_overflowing_squared_gradient_names_epoch_and_iteration(self):
+        pool = tiny_pool()
+        pool.target_x[0] = (1e160, -1e160)  # its gradient squared exceeds the float range
+        with pytest.raises(pl.NumericalError, match=r"epoch 1, iteration 1: optimizer: "
+                                                    r"squared gradient overflowed$"):
+            pl.train(pool, md.default_specs(2, 4), tiny_config())
