@@ -231,10 +231,10 @@ def _report_payload(report: pl.EvalReport, gev, tc_cfg, label=None):
 def cmd_gen_data(cfg) -> int:
     rs = _split_from(cfg)
     all_role_ids = set(rs.known) | set(rs.source_unknown) | set(rs.target_unknown)
-    if max(all_role_ids) >= cfg["classes"]:
-        raise UsageError(
-            f"role split needs {max(all_role_ids) + 1} classes, --classes is {cfg['classes']}"
-        )
+    outside = sorted(i for i in all_role_ids if not 0 <= i < cfg["classes"])
+    if outside:
+        raise UsageError(f"role ids {outside} lie outside the generated classes "
+                         f"[0, {cfg['classes']}) of --classes {cfg['classes']}")
     bc = dt.BlobShiftConfig(
         class_count=cfg["classes"], dim=cfg["dim"], cluster_std=cfg["std"],
         rotation=np.deg2rad(cfg["rotation_deg"]),

@@ -8,6 +8,13 @@ target-unknown classes; applying it yields the three pools the training
 loop draws from. Target ground-truth roles are kept out of every
 trainer-visible accessor.
 
+The blobs CSV writer writes each domain in blocks of SAVE_BLOCK_ROWS
+rows, building one column of strings per feature with ``repr``; its bytes
+are those of a row-at-a-time writer. It refuses, as a ValueError and
+before it opens the file, what the reader would reject: features that are
+not finite, rows without a feature, label counts unlike row counts,
+domains of different widths and labels beyond int64.
+
 The blobs CSV reader checks and converts whole columns at once, with
 ``float`` and ``int`` as the converters, so it accepts exactly the files
 that a row-at-a-time reader with the same checks accepts. Every rejection
@@ -29,6 +36,7 @@ EXPORT_HEADER = "adagev-blobs v1"
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 UNKNOWN_ROLE = -1
+SAVE_BLOCK_ROWS = 4096
 
 
 class DataError(ValueError):
@@ -153,14 +161,48 @@ def gen_shifted_blobs(cfg: BlobShiftConfig):
     return src_x, src_y, tgt_x, tgt_y
 
 
+def _blob_columns(domain, x, y):
+    """x as float64 rows of at least one finite feature and y as int64, with
+    as many labels as rows; anything else is a ValueError."""
+    x = np.asarray(x, dtype=np.float64)
+    try:
+        with np.errstate(invalid="raise"):
+            y = np.asarray(y).astype(np.int64)
+    except (OverflowError, FloatingPointError) as e:
+        raise ValueError(f"{domain} class labels must be integers that fit int64") from e
+    if x.ndim != 2 or x.shape[1] < 1:
+        raise ValueError(f"{domain} features must be rows of at least one column, "
+                         f"got shape {x.shape}")
+    if y.shape != (len(x),):
+        raise ValueError(f"{len(x)} {domain} rows but labels of shape {y.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{domain} features must be finite")
+    return x, y
+
+
 def save_blobs(path, source_x, source_y, target_x, target_y) -> None:
-    """CSV export: header line, then 'domain,class,feat0,feat1,...' rows."""
+    """CSV export: header line, then 'domain,class,feat0,feat1,...' rows.
+
+    Each feature is written as the ``repr`` of its float64 value and each
+    label as the int64 decimal. Rows go out in blocks of SAVE_BLOCK_ROWS,
+    one column of strings per feature. Features that are not finite, a
+    label count unlike the row count, rows without a feature, domains of
+    different widths and labels beyond int64 are a ValueError, raised
+    before the file is opened. A domain may have no rows.
+    """
+    domains = [("source", *_blob_columns("source", source_x, source_y)),
+               ("target", *_blob_columns("target", target_x, target_y))]
+    widths = [x.shape[1] for _, x, _ in domains]
+    if widths[0] != widths[1]:
+        raise ValueError(f"source rows have {widths[0]} features, target rows {widths[1]}")
     with open(path, "w", encoding="utf-8") as f:
         f.write(EXPORT_HEADER + "\n")
-        for domain, x, y in (("source", source_x, source_y), ("target", target_x, target_y)):
-            for row, label in zip(x, y):
-                feats = ",".join(repr(float(v)) for v in row)
-                f.write(f"{domain},{int(label)},{feats}\n")
+        for domain, x, y in domains:
+            for lo in range(0, len(x), SAVE_BLOCK_ROWS):
+                hi = lo + SAVE_BLOCK_ROWS
+                cols = [map(repr, col) for col in x[lo:hi].T.tolist()]
+                rows = zip(repeat(domain), map(str, y[lo:hi].tolist()), *cols)
+                f.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _read_text(path) -> str:

@@ -27,6 +27,7 @@ from . import objective as obj
 UNKNOWN = dt.UNKNOWN_ROLE
 ABLATION_VARIANTS = ("full", "no_reweight", "no_evt_binary", "hard_threshold")
 INFER_BLOCK_ROWS = 4096
+ADAM_BLOCK = 2 ** 14
 
 
 class NumericalError(RuntimeError):
@@ -85,6 +86,15 @@ class TrainResult:
 
 
 class _Adam:
+    """Adam over one flat vector, updated in place in blocks of ADAM_BLOCK
+    values through three reused block buffers.
+
+    A block whose squared gradient overflows raises NonFiniteError after
+    the blocks before it (and its own m and v) have been updated, so the
+    parameters and moments are partly stepped; ``train`` and the binary
+    head discard them on that error.
+    """
+
     def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.m, self.v, self.t = None, None, 0
@@ -92,27 +102,34 @@ class _Adam:
     def step(self, p: np.ndarray, g: np.ndarray):
         if self.m is None:
             self.m, self.v = np.zeros_like(p), np.zeros_like(p)
+            n = min(len(p), ADAM_BLOCK)
+            self._num, self._den, self._finite = np.empty(n), np.empty(n), np.empty(n, bool)
         self.t += 1
         bias1, bias2 = 1 - self.beta1 ** self.t, 1 - self.beta2 ** self.t
         # In place, with the operands of m = b1*m + (1-b1)*g,
         # v = b2*v + (1-b2)*g*g and p -= lr*m_hat / (sqrt(v_hat) + eps)
         # combined in that order, so every value is the same bit for bit.
-        self.m *= self.beta1
-        self.m += (1 - self.beta1) * g
-        self.v *= self.beta2
-        with np.errstate(over="ignore"):  # a gradient above ~4e155 overflows (1-b2)*g*g
-            gg = (1 - self.beta2) * g
-            gg *= g
-            self.v += gg
-            den = self.v / bias2
-        if not np.isfinite(den).all():
-            raise ad.NonFiniteError("optimizer: squared gradient overflowed")
-        step = self.m / bias1
-        step *= self.lr
-        np.sqrt(den, out=den)
-        den += self.eps
-        step /= den
-        p -= step
+        for lo in range(0, len(p), ADAM_BLOCK):
+            hi = lo + ADAM_BLOCK
+            m, v, gb, pb = self.m[lo:hi], self.v[lo:hi], g[lo:hi], p[lo:hi]
+            num, den, finite = self._num[:len(pb)], self._den[:len(pb)], self._finite[:len(pb)]
+            m *= self.beta1
+            np.multiply(1 - self.beta1, gb, out=num)
+            m += num
+            v *= self.beta2
+            with np.errstate(over="ignore"):  # a gradient above ~4e155 overflows (1-b2)*g*g
+                np.multiply(1 - self.beta2, gb, out=num)
+                num *= gb
+                v += num
+                np.divide(v, bias2, out=den)
+            if not np.isfinite(den, out=finite).all():
+                raise ad.NonFiniteError("optimizer: squared gradient overflowed")
+            np.divide(m, bias1, out=num)
+            num *= self.lr
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            pb -= num
 
 
 class _SgdMomentum:

@@ -62,6 +62,14 @@ class TestGenData:
         rc = run("gen-data", "--out", str(tmp_path / "x.csv"), "--classes", "5")
         assert rc == 2
 
+    @pytest.mark.parametrize("flag", ["--known", "--source-unknown", "--target-unknown"])
+    def test_negative_role_id_is_usage_error(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.csv"
+        assert run("gen-data", "--out", str(out), f"{flag}=-1") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "[0, 10)" in err and "[-1]" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [("--std", "nan"), ("--std", "inf"),
                                             ("--rotation-deg", "nan"), ("--translate", "nan,0")])
     def test_non_finite_setting_is_data_error(self, tmp_path, capsys, flag, value):

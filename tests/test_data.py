@@ -404,6 +404,89 @@ def test_idx_dims_product_beyond_int64_is_truncation(tmp_path):
         dt._read_idx(path, dt.IDX_IMAGE_MAGIC, 3)
 
 
+def reference_save_blobs(path, source_x, source_y, target_x, target_y) -> None:
+    """The row-at-a-time writer that save_blobs replaced, kept as its reference."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(dt.EXPORT_HEADER + "\n")
+        for domain, x, y in (("source", source_x, source_y), ("target", target_x, target_y)):
+            for row, label in zip(x, y):
+                feats = ",".join(repr(float(v)) for v in row)
+                f.write(f"{domain},{int(label)},{feats}\n")
+
+
+BLOCK = dt.SAVE_BLOCK_ROWS
+INT64 = np.iinfo(np.int64)
+# per feature dtype: a random scale's exponent range and values at its edges
+FEATURE_KINDS = {
+    np.float64: (300, [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 0.1, 1e16]),
+    np.float32: (35, [0.0, -0.0, 1e-45, -3.4028235e38, 0.1, 16777217.0]),
+    np.int64: (0, [0, -1, INT64.min, INT64.max, 2 ** 53 + 1]),
+}
+
+
+@st.composite
+def blob_arrays(draw):
+    """Both domains' (features, labels): row counts at and across the
+    writer's block edges, 1-4 columns, edge values at drawn places, float64,
+    float32 or integer features and int64, float or Python int labels."""
+    width = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(list(FEATURE_KINDS)))
+    span, edges = FEATURE_KINDS[kind]
+    out = []
+    for _ in range(2):
+        n = draw(st.sampled_from([0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 808]))
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        if kind is np.int64:
+            x = rng.integers(INT64.min, INT64.max, (n, width), endpoint=True)
+        else:
+            x = (rng.standard_normal((n, width)) * 10.0 ** rng.integers(-span, span, (n, width))
+                 ).astype(kind)
+        y = rng.integers(-9, 10, n)
+        for value in draw(st.lists(st.sampled_from(edges), max_size=6)) if n else []:
+            x[rng.integers(n), rng.integers(width)] = value
+        for value in draw(st.lists(st.sampled_from([INT64.min, INT64.max]),
+                                   max_size=2)) if n else []:
+            y[rng.integers(n)] = value
+        labels = draw(st.sampled_from(["int64", "float", "list"]))
+        if labels == "float":  # non-integral labels are truncated toward zero
+            y = np.clip(y, -99, 99) + rng.choice([0.0, 0.5, 0.99], n)
+        out.extend([x, y.tolist() if labels == "list" else y])
+    return out
+
+
+@given(blob_arrays())
+@settings(max_examples=40, deadline=None)
+def test_save_blobs_matches_row_reference(tmp_path_factory, arrays):
+    tmp = tmp_path_factory.mktemp("save")
+    dt.save_blobs(tmp / "got.csv", *arrays)
+    reference_save_blobs(tmp / "want.csv", *arrays)
+    assert (tmp / "got.csv").read_bytes() == (tmp / "want.csv").read_bytes()
+    sx, sy, tx, ty = arrays
+    if len(sx) and len(tx):
+        want = [np.asarray(sx, np.float64), np.asarray(sy).astype(np.int64),
+                np.asarray(tx, np.float64), np.asarray(ty).astype(np.int64)]
+        for w, got in zip(want, dt.load_blobs(tmp / "got.csv"), strict=True):
+            assert got.dtype == w.dtype and got.shape == w.shape
+            assert got.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("source_x,source_y,message", [
+    (np.ones((3, 2)), [0, 1], r"3 source rows but labels of shape \(2,\)"),
+    (np.ones((2, 0)), [0, 1], "at least one column"),
+    (np.ones(2), [0, 1], "at least one column"),
+    (np.array([[1.0, np.nan], [0.0, 1.0]]), [0, 1], "source features must be finite"),
+    (np.array([[1.0, 2.0], [-np.inf, 1.0]]), [0, 1], "source features must be finite"),
+    (np.ones((2, 3)), [0, 1], "source rows have 3 features, target rows 2"),
+    (np.ones((2, 2)), [0, 2 ** 63], "labels must be integers that fit int64"),
+    (np.ones((2, 2)), [0.0, np.nan], "labels must be integers that fit int64"),
+])
+def test_save_blobs_refuses_what_load_blobs_rejects(tmp_path, source_x, source_y, message):
+    path = tmp_path / "refused.csv"
+    with pytest.raises(ValueError, match=message):
+        dt.save_blobs(path, source_x, source_y, np.ones((1, 2)), [0])
+    assert not path.exists()
+
+
 @pytest.fixture
 def blob_pool():
     sx, sy, tx, ty = dt.gen_shifted_blobs(dt.BlobShiftConfig())

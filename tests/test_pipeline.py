@@ -481,6 +481,37 @@ def test_adam_step_equals_out_of_place_expressions_bit_for_bit():
         assert params.tobytes() == ref.tobytes()
 
 
+def test_blocked_adam_step_equals_out_of_place_expressions_bit_for_bit():
+    n = pl.ADAM_BLOCK * 7 // 2  # three whole blocks and a half block
+    rng = np.random.default_rng(1)
+    params = rng.standard_normal(n)
+    ref = params.copy()
+    m, v = np.zeros(n), np.zeros(n)
+    adam = pl._Adam(1e-2)
+    b1, b2, eps = adam.beta1, adam.beta2, adam.eps
+    for t in range(1, 6):
+        g = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        adam.step(params, g)
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * g * g
+        m_hat = m / (1 - b1 ** t)
+        v_hat = v / (1 - b2 ** t)
+        ref = ref - 1e-2 * m_hat / (np.sqrt(v_hat) + eps)
+        assert params.tobytes() == ref.tobytes()
+
+
+def test_adam_overflow_in_last_block_raises():
+    n = pl.ADAM_BLOCK * 5 // 2
+    adam = pl._Adam(1e-2)
+    g = np.ones(n)
+    g[-1] = 1e160  # only the last, half block's squared gradient overflows
+    params = np.zeros(n)
+    with pytest.raises(ad.NonFiniteError, match="squared gradient overflowed"):
+        adam.step(params, g)
+    # the blocks before it were stepped; the caller discards the vector
+    assert (params[:2 * pl.ADAM_BLOCK] != 0).all() and not params[2 * pl.ADAM_BLOCK:].any()
+
+
 def test_sgd_momentum_step_equals_out_of_place_expressions_bit_for_bit():
     rng = np.random.default_rng(0)
     params = rng.standard_normal(19)
