@@ -12,15 +12,16 @@ The blobs CSV writer writes each domain in blocks of SAVE_BLOCK_ROWS
 rows, building one column of strings per feature with ``repr``; its bytes
 are those of a row-at-a-time writer. It refuses, as a ValueError and
 before it opens the file, what the reader would reject: features that are
-not finite, rows without a feature, label counts unlike row counts,
-domains of different widths and labels beyond int64.
+not finite, rows without a feature, label counts unlike row counts, a
+domain without rows, domains of different widths and labels beyond int64.
 
 The blobs CSV reader checks and converts whole columns at once, with
 ``float`` and ``int`` as the converters, so it accepts exactly the files
 that a row-at-a-time reader with the same checks accepts. Every rejection
 is a DataError naming the file and the first defective line
 (``file:line``). Inference over a loaded pool runs in row blocks of a
-fixed minimum size (``pipeline.INFER_BLOCK_ROWS``).
+fixed minimum size (``pipeline.INFER_BLOCK_ROWS``), at once on the cores
+that a pinned BLAS leaves idle; the thread count changes no bit.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def gen_shifted_blobs(cfg: BlobShiftConfig):
 
 def _blob_columns(domain, x, y):
     """x as float64 rows of at least one finite feature and y as int64, with
-    as many labels as rows; anything else is a ValueError."""
+    as many labels as rows and at least one row; anything else is a ValueError."""
     x = np.asarray(x, dtype=np.float64)
     try:
         with np.errstate(invalid="raise"):
@@ -175,6 +176,8 @@ def _blob_columns(domain, x, y):
                          f"got shape {x.shape}")
     if y.shape != (len(x),):
         raise ValueError(f"{len(x)} {domain} rows but labels of shape {y.shape}")
+    if not len(x):
+        raise ValueError(f"no {domain} rows")
     if not np.isfinite(x).all():
         raise ValueError(f"{domain} features must be finite")
     return x, y
@@ -186,9 +189,9 @@ def save_blobs(path, source_x, source_y, target_x, target_y) -> None:
     Each feature is written as the ``repr`` of its float64 value and each
     label as the int64 decimal. Rows go out in blocks of SAVE_BLOCK_ROWS,
     one column of strings per feature. Features that are not finite, a
-    label count unlike the row count, rows without a feature, domains of
-    different widths and labels beyond int64 are a ValueError, raised
-    before the file is opened. A domain may have no rows.
+    label count unlike the row count, rows without a feature, a domain
+    without rows, domains of different widths and labels beyond int64 are a
+    ValueError, raised before the file is opened.
     """
     domains = [("source", *_blob_columns("source", source_x, source_y)),
                ("target", *_blob_columns("target", target_x, target_y))]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-import adagev
+import adagev.cli  # the tracer wraps adagev.cli, which adagev's __init__ does not import
 from adagev import evt
 from adagev import model as md
 from adagev import pipeline as pl

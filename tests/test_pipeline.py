@@ -1,3 +1,4 @@
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -174,6 +175,101 @@ class TestInfer:
         preds = pl.infer_batch(res.params, res.gev, pool.target_x)
         rejected = np.asarray(evt.gev_cdf(h, res.gev)) > 0.5
         np.testing.assert_array_equal(preds == -1, rejected)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Sets the inference worker count to n through the rule's own inputs: one
+    BLAS thread on n usable CPUs."""
+    def set_workers(n):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: set(range(n)))
+        assert pl._infer_workers(3) == n
+    return set_workers
+
+
+def overflowing_params():
+    """Untrained tiny-spec parameters whose one-layer extractor overflows on a
+    row with |x1 + x2| > 1.8 and on no row closer to the origin."""
+    params = md.init_params(*tiny_specs(), 0)
+    params.theta_g[0][...] = 1e308
+    return params
+
+
+class TestParallelInfer:
+    @pytest.fixture(scope="class")
+    def uneven(self, trained):
+        """Three blocks of 4,507, 4,507 and 4,506 rows."""
+        pool, res = trained
+        rng = np.random.default_rng(1)
+        x = pool.target_x[rng.integers(0, len(pool.target_x), 3 * pl.INFER_BLOCK_ROWS + 1232)]
+        return x + 0.1 * rng.standard_normal(x.shape), res
+
+    def test_worker_counts_agree_bit_for_bit(self, uneven, workers):
+        x, res = uneven
+        got = {}
+        for n in (1, 2, 3):
+            workers(n)
+            got[n] = pl.infer_batch(res.params, res.gev, x)
+        assert got[1].dtype == np.int64 and len(got[1]) == len(x)
+        assert got[2].tobytes() == got[1].tobytes() and got[3].tobytes() == got[1].tobytes()
+        assert (got[1] == -1).any() and (got[1] >= 0).any()
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_overflow_in_a_later_block_raises(self, workers, n):
+        workers(n)
+        x = np.full((3 * pl.INFER_BLOCK_ROWS, 2), 0.1)
+        x[-1] = 1.0
+        with pytest.raises(ad.NonFiniteError, match=r"^forward produced non-finite values$"):
+            pl.infer_batch(overflowing_params(), evt.GevParams(0.5, 0.1, 0.0), x)
+
+    def test_eval_overflow_in_a_later_block_exits_4(self, tmp_path, workers, capsys):
+        from adagev import cli
+        workers(2)
+        sx, sy, tx, ty = dt.gen_shifted_blobs(dt.BlobShiftConfig(source_per_class=30,
+                                                                 target_per_class=2000))
+        tx = 1e-3 * tx
+        tx[-1] = 1.0
+        dt.save_blobs(tmp_path / "blobs.csv", sx, sy, tx, ty)
+        assert len(dt.apply_roles(sx, sy, tx, ty, dt.digits_split()).target_x) == 14000
+        md.save_checkpoint(overflowing_params(), tmp_path / "ckpt.bin",
+                           gev=evt.GevParams(0.5, 0.1, 0.0))
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path / "ckpt.bin"),
+                       "--data", str(tmp_path / "blobs.csv"), "--out", str(tmp_path / "r.json")])
+        assert rc == 4
+        assert capsys.readouterr().err == "numerical failure: forward produced non-finite values\n"
+
+    def test_evaluate_leaves_no_thread_running(self, trained, workers):
+        pool, res = trained
+        workers(2)
+        big = replace(pool, target_x=np.repeat(pool.target_x, 300, axis=0),
+                      _target_roles=np.repeat(pool.eval_target_roles(), 300))
+        assert len(big.target_x) >= 2 * pl.INFER_BLOCK_ROWS
+        before = threading.enumerate()
+        pl.evaluate(res.params, res.gev, big)
+        after = threading.enumerate()
+        assert threading.active_count() == len(before) and set(after) == set(before)
+
+
+@pytest.mark.parametrize("env,cpus,blocks,expected", [
+    ({}, 2, 34, 1),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, 34, 2),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 34, 4),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 3, 3),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 4, 1, 1),
+    ({"OMP_NUM_THREADS": "1"}, 4, 34, 4),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, 34, 1),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, 34, 2),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, 34, 1),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, 34, 1),
+])
+def test_infer_workers_rule(monkeypatch, env, cpus, blocks, expected):
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    assert pl._infer_workers(blocks) == expected
 
 
 shape = st.one_of(st.floats(-0.9, -1e-3), st.floats(1e-3, 0.9),

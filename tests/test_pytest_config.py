@@ -1,4 +1,5 @@
-"""The repository's pytest settings keep a failing test from stopping the run."""
+"""The repository's pytest settings keep a failing test from stopping the run,
+and a test module passes on its own as it does in the full run."""
 
 import subprocess
 import sys
@@ -28,3 +29,11 @@ def test_failing_hypothesis_test_leaves_the_next_test_running(tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=120)
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert "1 failed, 1 passed" in done.stdout, done.stdout
+
+
+def test_benchmark_hooks_pass_when_run_alone():
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "tests/test_benchmark_hooks.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
