@@ -12,7 +12,11 @@ autodiff graph: each loss takes a training pass's logits and returns its
 closed-form gradient on them next to its value, and ``model.mlp_backward``
 carries it through the networks. The tests hold the step bit for bit to
 the same step built as an autodiff graph, whose losses use the graph ops
-``log_softmax``, ``stable_softmax`` and ``log_sigmoid``.
+``log_softmax``, ``stable_softmax`` and ``log_sigmoid``. The source-unknown
+batch's chain can run on a second lane (``Lanes``), because only the
+gradient sums join it to the other batches. The sums are still formed in
+the graph's order: the extractor's target + unknown + source, the
+classifier's unknown + source and the discriminator's source + target.
 
 Per-target instance weights are exp(-H)/Z by default: high-entropy
 (likely unknown) target samples get down-weighted so they are not
@@ -203,8 +207,51 @@ class StepResult:
     weights: np.ndarray
 
 
+class _Inline:
+    """A lane run at once on the calling thread, read back like a future."""
+
+    def __init__(self, fn, *args):
+        try:
+            self._result, self._error = fn(*args), None
+        except Exception as e:  # kept for ``result``, as an executor keeps it
+            self._result, self._error = None, e
+
+    def exception(self):
+        return self._error
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._result
+
+
+class Lanes:
+    """Where ``total_step_gradients`` runs its second lane, and that lane's
+    product buffers.
+
+    The lane is the source-unknown batch's chain, then the source batch's
+    extractor backward. It runs on ``executor``, a one-worker
+    ``concurrent.futures`` executor, or, without one, inline on the calling
+    thread: the same code, so the same bits. The buffers hold the lane's
+    products that the calling thread's would collide with: the source
+    batch's extractor gradient and the unknown batch's classifier gradient,
+    as ``model.layout`` views. They are made once here and written over by
+    every step.
+    """
+
+    def __init__(self, specs, executor=None):
+        spec_g, spec_c, _ = specs
+        self.executor = executor
+        _, (self.ext_s, self.clf_u) = md.layout((spec_g, spec_c))
+
+    def submit(self, fn, *args):
+        if self.executor is None:
+            return _Inline(fn, *args)
+        return self.executor.submit(fn, *args)
+
+
 def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
-                         wc: WeightConfig) -> StepResult:
+                         wc: WeightConfig, lanes: Lanes | None = None) -> StepResult:
     """One joint gradient evaluation of the saddle-point objective.
 
     The gradients of J = lambda_d * L_d(with GRL) + lambda_e * L_e +
@@ -212,52 +259,84 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
     layer negates the gradient the discriminator hands back to the features,
     which realizes the routing contract: theta_d descends lambda_d*L_d,
     theta_g descends -lambda_d*L_d + lambda_e*L_e + lambda_c*L_c, and
-    theta_c descends lambda_e*L_e + lambda_c*L_c. Every value equals the
-    graph-built step's bit for bit, which fixes the order of the sums: the
-    extractor adds the source pass's gradients last.
+    theta_c descends lambda_e*L_e + lambda_c*L_c.
+
+    The source-unknown batch enters only L_e, so its chain (extractor and
+    classifier forward, L_e, classifier and extractor backward) runs on the
+    second lane of ``lanes`` (by default inline) while this thread runs the
+    source and target forwards, the weights, L_d, L_c and the
+    discriminator's and the source classifier's backward. Then the lane runs
+    the source batch's extractor backward while this thread runs the
+    target's. The sums are formed in the graph-built step's order: extractor
+    t + u + s, classifier u + s, discriminator s + t. Addition of two values
+    commutes, so the unknown pass may write the extractor's gradient and the
+    target pass add to it; every other product that would land out of order
+    waits in a ``lanes`` buffer. So every value equals that step's bit for
+    bit, and a failure raises the error that the graph's order of checks
+    reaches first.
     """
     spec_g, spec_c, spec_d = params.spec_g, params.spec_c, params.spec_d
+    lanes = lanes or Lanes(params.specs)
+    # each network's first pass writes its gradients, the later ones add to them
+    grad = np.empty_like(params.flat)
+    _, (grad_g, grad_c, grad_d) = md.layout(params.specs, grad)
 
     def forward(spec, group, x):
         inputs = []
         return md.mlp_forward(spec, group, x, inputs), inputs
 
-    feat_s, in_gs = forward(spec_g, params.theta_g, batch.source_x)
-    feat_u, in_gu = forward(spec_g, params.theta_g, batch.unknown_x)
-    feat_t, in_gt = forward(spec_g, params.theta_g, batch.target_x)
+    def unknown_chain(features):
+        feat_u, in_gu = features.result()
+        logits_u, in_cu = forward(spec_c, params.theta_c, feat_u)
+        l_e, g_zu = loss_entropy_unknown(logits_u, scale=lw.lambda_e)
+        g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, g_zu, lanes.clf_u, add=False)
+        md.mlp_backward(spec_g, params.theta_g, in_gu, g_fu, grad_g, add=False, wrt_input=False)
+        return l_e
 
-    # detached: the weights carry no gradient
-    h_t = entropy(md.softmax(forward(spec_c, params.theta_c, feat_t)[0])[0])
-    aux_h = None
-    if wc.z_mode != "same_batch":
-        if batch.target_aux_x is None:
-            raise ValueError(f"z_mode {wc.z_mode!r} needs an auxiliary target batch")
-        aux_probs = md.forward_classifier(params, md.forward_features(params, batch.target_aux_x))
-        aux_h = entropy(aux_probs)
-    w = batch_weights(h_t, wc, aux_h)
+    features_u = lanes.submit(forward, spec_g, params.theta_g, batch.unknown_x)
+    unknown = lanes.submit(unknown_chain, features_u)
+    try:
+        feat_s, in_gs = forward(spec_g, params.theta_g, batch.source_x)
+        feat_t, in_gt = forward(spec_g, params.theta_g, batch.target_x)
 
-    z_src, in_ds = forward(spec_d, params.theta_d, feat_s)
-    z_tgt, in_dt = forward(spec_d, params.theta_d, feat_t)
-    normalized = wc.z_mode == "same_batch"
-    l_d, g_zsrc, g_ztgt = loss_domain(z_src, z_tgt, w, normalized, scale=lw.lambda_d)
+        # detached: the weights carry no gradient
+        h_t = entropy(md.softmax(forward(spec_c, params.theta_c, feat_t)[0])[0])
+        aux_h = None
+        if wc.z_mode != "same_batch":
+            if batch.target_aux_x is None:
+                raise ValueError(f"z_mode {wc.z_mode!r} needs an auxiliary target batch")
+            aux_features = md.forward_features(params, batch.target_aux_x)
+            aux_h = entropy(md.forward_classifier(params, aux_features))
+        w = batch_weights(h_t, wc, aux_h)
 
-    logits_u, in_cu = forward(spec_c, params.theta_c, feat_u)
-    l_e, g_zu = loss_entropy_unknown(logits_u, scale=lw.lambda_e)
+        z_src, in_ds = forward(spec_d, params.theta_d, feat_s)
+        z_tgt, in_dt = forward(spec_d, params.theta_d, feat_t)
+        normalized = wc.z_mode == "same_batch"
+        l_d, g_zsrc, g_ztgt = loss_domain(z_src, z_tgt, w, normalized, scale=lw.lambda_d)
+    except Exception:
+        # the graph checks the unknown batch's features before all of these
+        unknown.exception()
+        features_u.result()
+        raise
+    try:
+        logits_s, in_cs = forward(spec_c, params.theta_c, feat_s)
+        l_c, g_zs = loss_classification(logits_s, batch.source_y, scale=lw.lambda_c)
+    except Exception:
+        unknown.result()  # and L_e before L_c
+        raise
 
-    logits_s, in_cs = forward(spec_c, params.theta_c, feat_s)
-    l_c, g_zs = loss_classification(logits_s, batch.source_y, scale=lw.lambda_c)
-
-    # each network's first pass writes its gradients, the later ones add to them
-    grad = np.empty_like(params.flat)
-    _, (grad_g, grad_c, grad_d) = md.layout(params.specs, grad)
     # the gradient reversal layer: the features get the negated input gradients
     g_fs = -md.mlp_backward(spec_d, params.theta_d, in_ds, g_zsrc, grad_d, add=False)
     g_ft = -md.mlp_backward(spec_d, params.theta_d, in_dt, g_ztgt, grad_d)
-    g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, g_zu, grad_c, add=False)
-    g_fs += md.mlp_backward(spec_c, params.theta_c, in_cs, g_zs, grad_c)
-    # the graph's order of the extractor's sums; the source pass must come last
-    for k, (inputs, g) in enumerate(((in_gt, g_ft), (in_gu, g_fu), (in_gs, g_fs))):
-        md.mlp_backward(spec_g, params.theta_g, inputs, g, grad_g, add=k > 0, wrt_input=False)
+    g_fs += md.mlp_backward(spec_c, params.theta_c, in_cs, g_zs, grad_c, add=False)
+    l_e = unknown.result()
+    source = lanes.submit(md.mlp_backward, spec_g, params.theta_g, in_gs, g_fs, lanes.ext_s,
+                          False, False)
+    md.mlp_backward(spec_g, params.theta_g, in_gt, g_ft, grad_g, wrt_input=False)  # u + t
+    source.result()
+    # the extractor's (u + t) + s, then the classifier's s + u
+    for acc, part in zip(grad_g + grad_c, lanes.ext_s + lanes.clf_u):
+        acc += part
 
     total = -lw.lambda_d * l_d + lw.lambda_e * l_e + lw.lambda_c * l_c
     grads = dict(zip(params.groups(), (grad_g, grad_c, grad_d)))

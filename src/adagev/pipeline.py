@@ -10,6 +10,14 @@ rejector, the ablations' included, is a per-row score against a threshold
 through one ``predict``. Inference runs in row blocks; when BLAS is pinned
 to fewer threads than there are usable CPUs, the blocks run at once on
 the idle cores, and the worker count changes no bit of a prediction.
+Training uses an idle core the same way when its extractor passes are
+large enough to pay for the hand-offs (``LANE_MIN_MADDS``): each step runs
+the source-unknown batch's chain, then the source batch's extractor
+backward, on one worker thread (``objective.Lanes``). The gradients are
+still summed in the graph's order (the extractor's target + unknown +
+source, the classifier's unknown + source, the discriminator's source +
+target), so the worker count changes no bit of a checkpoint or a log
+either.
 Evaluation reports OS (macro recall over K+1 classes), OS* (over the K
 known classes), and UNK recall.
 """
@@ -32,6 +40,13 @@ UNKNOWN = dt.UNKNOWN_ROLE
 ABLATION_VARIANTS = ("full", "no_reweight", "no_evt_binary", "hard_threshold")
 INFER_BLOCK_ROWS = 4096
 ADAM_BLOCK = 2 ** 14
+# The multiply-adds of one extractor pass (batch x sum of fan_in*fan_out)
+# from which a training step runs its second lane on a worker thread. On 2
+# cores with one BLAS thread, the lane made the step 26-32% slower at
+# 1.1-1.8M (1.1M is the criterion-8 config), broke even at 2.2-2.6M, and
+# made it 7-32% faster at 3.5-5.2M and 41% faster at 68M (784-wide input,
+# hidden 512,256).
+LANE_MIN_MADDS = 2 ** 22
 
 
 class NumericalError(RuntimeError):
@@ -169,7 +184,12 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     ``specs`` is the (spec_g, spec_c, spec_d) triple. One epoch makes
     ceil(|source_known| / B) iterations. Emits one log record per epoch.
     A source pool too small for the tail the GEV is fitted to is a
-    DataError before the first step.
+    DataError before the first step. When one extractor pass costs at least
+    LANE_MIN_MADDS multiply-adds and a second core is free
+    (``_infer_workers``), the steps share one worker thread, opened for the
+    whole training and closed on any exit; otherwise they run inline.
+    Either way the step sums its products in the graph's order, so the
+    result is the same bit for bit.
     """
     spec_g, spec_c, spec_d = specs
     n_tail = len(pool.source_known_x)
@@ -189,13 +209,20 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     iters = math.ceil(len(pool.source_known_x) / tc.batch_size)
     log = []
     epoch = it = 0
+    executor = None
+    pass_madds = tc.batch_size * sum(fi * fo for fi, fo in zip(spec_g.widths, spec_g.widths[1:]))
+    if pass_madds >= LANE_MIN_MADDS and _infer_workers(2) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+        executor = ThreadPoolExecutor(1)
     try:
+        lanes = obj.Lanes(specs, executor)
         for epoch in range(1, tc.epochs + 1):
             stats = {"L_d": 0.0, "L_e": 0.0, "L_c": 0.0, "total": 0.0,
                      "mean_weight": 0.0, "max_weight": 0.0}
             for it in range(1, iters + 1):
                 batch = dt.sample_batch_triple(pool, tc.batch_size, rng, with_aux=need_aux)
-                step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_config)
+                step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_config,
+                                                lanes)
                 optimizer.step(params.flat, step.grad)
                 stats["L_d"] += step.loss_d
                 stats["L_e"] += step.loss_e
@@ -203,6 +230,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
                 stats["total"] += step.total
                 stats["mean_weight"] += step.weights.mean()
                 stats["max_weight"] += step.weights.max()
+                del step  # so the next step's gradient is the only one alive
             h_known = obj.entropy(md.forward_classifier(
                 params, md.forward_features(params, pool.source_known_x)))
             h_unknown = obj.entropy(md.forward_classifier(
@@ -213,6 +241,9 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
                         "mean_unknown_entropy": float(h_unknown.mean())})
     except ad.NonFiniteError as e:
         raise NumericalError(f"training diverged at epoch {epoch}, iteration {it}: {e}") from e
+    finally:
+        if executor is not None:
+            executor.shutdown()
 
     # the last epoch's entropies come from the final parameters; entropy is row-wise
     if tc.tail_config.source_pool == "known_plus_unknown":
@@ -231,7 +262,8 @@ def predict(probs: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarr
 
 def _infer_workers(blocks: int) -> int:
     """How many row blocks inference runs at once: min(blocks, usable CPUs //
-    BLAS threads).
+    BLAS threads). ``train`` runs its second lane when this is above 1 for
+    two blocks.
 
     The BLAS thread count is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS. Unset
     or unparsable, BLAS already takes every core, and more workers would only

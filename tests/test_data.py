@@ -189,6 +189,13 @@ class TestIdx:
         np.testing.assert_allclose(x, images.reshape(5, 12) / 255.0)
         np.testing.assert_array_equal(y, labels)
 
+    def test_every_byte_scales_as_before(self, tmp_path):
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        img_path, lbl_path = write_idx_pair(tmp_path, images, np.zeros(4, dtype=np.uint8))
+        x, _ = dt.load_idx(img_path, lbl_path)
+        expected = np.array([b / 255.0 for b in range(256)]).reshape(4, 64)
+        assert x.dtype == np.float64 and x.tobytes() == expected.tobytes()
+
     def test_bad_magic(self, tmp_path):
         img_path, lbl_path = write_idx_pair(
             tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8))

@@ -451,3 +451,50 @@ def test_fused_step_equals_graph_bit_for_bit(specs, weight_mode, z_mode, weights
     lw, wc = LOSS_WEIGHTS[weights], obj.WeightConfig(weight_mode, z_mode)
     fused = obj.total_step_gradients(batch, params, lw, wc)
     assert as_bytes(fused) == as_bytes(graph_step(batch, params, lw, wc))
+
+
+# Rows that make one batch fail where the graph's order of checks sees it:
+# "linear" overflows the extractor, "log_softmax" gives logits that span more
+# than the float range, so only a loss on that batch's log-probabilities fails.
+FAULT_ROWS = {"none": (0.1, 0.2), "linear": (1.5e308, 1.5e308), "log_softmax": (1e308, 0.0)}
+
+
+def fault_params():
+    """Features (x1 + x2, x2), logits (f1, -f1, 0) and a constant discriminator."""
+    params = md.init_params(md.MlpSpec((2, 2)), md.MlpSpec((2, 3), head="softmax"),
+                            md.MlpSpec((2, 1), head="sigmoid"), 0)
+    params.flat[:] = 0.0
+    params.theta_g[0][...] = [[1.0, 0.0], [1.0, 1.0]]
+    params.theta_c[0][0] = [1.0, -1.0, 0.0]
+    return params
+
+
+def step_outcome(step):
+    """The step's error type and message, or its result's bytes."""
+    try:
+        return as_bytes(step())
+    except (ad.NonFiniteError, ValueError) as e:
+        return type(e), str(e)
+
+
+def test_lanes_raise_the_graphs_first_error():
+    from concurrent.futures import ThreadPoolExecutor
+
+    params, lw = fault_params(), obj.LossWeights()
+    # a target row that only the losses on log-probabilities would see never fails
+    cases = itertools.product(FAULT_ROWS, FAULT_ROWS, ("none", "linear"),
+                              (None, "none", "linear"))
+    with ThreadPoolExecutor(1) as executor:
+        for source, unknown, target, aux in cases:
+            def rows(fault):
+                x = np.full((3, 2), 0.3)
+                x[1] = FAULT_ROWS[fault]
+                return x
+            batch = dt.DomainBatch(rows(source), np.array([0, 1, 2]), rows(unknown), rows(target),
+                                   None if aux is None else rows(aux))
+            wc = obj.WeightConfig(z_mode="same_batch" if aux is None else "fresh_batch")
+            with np.errstate(over="ignore"):  # the graph's softmax warns where the step does not
+                expected = step_outcome(lambda: graph_step(batch, params, lw, wc))
+            for lanes in (None, obj.Lanes(params.specs, executor)):
+                got = step_outcome(lambda: obj.total_step_gradients(batch, params, lw, wc, lanes))
+                assert got == expected, (source, unknown, target, aux, lanes)

@@ -1,3 +1,6 @@
+import json
+import re
+import sys
 import threading
 from dataclasses import replace
 
@@ -179,8 +182,8 @@ class TestInfer:
 
 @pytest.fixture
 def workers(monkeypatch):
-    """Sets the inference worker count to n through the rule's own inputs: one
-    BLAS thread on n usable CPUs."""
+    """Sets the worker count to n through the rule's own inputs: one BLAS
+    thread on n usable CPUs."""
     def set_workers(n):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: set(range(n)))
@@ -249,6 +252,190 @@ class TestParallelInfer:
         pl.evaluate(res.params, res.gev, big)
         after = threading.enumerate()
         assert threading.active_count() == len(before) and set(after) == set(before)
+
+
+def lane_pool():
+    """The tiny pool's sizes with 64 features."""
+    cfg = dt.BlobShiftConfig(dim=64, source_per_class=20, target_per_class=15)
+    return dt.apply_roles(*dt.gen_shifted_blobs(cfg), dt.digits_split())
+
+
+def lane_specs():
+    """An extractor whose pass at batch 64 is above the lane rule."""
+    return md.default_specs(64, 4, (256, 256))
+
+
+LANE_BATCH = 64
+
+
+def unknown_overflow_pool():
+    """The lane pool with one source-unknown row that overflows the lane
+    specs' extractor; no other batch can draw it."""
+    pool = lane_pool()
+    pool.source_unknown_x[7] = 1.7e308
+    return pool
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """Counts the thread pools that ``concurrent.futures`` opens."""
+    import concurrent.futures
+    opened = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        opened.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", counted)
+    return opened
+
+
+class TestTrainingLanes:
+    def test_lane_specs_are_above_the_rule(self):
+        widths = lane_specs()[0].widths
+        madds = LANE_BATCH * sum(a * b for a, b in zip(widths, widths[1:]))
+        assert madds >= pl.LANE_MIN_MADDS
+
+    @pytest.mark.parametrize("z_mode", ["same_batch", "fresh_batch"])
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd_momentum"])
+    def test_worker_counts_agree_bit_for_bit(self, tmp_path, workers, pools_opened, z_mode,
+                                             optimizer):
+        cfg = tiny_config(epochs=3, batch_size=LANE_BATCH, optimizer=optimizer,
+                          weight_config=obj.WeightConfig("neg_entropy", z_mode))
+        out = {}
+        for n in (1, 2):
+            workers(n)
+            res = pl.train(lane_pool(), lane_specs(), cfg)
+            md.save_checkpoint(res.params, tmp_path / f"{n}.bin", gev=res.gev)
+            out[n] = (tmp_path / f"{n}.bin").read_bytes(), json.dumps(res.log)
+            assert len(pools_opened) == n - 1
+        assert out[2] == out[1]
+
+    def test_pinned_specs_never_open_a_pool(self, monkeypatch, workers):
+        import concurrent.futures
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a thread pool was opened")
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", refuse)
+        workers(2)
+        pinned = (md.MlpSpec((2, 128, 64), activation="tanh"), md.MlpSpec((64, 4), head="softmax"),
+                  md.MlpSpec((64, 64, 1), activation="tanh", head="sigmoid"))
+        res = pl.train(tiny_pool(), pinned, tiny_config(epochs=1, batch_size=128))
+        assert len(res.log) == 1
+
+    def test_unpinned_blas_trains_inline(self, monkeypatch, pools_opened):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setattr(pl.os, "sched_getaffinity", lambda pid: {0, 1})
+        pl.train(lane_pool(), lane_specs(), tiny_config(epochs=1, batch_size=LANE_BATCH))
+        assert pools_opened == []
+
+    def test_overflow_in_the_unknown_batch_names_epoch_and_iteration(self, workers, pools_opened):
+        got = {}
+        for n in (1, 2):
+            workers(n)
+            with pytest.raises(pl.NumericalError) as got[n]:
+                pl.train(unknown_overflow_pool(), lane_specs(), tiny_config(batch_size=LANE_BATCH))
+        assert len(pools_opened) == 1
+        assert re.fullmatch(r"training diverged at epoch \d+, iteration \d+: "
+                            r"op 'linear' produced non-finite values", str(got[1].value))
+        assert str(got[2].value) == str(got[1].value)
+
+    def test_train_unknown_overflow_exits_4(self, tmp_path, workers, pools_opened, capsys):
+        from adagev import cli
+        workers(2)
+        sx, sy, tx, ty = dt.gen_shifted_blobs(dt.BlobShiftConfig(dim=64, source_per_class=20,
+                                                                 target_per_class=15))
+        sx[np.flatnonzero(sy == dt.digits_split().source_unknown[0])[3]] = 1.7e308
+        dt.save_blobs(tmp_path / "blobs.csv", sx, sy, tx, ty)
+        rc = cli.main(["train", "--data", str(tmp_path / "blobs.csv"), "--out",
+                       str(tmp_path / "run"), "--hidden", "256,256", "--batch", str(LANE_BATCH),
+                       "--epochs", "5", "--tail", "top:0.5"])
+        assert rc == 4 and len(pools_opened) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"numerical failure: training diverged at epoch \d+, iteration "
+                            r"\d+: op 'linear' produced non-finite values\n", err)
+
+    @pytest.mark.parametrize("pool", [lane_pool, unknown_overflow_pool])
+    def test_train_leaves_no_thread_running(self, workers, pools_opened, pool):
+        workers(2)
+        before = threading.enumerate()
+        try:
+            pl.train(pool(), lane_specs(), tiny_config(batch_size=LANE_BATCH))
+        except pl.NumericalError:
+            assert pool is unknown_overflow_pool
+        after = threading.enumerate()
+        assert len(pools_opened) == 1
+        assert threading.active_count() == len(before) and set(after) == set(before)
+
+
+@pytest.fixture(scope="module")
+def lane_executor():
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1) as executor:
+        yield executor
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(1, 200), hidden=st.lists(st.integers(16, 512), min_size=1, max_size=2),
+       b=st.integers(1, 160), activation=st.sampled_from(["relu", "tanh"]),
+       z_mode=st.sampled_from(obj.Z_MODES), seed=st.integers(0, 2**32 - 1))
+def test_two_lane_step_equals_inline_bit_for_bit(lane_executor, d, hidden, b, activation, z_mode,
+                                                 seed):
+    rng = np.random.default_rng(seed)
+    specs = (md.MlpSpec((d, *hidden), activation), md.MlpSpec((hidden[-1], 5), head="softmax"),
+             md.MlpSpec((hidden[-1], 32, 1), activation, head="sigmoid"))
+    params = md.init_params(*specs, seed)
+
+    def rows():
+        return rng.standard_normal((b, d))
+    batch = dt.DomainBatch(source_x=rows(), source_y=rng.integers(0, 5, b), unknown_x=rows(),
+                           target_x=rows(), target_aux_x=None if z_mode == "same_batch" else rows())
+    lw, wc = obj.LossWeights(0.3, 1.7, 0.45), obj.WeightConfig("neg_entropy", z_mode)
+    lanes = obj.Lanes(specs, lane_executor)
+    inline = obj.total_step_gradients(batch, params, lw, wc)
+    for _ in range(2):  # the second step writes over the first one's buffers
+        two_lane = obj.total_step_gradients(batch, params, lw, wc, lanes)
+        assert two_lane.grad.tobytes() == inline.grad.tobytes()
+        assert ([two_lane.loss_d, two_lane.loss_e, two_lane.loss_c, two_lane.total]
+                == [inline.loss_d, inline.loss_e, inline.loss_c, inline.total])
+        assert two_lane.weights.tobytes() == inline.weights.tobytes()
+
+
+def test_two_lane_steps_agree_under_thread_pressure():
+    """Three trainings' worth of two-lane steps at once, six threads on a few
+    cores, switching as often as the interpreter allows: a lane that wrote
+    into another step's buffers, or a sum read before its lane finished,
+    would change the bits."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    specs = lane_specs()
+    params = md.init_params(*specs, 3)
+    pool, rng = lane_pool(), np.random.default_rng(3)
+    # a new batch each step, so a buffer read too early holds other bits
+    batches = [dt.sample_batch_triple(pool, LANE_BATCH, rng) for _ in range(15)]
+    lw, wc = obj.LossWeights(), obj.WeightConfig()
+    expected = [obj.total_step_gradients(b, params, lw, wc).grad.tobytes() for b in batches]
+    got = {}
+
+    def steps(k):
+        with ThreadPoolExecutor(1) as executor:
+            lanes = obj.Lanes(specs, executor)
+            got[k] = [obj.total_step_gradients(b, params, lw, wc, lanes).grad.tobytes()
+                      for b in batches]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=steps, args=(k,)) for k in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == {k: expected for k in range(3)}
 
 
 @pytest.mark.parametrize("env,cpus,blocks,expected", [
