@@ -26,15 +26,17 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class GevParams:
-    """Location l, scale s > 0, shape c. |c| < 1e-6 uses the Gumbel limit."""
+    """Finite location l, scale s > 0 and shape c. |c| < 1e-6 uses the Gumbel limit."""
 
     l: float
     s: float
     c: float
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError(f"scale must be positive, got {self.s}")
+        if not np.isfinite(self.l):
+            raise ValueError(f"location must be finite, got {self.l}")
+        if not (np.isfinite(self.s) and self.s > 0):
+            raise ValueError(f"scale must be positive and finite, got {self.s}")
         if not np.isfinite(self.c):
             raise ValueError("shape must be finite")
 
@@ -151,12 +153,20 @@ def extract_tail(entropies, tc: TailConfig, rng_seed: int = 0) -> np.ndarray:
     return np.sort(values)[-k:]
 
 
+def _gev_at(l, log_s, c) -> GevParams:
+    """The GEV at the optimizer's point (l, log s, c); a ValueError where that
+    point is not a valid GEV, an overflowing scale included."""
+    with np.errstate(over="ignore"):
+        s = np.exp(log_s)
+    return GevParams(float(l), float(s), float(c))
+
+
 def _negative_log_likelihood(values: np.ndarray):
     def nll(theta):
         l, log_s, c = theta
         try:
-            p = GevParams(l, float(np.exp(log_s)), c)
-        except (ValueError, OverflowError):
+            p = _gev_at(l, log_s, c)
+        except ValueError:
             return np.inf
         dens = np.asarray(gev_pdf(values, p))
         if np.any(dens <= 0):
@@ -192,6 +202,8 @@ def fit_gev_mle(values) -> GevParams:
                    options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000, "maxfev": 4000})
     if not np.isfinite(res.fun):
         raise FitError("no feasible point found")
-    l, log_s, c = res.x
-    return GevParams(float(l), float(np.exp(log_s)), float(c))
+    try:
+        return _gev_at(*res.x)
+    except ValueError as e:
+        raise FitError(f"the fit ended at an invalid point: {e}") from e
 

@@ -57,6 +57,11 @@ class MlpSpec:
         if self.head not in _HEADS:
             raise ValueError(f"unknown head {self.head!r}")
 
+    @property
+    def madds(self) -> int:
+        """The multiply-adds of one row's pass: the sum of fan_in * fan_out."""
+        return sum(fi * fo for fi, fo in zip(self.widths, self.widths[1:]))
+
 
 @dataclass
 class ModelParams:

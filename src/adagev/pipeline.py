@@ -7,9 +7,14 @@ distribution. Inference rejects a target sample as unknown when the
 fitted CDF of its prediction entropy exceeds 0.5, i.e. when the entropy
 exceeds tau (the GEV median), otherwise takes the argmax class. Every
 rejector, the ablations' included, is a per-row score against a threshold
-through one ``predict``. Inference runs in row blocks; when BLAS is pinned
-to fewer threads than there are usable CPUs, the blocks run at once on
-the idle cores, and the worker count changes no bit of a prediction.
+through one ``predict``. Inference runs in row blocks sized by the
+networks' multiply-adds per row (``_row_blocks``); when BLAS is pinned to
+fewer threads than there are usable CPUs, the blocks run at once on the
+idle cores. The block layout depends only on the row count and the widths,
+so the worker count changes no bit of a prediction. The layout itself can
+change the last bits of a probability, because BLAS chooses its kernel,
+and so its rounding, by a product's shape; a prediction then changes only
+where an entropy lies within rounding of the threshold.
 Training uses an idle core the same way when its extractor passes are
 large enough to pay for the hand-offs (``LANE_MIN_MADDS``): each step runs
 the source-unknown batch's chain, then the source batch's extractor
@@ -39,6 +44,16 @@ from . import objective as obj
 UNKNOWN = dt.UNKNOWN_ROLE
 ABLATION_VARIANTS = ("full", "no_reweight", "no_evt_binary", "hard_threshold")
 INFER_BLOCK_ROWS = 4096
+# The multiply-adds an inference row block is sized to, and the fewest rows
+# it may have. On 2 cores with one BLAS thread, a 1,400-row pass of the
+# 784-wide net (hidden 512,256; 533,504 multiply-adds a row) took 48.3 ms
+# as one block, 25.3 ms as two blocks of 700 rows (this size), 29.7 ms as
+# five of 280 and 32.5 ms as 21 of about 66: BLAS packs each weight once
+# per product. With BLAS on both cores and the blocks serial, it took
+# 26.7, 26.6, 27.9 and 33.8 ms. Nets of up to 2^16 multiply-adds a row
+# (the criterion-8 one has 8,704) keep INFER_BLOCK_ROWS-row blocks.
+INFER_BLOCK_MADDS = 2 ** 28
+INFER_MIN_BLOCK_ROWS = 256
 ADAM_BLOCK = 2 ** 14
 # The multiply-adds of one extractor pass (batch x sum of fan_in*fan_out)
 # from which a training step runs its second lane on a worker thread. On 2
@@ -210,8 +225,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     log = []
     epoch = it = 0
     executor = None
-    pass_madds = tc.batch_size * sum(fi * fo for fi, fo in zip(spec_g.widths, spec_g.widths[1:]))
-    if pass_madds >= LANE_MIN_MADDS and _infer_workers(2) > 1:
+    if tc.batch_size * spec_g.madds >= LANE_MIN_MADDS and _infer_workers(2) > 1:
         from concurrent.futures import ThreadPoolExecutor
         executor = ThreadPoolExecutor(1)
     try:
@@ -282,21 +296,32 @@ def _infer_workers(blocks: int) -> int:
     return max(1, min(blocks, cpus // blas))
 
 
-def _map_blocks(fn, x: np.ndarray) -> list:
-    """``fn`` of each row block of ``x``, in block order.
+def _row_blocks(x: np.ndarray, madds: int) -> list[np.ndarray]:
+    """``x`` in the row blocks that inference runs, for nets of ``madds``
+    multiply-adds a row.
 
-    Each block has INFER_BLOCK_ROWS to 2*INFER_BLOCK_ROWS-1 rows (a smaller
-    pool is one block), so the temporaries stay small. There is no short tail
-    block, because BLAS may round a product of a few rows differently from
-    one of many. Several blocks run on a thread pool of ``_infer_workers``
-    threads, opened and closed within the call; numpy releases the GIL in
-    matmul and ufuncs, so they run at the same time. Each block computes the
-    same values on any thread, so the worker count changes no bit, and the
-    first failing block in order raises its error. ``concurrent.futures`` is
-    imported only for a pool, so serial runs start without it.
+    A block is sized by multiply-adds: b = ceil(INFER_BLOCK_MADDS / madds)
+    rows, held between INFER_MIN_BLOCK_ROWS and INFER_BLOCK_ROWS. Every
+    block has b to 2b-1 rows (fewer than 2b rows are one block), so the
+    temporaries stay small and there is no short tail block. The layout
+    depends only on the row count and ``madds``, never on the worker count.
     """
-    x = np.atleast_2d(x)
-    blocks = np.array_split(x, max(len(x) // INFER_BLOCK_ROWS, 1))
+    rows = min(INFER_BLOCK_ROWS, max(INFER_MIN_BLOCK_ROWS, -(-INFER_BLOCK_MADDS // madds)))
+    return np.array_split(x, max(len(x) // rows, 1))
+
+
+def _map_blocks(fn, params: md.ModelParams, x: np.ndarray) -> list:
+    """``fn`` of each row block of ``x``, in block order. The blocks are
+    ``_row_blocks`` for the extractor's and the classifier's multiply-adds.
+
+    Several blocks run on a thread pool of ``_infer_workers`` threads, opened
+    and closed within the call; numpy releases the GIL in matmul and ufuncs,
+    so they run at the same time. Each block computes the same values on any
+    thread, so the worker count changes no bit, and the first failing block
+    in order raises its error. ``concurrent.futures`` is imported only for a
+    pool, so serial runs start without it.
+    """
+    blocks = _row_blocks(np.atleast_2d(x), params.spec_g.madds + params.spec_c.madds)
     # one block skips the rule: its reads cost a 1k-row evaluate about 2%
     workers = _infer_workers(len(blocks)) if len(blocks) > 1 else 1
     if workers == 1:
@@ -309,11 +334,11 @@ def _map_blocks(fn, x: np.ndarray) -> list:
 
 def _predict_blocks(params: md.ModelParams, x: np.ndarray, tau: float) -> np.ndarray:
     """``predict`` of the classifier's entropies against tau, over row blocks
-    (``_map_blocks``). Rows are independent, so blocking changes no prediction."""
+    (``_map_blocks``), with the same bits for any worker count."""
     def block_preds(block):
         probs = md.forward_classifier(params, md.forward_features(params, block))
         return predict(probs, obj.entropy(probs), tau)
-    return np.concatenate(_map_blocks(block_preds, x))
+    return np.concatenate(_map_blocks(block_preds, params, x))
 
 
 def infer_batch(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> np.ndarray:
@@ -398,7 +423,7 @@ def _ablation_preds(variant: str, result: TrainResult, pool: dt.DatasetPool, see
             tgt_feats = md.forward_features(params, block)
             p_unknown = md.mlp_forward(spec, theta, tgt_feats)[:, 0]
             return predict(md.forward_classifier(params, tgt_feats), p_unknown, 0.5)
-        return np.concatenate(_map_blocks(block_preds, pool.target_x))
+        return np.concatenate(_map_blocks(block_preds, params, pool.target_x))
     if variant != "hard_threshold":
         return infer_batch(params, result.gev, pool.target_x)
     tau = 0.5 * np.log(params.num_classes) if hard_threshold is None else hard_threshold

@@ -5,8 +5,11 @@ floor of 0.70 alongside the ablation ordering; criterion 9 reuses the
 same five seeded runs.
 """
 
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,3 +431,42 @@ def test_criterion_10_determinism(tmp_path):
           and artifacts[0][1] == artifacts[1][1]
           and artifacts[0][2] == artifacts[1][2])
     report(10, "bit-identical checkpoints, logs, and reports across reruns", ok)
+
+
+# Trains the criterion-8 nets at seed 0 for a few epochs and writes the
+# checkpoint and the log as ``adagev train`` does. Each epoch runs every
+# product shape of the 80-epoch run, the epoch log's pool passes included.
+BLAS_CHILD = """
+import json, sys
+from dataclasses import replace
+from pathlib import Path
+from adagev import model as md, pipeline as pl
+from test_acceptance import benchmark_config, benchmark_pool, benchmark_specs
+out = Path(sys.argv[1])
+res = pl.train(benchmark_pool(), benchmark_specs(), replace(benchmark_config(0), epochs=3))
+md.save_checkpoint(res.params, out / "checkpoint.bin", gev=res.gev)
+with open(out / "train_log.jsonl", "w", encoding="utf-8") as f:
+    for record in res.log:
+        f.write(json.dumps(record) + "\\n")
+"""
+
+
+def test_pinned_config_bits_do_not_depend_on_blas_threads(tmp_path):
+    """OpenBLAS may split a product differently across threads (a 784-wide
+    first layer gets other bits on 1 and on 2), but not the criterion-8 nets'."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    children = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        out.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=path)
+        children[out] = subprocess.Popen([sys.executable, "-c", BLAS_CHILD, str(out)], env=env)
+    written = []
+    for out, child in children.items():
+        assert child.wait(timeout=120) == 0
+        written.append([(out / name).read_bytes()
+                        for name in ("checkpoint.bin", "train_log.jsonl")])
+    assert written[0] == written[1]
+    assert written[0][1].count(b"\n") == 3

@@ -475,6 +475,21 @@ class TestFitGev:
         assert rc == 0
         assert json.loads(out.read_text())["n_fit"] == 100
 
+    def test_overflowing_fitted_scale_exits_4(self, tmp_path, capsys, monkeypatch):
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *a, **k: OptimizeResult(x=np.array([0.5, 1000.0, 0.1]), fun=1.0))
+        src = tmp_path / "v.txt"
+        src.write_text("\n".join(map(repr, evt.gev_sample(evt.GevParams(0.5, 0.2, 0.1), 100,
+                                                          seed=0).tolist())))
+        out = tmp_path / "fit.json"
+        rc = run("fit-gev", "--input", str(src), "--out", str(out))
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "scale must be positive and finite" in err
+        assert not out.exists()
+
     def test_non_numeric_line(self, tmp_path):
         src = tmp_path / "v.txt"
         src.write_text("1.0\nbanana\n")

@@ -29,6 +29,16 @@ class TestGevParams:
         with pytest.raises(ValueError):
             evt.GevParams(0.0, 1.0, np.inf)
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf])
+    def test_scale_must_be_finite(self, s):
+        with pytest.raises(ValueError, match="scale must be positive and finite"):
+            evt.GevParams(0.0, s, 0.0)
+
+    @pytest.mark.parametrize("l", [np.nan, np.inf, -np.inf])
+    def test_location_must_be_finite(self, l):
+        with pytest.raises(ValueError, match="location must be finite"):
+            evt.GevParams(l, 1.0, 0.5)
+
 
 class TestCdf:
     @pytest.mark.parametrize("p", PARAM_GRID)
@@ -194,6 +204,24 @@ class TestFit:
     def test_degenerate_input(self):
         with pytest.raises(evt.FitError):
             evt.fit_gev_mle(np.full(100, 3.0))
+
+    @pytest.mark.parametrize("point", [(0.0, 1000.0, 0.1), (np.nan, 0.0, 0.1)])
+    def test_invalid_end_point_is_fit_error(self, monkeypatch, point):
+        """An optimizer that reports a finite likelihood at a point that is no
+        GEV (an overflowing scale, a NaN location) fails the fit."""
+        import scipy.optimize
+        from scipy.optimize import OptimizeResult
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *a, **k: OptimizeResult(x=np.array(point), fun=1.0))
+        with pytest.raises(evt.FitError, match="invalid point"):
+            evt.fit_gev_mle(evt.gev_sample(evt.GevParams(0.5, 0.2, 0.1), 100, seed=0))
+
+    def test_likelihood_is_infinite_outside_the_parameters(self):
+        nll = evt._negative_log_likelihood(np.linspace(0.0, 1.0, 50))
+        assert np.isfinite(nll(np.array([0.5, 0.0, 0.1])))
+        for theta in ([0.5, 1000.0, 0.1], [np.nan, 0.0, 0.1], [np.inf, 0.0, 0.1],
+                      [0.5, np.nan, 0.1]):
+            assert nll(np.array(theta)) == np.inf
 
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=5, deadline=None)

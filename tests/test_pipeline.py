@@ -254,6 +254,76 @@ class TestParallelInfer:
         assert threading.active_count() == len(before) and set(after) == set(before)
 
 
+WIDE_MADDS = 784 * 512 + 512 * 256 + 256 * 4  # a row of the 784-wide nets below
+
+
+@pytest.fixture(scope="module")
+def wide():
+    """Untrained 784 -> 512,256 nets and 1,600 rows, three blocks of 533 to
+    534 rows, with a threshold midway in the widest gap between the middle
+    entropies of a one-pass forward, so rounding cannot flip a prediction."""
+    params = md.init_params(*md.default_specs(784, 4, (512, 256)), 0)
+    x = np.random.default_rng(2).uniform(size=(1600, 784))
+    probs = md.forward_classifier(params, md.forward_features(params, x))
+    h = np.sort(obj.entropy(probs))[400:1200]
+    gap = np.argmax(np.diff(h))
+    return params, x, probs, 0.5 * (h[gap] + h[gap + 1])
+
+
+def wide_probs(params, x):
+    """The classifier's probabilities, computed in the inference blocks."""
+    return np.concatenate(pl._map_blocks(
+        lambda block: md.forward_classifier(params, md.forward_features(params, block)),
+        params, x))
+
+
+class TestBlockLayout:
+    def test_wide_blocks_are_sized_by_multiply_adds(self, wide):
+        params = wide[0]
+        assert params.spec_g.madds + params.spec_c.madds == WIDE_MADDS
+        assert [len(b) for b in pl._row_blocks(np.empty((1400, 1)), WIDE_MADDS)] == [700, 700]
+        assert [len(b) for b in pl._row_blocks(wide[1], WIDE_MADDS)] == [534, 533, 533]
+
+    @pytest.mark.parametrize("specs", [tiny_specs(), md.default_specs(2, 4, (128, 64))],
+                             ids=["tiny", "pinned"])
+    def test_narrow_specs_keep_full_row_blocks(self, specs):
+        madds = specs[0].madds + specs[1].madds
+        x = np.empty((3 * pl.INFER_BLOCK_ROWS + 1232, 1))
+        assert [len(b) for b in pl._row_blocks(x, madds)] == [4507, 4507, 4506]
+        assert len(pl._row_blocks(x[:2 * pl.INFER_BLOCK_ROWS - 1], madds)) == 1
+
+    @given(rows=st.integers(0, 20000), madds=st.integers(1, 10 ** 12))
+    @settings(max_examples=300, deadline=None)
+    def test_layout(self, rows, madds):
+        """In order, without a row lost; no block under the floor or a short
+        tail; whole INFER_BLOCK_ROWS blocks up to 2^16 multiply-adds a row."""
+        x = np.arange(rows).reshape(rows, 1)
+        sizes = [len(b) for b in pl._row_blocks(x, madds)]
+        assert np.concatenate(pl._row_blocks(x, madds)).tobytes() == x.tobytes()
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) < 2 * pl.INFER_BLOCK_ROWS
+        if rows >= pl.INFER_MIN_BLOCK_ROWS:
+            assert min(sizes) >= pl.INFER_MIN_BLOCK_ROWS
+        if madds <= 2 ** 16:
+            assert len(sizes) == 1 or min(sizes) >= pl.INFER_BLOCK_ROWS
+        assert len(pl._row_blocks(x, 2 * madds)) >= len(sizes)
+
+    def test_worker_counts_agree_bit_for_bit(self, wide, workers):
+        params, x, _, tau = wide
+        got = {}
+        for n in (1, 2, 3):
+            workers(n)
+            got[n] = wide_probs(params, x).tobytes(), pl._predict_blocks(params, x, tau).tobytes()
+        assert got[2] == got[1] and got[3] == got[1]
+
+    def test_blocks_predict_as_one_pass(self, wide):
+        params, x, probs, tau = wide
+        one = pl.predict(probs, obj.entropy(probs), tau)
+        preds = pl._predict_blocks(params, x, tau)
+        assert preds.tobytes() == one.tobytes()
+        assert (preds == -1).sum() >= 400 and (preds >= 0).sum() >= 400
+        np.testing.assert_allclose(wide_probs(params, x), probs, rtol=1e-12, atol=1e-15)
+
+
 def lane_pool():
     """The tiny pool's sizes with 64 features."""
     cfg = dt.BlobShiftConfig(dim=64, source_per_class=20, target_per_class=15)
@@ -292,9 +362,7 @@ def pools_opened(monkeypatch):
 
 class TestTrainingLanes:
     def test_lane_specs_are_above_the_rule(self):
-        widths = lane_specs()[0].widths
-        madds = LANE_BATCH * sum(a * b for a, b in zip(widths, widths[1:]))
-        assert madds >= pl.LANE_MIN_MADDS
+        assert LANE_BATCH * lane_specs()[0].madds >= pl.LANE_MIN_MADDS
 
     @pytest.mark.parametrize("z_mode", ["same_batch", "fresh_batch"])
     @pytest.mark.parametrize("optimizer", ["adam", "sgd_momentum"])
@@ -703,6 +771,18 @@ class TestAblations:
             got, got_res = out[variant]
             assert got.to_dict() == want.to_dict(), variant
             assert (got_res.gev, got_res.log) == (want_res.gev, want_res.log)
+
+    def test_every_target_pass_goes_through_the_block_rule(self, pool, monkeypatch):
+        calls, row_blocks = [], pl._row_blocks
+
+        def recorded(x, madds):
+            calls.append((len(x), madds))
+            return row_blocks(x, madds)
+        monkeypatch.setattr(pl, "_row_blocks", recorded)
+        specs = tiny_specs()
+        pl.run_ablations(pool, specs, tiny_config(), pl.ABLATION_VARIANTS)
+        madds = specs[0].madds + specs[1].madds
+        assert calls == [(len(pool.target_x), madds)] * len(pl.ABLATION_VARIANTS)
 
 
 class TestBinaryHead:
