@@ -21,6 +21,7 @@ import itertools
 import json
 import sys
 from collections import namedtuple
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -94,16 +95,15 @@ def _parse_float_pair(text):
     return values
 
 
-def _parse_tail(text, pool):
+def _parse_tail(text):
     if text == "none":
         return None
     kind, _, value = str(text).partition(":")
-    pool = pool.replace("-", "_")
     try:
         if kind == "block":
-            return evt.TailConfig(method="block_maxima", block_size=int(value), source_pool=pool)
+            return evt.TailConfig(method="block_maxima", block_size=int(value))
         if kind == "top":
-            return evt.TailConfig(method="top_fraction", fraction=float(value), source_pool=pool)
+            return evt.TailConfig(method="top_fraction", fraction=float(value))
     except ValueError as e:
         raise UsageError(f"bad --tail value {text!r}: {e}") from e
     raise UsageError(f"--tail must be block:<size>, top:<fraction>, or none, got {text!r}")
@@ -186,7 +186,7 @@ def _load_pool(cfg):
 
 
 def _train_config(cfg) -> pl.TrainConfig:
-    tail = _parse_tail(cfg["tail"], cfg["tail_pool"])
+    tail = _parse_tail(cfg["tail"])
     if tail is None:
         raise UsageError("--tail none is only valid for fit-gev")
     return pl.TrainConfig(
@@ -195,7 +195,7 @@ def _train_config(cfg) -> pl.TrainConfig:
         loss_weights=obj.LossWeights(cfg["lambda_d"], cfg["lambda_e"], cfg["lambda_c"]),
         weight_config=obj.WeightConfig(cfg["weight_mode"].replace("-", "_"),
                                        cfg["z_mode"].replace("-", "_")),
-        tail_config=tail, seed=cfg["seed"],
+        tail_config=replace(tail, source_pool=cfg["tail_pool"].replace("-", "_")), seed=cfg["seed"],
     )
 
 
@@ -305,7 +305,7 @@ def cmd_ablate(cfg) -> int:
 
 def cmd_fit_gev(cfg) -> int:
     values = dt.load_reals(cfg["input"])
-    tail = _parse_tail(cfg["tail"], cfg["tail_pool"])
+    tail = _parse_tail(cfg["tail"])
     if tail is not None:
         values = evt.extract_tail(values, tail, rng_seed=cfg["seed"])
     fitted = evt.fit_gev_mle(values)
@@ -377,7 +377,7 @@ COMMANDS = {
     "fit-gev": Command(cmd_fit_gev, "fit a GEV to a file of entropy values", ({
         "input": Flag(None), **OUT_FLAG,
         "tail": Flag("none", help="block:<size>, top:<fraction>, or none (default)"),
-        "tail_pool": TRAIN_FLAGS["tail_pool"], "seed": Flag(0, int),
+        "seed": Flag(0, int),
     },), ("input", "out")),
     "sweep": Command(cmd_sweep, "grid sweep over the loss weights",
                      (TRAIN_FLAGS, SPLIT_FLAGS, OUT_FLAG, {

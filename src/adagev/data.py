@@ -19,10 +19,7 @@ The blobs CSV reader checks and converts whole columns at once, with
 ``float`` and ``int`` as the converters, so it accepts exactly the files
 that a row-at-a-time reader with the same checks accepts. Every rejection
 is a DataError naming the file and the first defective line
-(``file:line``). Inference over a loaded pool runs in row blocks sized by
-the networks' multiply-adds per row (``pipeline._row_blocks``), at once on
-the cores that a pinned BLAS leaves idle; the block layout depends only on
-the row count and the widths, so the thread count changes no bit.
+(``file:line``).
 """
 
 from __future__ import annotations

@@ -7,14 +7,17 @@ distribution. Inference rejects a target sample as unknown when the
 fitted CDF of its prediction entropy exceeds 0.5, i.e. when the entropy
 exceeds tau (the GEV median), otherwise takes the argmax class. Every
 rejector, the ablations' included, is a per-row score against a threshold
-through one ``predict``. Inference runs in row blocks sized by the
-networks' multiply-adds per row (``_row_blocks``); when BLAS is pinned to
-fewer threads than there are usable CPUs, the blocks run at once on the
-idle cores. The block layout depends only on the row count and the widths,
-so the worker count changes no bit of a prediction. The layout itself can
-change the last bits of a probability, because BLAS chooses its kernel,
-and so its rounding, by a product's shape; a prediction then changes only
-where an entropy lies within rounding of the threshold.
+through one ``predict``. Every pass over a pool (the epoch log's source
+entropies, the binary head's source features, the target passes of eval and
+the ablations) runs in row blocks sized by the networks' multiply-adds per
+row (``_row_blocks``); when BLAS is pinned to fewer threads than there are
+usable CPUs, the blocks run at once on the idle cores. The block layout
+depends only on the row count and the widths, so the worker count changes
+no bit. The layout itself can change the last bits of a probability,
+because BLAS chooses its kernel, and so its rounding, by a product's shape:
+a prediction then changes only where an entropy lies within rounding of
+the threshold, and a source pool of 2b rows or more (two blocks) can give
+log entropies and a GEV whose last bits differ from one unblocked pass's.
 Training uses an idle core the same way when its extractor passes are
 large enough to pay for the hand-offs (``LANE_MIN_MADDS``): each step runs
 the source-unknown batch's chain, then the source batch's extractor
@@ -207,9 +210,8 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     result is the same bit for bit.
     """
     spec_g, spec_c, spec_d = specs
-    n_tail = len(pool.source_known_x)
-    if tc.tail_config.source_pool == "known_plus_unknown":
-        n_tail += len(pool.source_unknown_x)
+    with_unknown = tc.tail_config.source_pool == "known_plus_unknown"
+    n_tail = len(pool.source_known_x) + (len(pool.source_unknown_x) if with_unknown else 0)
     try:
         evt.tail_size(n_tail, tc.tail_config)
     except evt.FitError as e:
@@ -245,10 +247,8 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
                 stats["mean_weight"] += step.weights.mean()
                 stats["max_weight"] += step.weights.max()
                 del step  # so the next step's gradient is the only one alive
-            h_known = obj.entropy(md.forward_classifier(
-                params, md.forward_features(params, pool.source_known_x)))
-            h_unknown = obj.entropy(md.forward_classifier(
-                params, md.forward_features(params, pool.source_unknown_x)))
+            h_known, h_unknown = (_forward_blocks(params, x, lambda _, probs: obj.entropy(probs))
+                                  for x in (pool.source_known_x, pool.source_unknown_x))
             log.append({"epoch": epoch,
                         **{k: v / iters for k, v in stats.items()},
                         "mean_known_entropy": float(h_known.mean()),
@@ -259,10 +259,9 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
         if executor is not None:
             executor.shutdown()
 
-    # the last epoch's entropies come from the final parameters; entropy is row-wise
-    if tc.tail_config.source_pool == "known_plus_unknown":
-        h_known = np.concatenate([h_known, h_unknown])
-    gev = fit_rejector(h_known, tc.tail_config, seed=int(tail_seed))
+    # the last epoch's entropies come from the final parameters
+    h_tail = np.concatenate([h_known, h_unknown]) if with_unknown else h_known
+    gev = fit_rejector(h_tail, tc.tail_config, seed=int(tail_seed))
     return TrainResult(params, gev, log)
 
 
@@ -313,6 +312,8 @@ def _row_blocks(x: np.ndarray, madds: int) -> list[np.ndarray]:
 def _map_blocks(fn, params: md.ModelParams, x: np.ndarray) -> list:
     """``fn`` of each row block of ``x``, in block order. The blocks are
     ``_row_blocks`` for the extractor's and the classifier's multiply-adds.
+    Every pass over a pool goes through here: the epoch log, the binary
+    head's features, eval and the ablations.
 
     Several blocks run on a thread pool of ``_infer_workers`` threads, opened
     and closed within the call; numpy releases the GIL in matmul and ufuncs,
@@ -332,13 +333,18 @@ def _map_blocks(fn, params: md.ModelParams, x: np.ndarray) -> list:
         return list(executor.map(fn, blocks))
 
 
+def _forward_blocks(params: md.ModelParams, x: np.ndarray, fn) -> np.ndarray:
+    """``fn(features, probabilities)`` of each row block of ``x``
+    (``_map_blocks``), concatenated in block order."""
+    def block_fn(block):
+        feats = md.forward_features(params, block)
+        return fn(feats, md.forward_classifier(params, feats))
+    return np.concatenate(_map_blocks(block_fn, params, x))
+
+
 def _predict_blocks(params: md.ModelParams, x: np.ndarray, tau: float) -> np.ndarray:
-    """``predict`` of the classifier's entropies against tau, over row blocks
-    (``_map_blocks``), with the same bits for any worker count."""
-    def block_preds(block):
-        probs = md.forward_classifier(params, md.forward_features(params, block))
-        return predict(probs, obj.entropy(probs), tau)
-    return np.concatenate(_map_blocks(block_preds, params, x))
+    """``predict`` of the classifier's entropies against tau, over row blocks."""
+    return _forward_blocks(params, x, lambda _, probs: predict(probs, obj.entropy(probs), tau))
 
 
 def infer_batch(params: md.ModelParams, gev: evt.GevParams, x: np.ndarray) -> np.ndarray:
@@ -413,17 +419,13 @@ def _ablation_preds(variant: str, result: TrainResult, pool: dt.DatasetPool, see
     rejector's per-row score against its threshold."""
     params = result.params
     if variant == "no_evt_binary":
-        feats_known = md.forward_features(params, pool.source_known_x)
-        feats_unknown = md.forward_features(params, pool.source_unknown_x)
-        feats = np.concatenate([feats_known, feats_unknown])
-        labels = np.concatenate([np.zeros(len(feats_known)), np.ones(len(feats_unknown))])
+        sources = (pool.source_known_x, pool.source_unknown_x)
+        feats = np.concatenate([f for x in sources for f in _map_blocks(
+            lambda block: md.forward_features(params, block), params, x)])
+        labels = np.repeat([0.0, 1.0], [len(x) for x in sources])
         spec, theta = _train_binary_head(feats, labels, seed=seed)
-
-        def block_preds(block):
-            tgt_feats = md.forward_features(params, block)
-            p_unknown = md.mlp_forward(spec, theta, tgt_feats)[:, 0]
-            return predict(md.forward_classifier(params, tgt_feats), p_unknown, 0.5)
-        return np.concatenate(_map_blocks(block_preds, params, pool.target_x))
+        return _forward_blocks(params, pool.target_x, lambda feats, probs: predict(
+            probs, md.mlp_forward(spec, theta, feats)[:, 0], 0.5))
     if variant != "hard_threshold":
         return infer_batch(params, result.gev, pool.target_x)
     tau = 0.5 * np.log(params.num_classes) if hard_threshold is None else hard_threshold

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adagev import cli, data as dt, evt, model as md, objective as obj, pipeline as pl
+from test_data import write_idx_pair
 
 
 def run(*argv):
@@ -80,7 +81,9 @@ class TestGenData:
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--dim", "1", "dim >= 2"), ("--source-per-class", "0", "counts must be positive"),
-        ("--target-per-class", "0", "counts must be positive")])
+        ("--target-per-class", "0", "counts must be positive"),
+        ("--translate", "1", "expected two components"),
+        ("--translate", "a,b", "expected comma-separated reals")])
     def test_invalid_setting_is_usage_error(self, tmp_path, capsys, flag, value, message):
         out = tmp_path / "x.csv"
         assert run("gen-data", "--out", str(out), flag, value) == 2
@@ -274,6 +277,15 @@ class TestTrain:
         assert rc == 2
         assert f"config key '{key}'" in capsys.readouterr().err
 
+    def test_missing_config_file_is_data_error(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        rc = run("train", "--out", str(tmp_path / "run"), *flags,
+                 "--config", str(tmp_path / "nope.json"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("data error: cannot read config ")
+        assert not (tmp_path / "run").exists()
+
     def test_config_not_an_object(self, small_data, tmp_path):
         path, _ = small_data
         config = tmp_path / "cfg.json"
@@ -376,6 +388,29 @@ class TestEval:
                  "--data", str(wide), "--out", str(tmp_path / "r.json"))
         assert rc == 3
         assert "width 3" in capsys.readouterr().err
+
+    def test_checkpoint_without_gev(self, small_data, trained_dir, tmp_path, capsys):
+        path, _ = small_data
+        params, _ = md.load_checkpoint(trained_dir / "checkpoint.bin")
+        md.save_checkpoint(params, tmp_path / "ckpt.bin")
+        rc = run("eval", "--checkpoint", str(tmp_path / "ckpt.bin"), "--data", str(path),
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {tmp_path / 'ckpt.bin'}: no GEV section; cannot evaluate\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_positive_gev_scale(self, small_data, trained_dir, tmp_path, capsys):
+        path, _ = small_data
+        ckpt = tmp_path / "ckpt.bin"
+        data = bytearray((trained_dir / "checkpoint.bin").read_bytes())
+        data[-16:-8] = np.array([-1.0], dtype="<f8").tobytes()  # the GEV scale
+        ckpt.write_bytes(bytes(data))
+        rc = run("eval", "--checkpoint", str(ckpt), "--data", str(path),
+                 "--out", str(tmp_path / "r.json"))
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "invalid GEV section" in err
 
     def test_trailing_checkpoint_bytes(self, small_data, trained_dir, tmp_path):
         path, _ = small_data
@@ -512,6 +547,17 @@ class TestFitGev:
         assert rc == 3
         assert "bin.txt: not UTF-8" in capsys.readouterr().err
 
+    def test_tail_pool_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "v.txt"
+        src.write_text("\n".join(map(repr, np.linspace(0.0, 2.0, 100).tolist())))
+        with pytest.raises(SystemExit) as exit_:
+            run("fit-gev", "--input", str(src), "--out", str(tmp_path / "o.json"),
+                "--tail-pool", "known-only")
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err == (
+            "error: adagev: unrecognized arguments: --tail-pool known-only\n")
+        assert not (tmp_path / "o.json").exists()
+
     def test_degenerate_values(self, tmp_path):
         src = tmp_path / "v.txt"
         src.write_text("\n".join(["2.0"] * 100))
@@ -522,6 +568,54 @@ class TestFitGev:
         rc = run("fit-gev", "--input", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "o.json"))
         assert rc == 3
+
+
+class TestIdx:
+    @pytest.fixture(scope="class")
+    def idx_files(self, tmp_path_factory):
+        """Ten classes of 4x4 images, each class a brighter bar, in a
+        source and a target file pair."""
+        root = tmp_path_factory.mktemp("idx")
+        rng = np.random.default_rng(0)
+        paths = {}
+        for domain, per_class in (("source", 40), ("target", 24)):
+            labels = np.repeat(np.arange(10), per_class)
+            images = rng.integers(0, 96, (len(labels), 4, 4))
+            for c in range(10):
+                images[labels == c, c % 4, c // 4:c // 4 + 2] += 150
+            order = rng.permutation(len(labels))
+            (root / domain).mkdir()
+            pair = write_idx_pair(root / domain, images[order], labels[order])
+            paths[f"{domain}_images"], paths[f"{domain}_labels"] = map(str, pair)
+        return paths
+
+    @staticmethod
+    def flags(paths):
+        return [arg for key, path in paths.items()
+                for arg in (f"--{key.replace('_', '-')}", path)]
+
+    def test_train_and_eval(self, idx_files, tmp_path):
+        outdir = tmp_path / "run"
+        assert run("train", "--out", str(outdir), *self.flags(idx_files), "--hidden", "8",
+                   "--epochs", "1", "--batch", "16", "--tail", "top:0.5") == 0
+        ckpt = outdir / "checkpoint.bin"
+        assert run("eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "report.json"),
+                   *self.flags(idx_files)) == 0
+        params, gev = md.load_checkpoint(ckpt)
+        pool = dt.apply_roles(*dt.load_idx(idx_files["source_images"], idx_files["source_labels"]),
+                              *dt.load_idx(idx_files["target_images"], idx_files["target_labels"]),
+                              dt.digits_split())
+        assert pool.feature_dim == 16 and len(pool.target_x) == 7 * 24
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["OS"] == pl.evaluate(params, gev, pool).os_score
+
+    def test_label_count_unlike_image_count(self, idx_files, tmp_path, capsys):
+        _, labels = write_idx_pair(tmp_path, np.zeros((7, 4, 4)), np.zeros(7))
+        rc = run("train", "--out", str(tmp_path / "run"),
+                 *self.flags(dict(idx_files, target_labels=str(labels))), "--tail", "top:0.5")
+        assert rc == 3
+        assert capsys.readouterr().err == "data error: label count 7 != image count 240\n"
+        assert not (tmp_path / "run").exists()
 
 
 class TestSweep:

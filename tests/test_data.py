@@ -543,6 +543,11 @@ class TestApplyRoles:
         with pytest.raises(dt.DataError):
             dt.apply_roles(np.zeros((2, 2)), [0, 0], np.zeros((2, 2)), [0, 1], rs)
 
+    def test_missing_target_unknown_class(self):
+        rs = dt.RoleSplit(known=(0,), target_unknown=(2,))
+        with pytest.raises(dt.DataError, match="target-unknown class 2 missing from target"):
+            dt.apply_roles(np.zeros((3, 2)), [0, 0, 2], np.zeros((2, 2)), [0, 0], rs)
+
     def test_width_mismatch(self):
         with pytest.raises(dt.DataError, match="shape"):
             dt.apply_roles(np.zeros((4, 3)), [0, 0, 1, 1], np.zeros((4, 2)), [0, 0, 1, 1],

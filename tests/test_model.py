@@ -344,6 +344,16 @@ class TestCheckpoint:
         with pytest.raises(md.CheckpointError, match="non-finite"):
             md.load_checkpoint(path)
 
+    @pytest.mark.parametrize("scale", [0.0, -0.2])
+    def test_non_positive_gev_scale_rejected(self, params, tmp_path, scale):
+        path = tmp_path / "ckpt.bin"
+        md.save_checkpoint(params, path, gev=GevParams(0.5, 0.2, 0.1))
+        data = bytearray(path.read_bytes())
+        data[-16:-8] = np.array([scale], dtype="<f8").tobytes()  # l, s, c close the file
+        path.write_bytes(bytes(data))
+        with pytest.raises(md.CheckpointError, match="invalid GEV section"):
+            md.load_checkpoint(path)
+
 
 def rewrite_manifest(path, edit):
     """Re-encode the manifest of a saved checkpoint after ``edit(manifest)``."""

@@ -772,7 +772,7 @@ class TestAblations:
             assert got.to_dict() == want.to_dict(), variant
             assert (got_res.gev, got_res.log) == (want_res.gev, want_res.log)
 
-    def test_every_target_pass_goes_through_the_block_rule(self, pool, monkeypatch):
+    def test_every_pool_pass_goes_through_the_block_rule(self, pool, monkeypatch):
         calls, row_blocks = [], pl._row_blocks
 
         def recorded(x, madds):
@@ -781,8 +781,55 @@ class TestAblations:
         monkeypatch.setattr(pl, "_row_blocks", recorded)
         specs = tiny_specs()
         pl.run_ablations(pool, specs, tiny_config(), pl.ABLATION_VARIANTS)
+        known, unknown, target = (len(x) for x in (pool.source_known_x, pool.source_unknown_x,
+                                                   pool.target_x))
+        # each training logs its source pools once per epoch; the binary head
+        # reads the source features, and every variant passes the target once
+        training = [known, unknown] * tiny_config().epochs
+        want = [*training, target, *training, target, known, unknown, target, target]
         madds = specs[0].madds + specs[1].madds
-        assert calls == [(len(pool.target_x), madds)] * len(pl.ABLATION_VARIANTS)
+        assert calls == [(n, madds) for n in want]
+
+    @pytest.mark.parametrize("source_pool", ["known_only", "known_plus_unknown"])
+    def test_gev_is_fitted_to_the_last_epoch_entropies(self, pool, monkeypatch, source_pool):
+        fitted, fit_rejector = [], pl.fit_rejector
+
+        def captured(entropies, tail, seed=0):
+            fitted.append(entropies)
+            return fit_rejector(entropies, tail, seed)
+        monkeypatch.setattr(pl, "fit_rejector", captured)
+        tail = evt.TailConfig("top_fraction", fraction=0.5, source_pool=source_pool)
+        res = pl.train(pool, tiny_specs(), tiny_config(tail_config=tail))
+        # the tiny pools are one block each, so one pass gives the same bits
+        h_known, h_unknown = (obj.entropy(md.forward_classifier(
+            res.params, md.forward_features(res.params, x)))
+            for x in (pool.source_known_x, pool.source_unknown_x))
+        assert (res.log[-1]["mean_known_entropy"], res.log[-1]["mean_unknown_entropy"]) == (
+            float(h_known.mean()), float(h_unknown.mean()))
+        want = np.concatenate([h_known, h_unknown]) if source_pool == "known_plus_unknown" \
+            else h_known
+        assert len(fitted) == 1 and fitted[0].tobytes() == want.tobytes()
+
+    def test_worker_counts_agree_on_multi_block_source_pools(self, pool, monkeypatch, workers,
+                                                              pools_opened, tmp_path):
+        monkeypatch.setattr(pl, "INFER_BLOCK_ROWS", 16)
+        monkeypatch.setattr(pl, "INFER_MIN_BLOCK_ROWS", 16)
+        madds = sum(s.madds for s in tiny_specs()[:2])
+        assert len(pl._row_blocks(pool.source_unknown_x, madds)) == 3
+        tail = evt.TailConfig("top_fraction", fraction=0.5, source_pool="known_plus_unknown")
+        got = {}
+        for n in (1, 2, 3):
+            workers(n)
+            out = pl.run_ablations(pool, tiny_specs(), tiny_config(tail_config=tail),
+                                   pl.ABLATION_VARIANTS)
+            got[n] = []
+            for variant, (report, res) in out.items():
+                path = tmp_path / f"{n}-{variant}.bin"
+                md.save_checkpoint(res.params, path, gev=res.gev)
+                got[n].append((path.read_bytes(), res.gev, json.dumps(res.log),
+                               json.dumps(report.to_dict())))
+            assert len(pools_opened) == 14 * (n - 1)  # each of the 14 pool passes is 3+ blocks
+        assert got[2] == got[1] and got[3] == got[1]
 
 
 class TestBinaryHead:
