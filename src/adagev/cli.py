@@ -7,11 +7,14 @@ Flags override values from an optional --config JSON file, which in turn
 overrides the built-in defaults.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure,
-and no other; a failure prints one stderr line and never a traceback. A
-flag or config value invalid on its own (malformed, non-finite, out of
-range, a repeated role id) exits 2; one that conflicts with a data file or
-a checkpoint, or an unreadable or damaged file, exits 3; training that
-diverges, a forward pass that overflows and a GEV fit that fails exit 4.
+and no other; a failure prints one stderr line and never a traceback.
+``main`` gives each exception family one code, tried in this order:
+DataError 3; FitError and NonFiniteError 4; any other ValueError, UsageError
+among them, 2; an OSError, CheckpointError among them, 3. So a flag or
+config value invalid on its own exits 2; a conflict with a data file or a
+checkpoint, an unreadable or damaged file, and too few values for the GEV
+tail (in train or fit-gev) exit 3; training that diverges, a forward pass
+that overflows and a GEV fit that fails exit 4.
 """
 
 from __future__ import annotations
@@ -306,8 +309,14 @@ def cmd_ablate(cfg) -> int:
 def cmd_fit_gev(cfg) -> int:
     values = dt.load_reals(cfg["input"])
     tail = _parse_tail(cfg["tail"])
-    if tail is not None:
-        values = evt.extract_tail(values, tail, rng_seed=cfg["seed"])
+    try:  # too few values is a data error, as in train; a fit that fails is numerical
+        if tail is not None:
+            values = evt.extract_tail(values, tail, rng_seed=cfg["seed"])
+        elif values.size < evt.MIN_TAIL:
+            raise evt.FitError(f"need >= {evt.MIN_TAIL} values to fit")
+    except evt.FitError as e:  # values is still the whole file here
+        raise dt.DataError(f"{cfg['input']}: the {values.size} values cannot give a GEV "
+                           f"tail: {e}") from e
     fitted = evt.fit_gev_mle(values)
     _write_json(cfg["out"], {"l": fitted.l, "s": fitted.s, "c": fitted.c,
                              "n_fit": int(values.size), "config": cfg})
@@ -412,21 +421,16 @@ def main(argv=None) -> int:
     command = COMMANDS[args.command]
     try:
         return command.handler(_resolve(args, command))
-    except (UsageError, ValueError) as e:
-        if isinstance(e, dt.DataError):
-            print(f"data error: {e}", file=sys.stderr)
-            return EXIT_DATA
-        if isinstance(e, (evt.FitError, ad.NonFiniteError)):
-            print(f"numerical failure: {e}", file=sys.stderr)
-            return EXIT_NUMERICAL
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except (md.CheckpointError, OSError) as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except pl.NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    except dt.DataError as e:
+        code, line = EXIT_DATA, f"data error: {e}"
+    except (evt.FitError, ad.NonFiniteError) as e:
+        code, line = EXIT_NUMERICAL, f"numerical failure: {e}"
+    except ValueError as e:  # UsageError and every other ValueError
+        code, line = EXIT_USAGE, f"error: {e}"
+    except OSError as e:  # md.CheckpointError among them
+        code, line = EXIT_DATA, f"data error: {e}"
+    print(line, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -334,9 +334,7 @@ def load_idx(images_path, labels_path):
     lbl_dims, lbl_raw = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     n, rows, cols = img_dims
     if lbl_dims[0] != n:
-        raise DataError(
-            f"label count {lbl_dims[0]} != image count {n}"
-        )
+        raise DataError(f"{labels_path}: {lbl_dims[0]} labels for the {n} images of {images_path}")
     x = img_raw.astype(np.float64).reshape(n, rows * cols) / 255.0
     return x, lbl_raw.astype(np.int64)
 

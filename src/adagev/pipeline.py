@@ -67,10 +67,6 @@ ADAM_BLOCK = 2 ** 14
 LANE_MIN_MADDS = 2 ** 22
 
 
-class NumericalError(RuntimeError):
-    """Training diverged (non-finite values in the training step)."""
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 20
@@ -200,14 +196,15 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     """Run the training loop, then fit the GEV rejector.
 
     ``specs`` is the (spec_g, spec_c, spec_d) triple. One epoch makes
-    ceil(|source_known| / B) iterations. Emits one log record per epoch.
-    A source pool too small for the tail the GEV is fitted to is a
-    DataError before the first step. When one extractor pass costs at least
-    LANE_MIN_MADDS multiply-adds and a second core is free
+    ceil(|source_known| / B) iterations. Emits one log record per epoch. A
+    source pool too small for the tail the GEV is fitted to is a DataError
+    before the first step; a step that diverges to non-finite values raises
+    NonFiniteError naming its epoch and iteration. When one extractor pass
+    costs at least LANE_MIN_MADDS multiply-adds and a second core is free
     (``_infer_workers``), the steps share one worker thread, opened for the
-    whole training and closed on any exit; otherwise they run inline.
-    Either way the step sums its products in the graph's order, so the
-    result is the same bit for bit.
+    whole training and closed on any exit; otherwise they run inline. Either
+    way the step sums its products in the graph's order, so the result is
+    the same bit for bit.
     """
     spec_g, spec_c, spec_d = specs
     with_unknown = tc.tail_config.source_pool == "known_plus_unknown"
@@ -254,7 +251,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
                         "mean_known_entropy": float(h_known.mean()),
                         "mean_unknown_entropy": float(h_unknown.mean())})
     except ad.NonFiniteError as e:
-        raise NumericalError(f"training diverged at epoch {epoch}, iteration {it}: {e}") from e
+        raise ad.NonFiniteError(f"training diverged at epoch {epoch}, iteration {it}: {e}") from e
     finally:
         if executor is not None:
             executor.shutdown()

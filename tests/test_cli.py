@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import inspect
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -13,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adagev import cli, data as dt, evt, model as md, objective as obj, pipeline as pl
+import adagev
+from adagev import autodiff as ad, cli, data as dt, evt, model as md
+from adagev import objective as obj, pipeline as pl
 from test_data import write_idx_pair
 
 
@@ -564,10 +568,61 @@ class TestFitGev:
         rc = run("fit-gev", "--input", str(src), "--out", str(tmp_path / "o.json"))
         assert rc == 4
 
+    @pytest.mark.parametrize("count, tail, reason", [
+        (3, [], "need >= 30 values to fit"),
+        (100, ["--tail", "block:20"],
+         "block_maxima needs >= 30 blocks, got 5 (100 values, block size 20)"),
+    ])
+    def test_too_few_values_is_data_error(self, tmp_path, capsys, count, tail, reason):
+        src = tmp_path / "v.txt"
+        src.write_text("\n".join(map(repr, np.linspace(0.0, 2.0, count).tolist())))
+        rc = run("fit-gev", "--input", str(src), "--out", str(tmp_path / "o.json"), *tail)
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"data error: {src}: the {count} values cannot give a GEV tail: {reason}\n")
+        assert not (tmp_path / "o.json").exists()
+
     def test_missing_input(self, tmp_path):
         rc = run("fit-gev", "--input", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "o.json"))
         assert rc == 3
+
+
+# The exit code each exception class reaches, by family: every class the
+# package defines must be listed, so a new class outside the three families
+# fails here rather than escaping main as a traceback.
+EXIT_CODE_OF = {
+    dt.DataError: 3, md.CheckpointError: 3, OSError: 3,
+    evt.FitError: 4, ad.NonFiniteError: 4,
+    cli.UsageError: 2, ValueError: 2, io.UnsupportedOperation: 2,  # a ValueError and an OSError
+}
+PREFIX_OF = {2: "error: ", 3: "data error: ", 4: "numerical failure: "}
+
+
+def package_exception_classes():
+    """Every exception class that a module of adagev defines."""
+    found = set()
+    for info in pkgutil.iter_modules(adagev.__path__):
+        module = importlib.import_module(f"adagev.{info.name}")
+        found |= {value for value in vars(module).values() if isinstance(value, type)
+                  and issubclass(value, BaseException) and value.__module__ == module.__name__}
+    return found
+
+
+@pytest.mark.parametrize("cls", sorted(package_exception_classes()
+                                       | {OSError, ValueError, io.UnsupportedOperation},
+                                       key=lambda c: f"{c.__module__}.{c.__qualname__}"),
+                         ids=lambda c: c.__qualname__)
+def test_every_exception_class_reaches_its_exit_code(cls, tmp_path, monkeypatch, capsys):
+    assert cls in EXIT_CODE_OF, f"{cls.__module__}.{cls.__qualname__} has no exit code"
+
+    def raise_it(path):
+        raise cls("boom")
+
+    monkeypatch.setattr(dt, "load_reals", raise_it)
+    rc = run("fit-gev", "--input", "v.txt", "--out", str(tmp_path / "o.json"))
+    assert rc == EXIT_CODE_OF[cls]
+    assert capsys.readouterr().err == PREFIX_OF[rc] + "boom\n"
 
 
 class TestIdx:
@@ -614,7 +669,8 @@ class TestIdx:
         rc = run("train", "--out", str(tmp_path / "run"),
                  *self.flags(dict(idx_files, target_labels=str(labels))), "--tail", "top:0.5")
         assert rc == 3
-        assert capsys.readouterr().err == "data error: label count 7 != image count 240\n"
+        assert capsys.readouterr().err == (f"data error: {labels}: 7 labels for the 240 images "
+                                           f"of {idx_files['target_images']}\n")
         assert not (tmp_path / "run").exists()
 
 
