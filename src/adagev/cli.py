@@ -15,6 +15,13 @@ config value invalid on its own exits 2; a conflict with a data file or a
 checkpoint, an unreadable or damaged file, and too few values for the GEV
 tail (in train or fit-gev) exit 3; training that diverges, a forward pass
 that overflows and a GEV fit that fails exit 4.
+
+What loads when: ``--help`` and argparse's usage errors exit after loading
+only the standard library, the package ``__init__`` and ``autodiff``, which
+need no numpy. The numerical modules (data, evt, model, objective,
+pipeline) and numpy load in the functions that use them, once a command
+runs. With PYTHONDONTWRITEBYTECODE set no bytecode is cached, so every
+start also compiles each module it imports.
 """
 
 from __future__ import annotations
@@ -24,17 +31,9 @@ import itertools
 import json
 import sys
 from collections import namedtuple
-from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import autodiff as ad
-from . import data as dt
-from . import evt
-from . import model as md
-from . import objective as obj
-from . import pipeline as pl
 
 EXIT_USAGE = 2
 EXIT_DATA = 3
@@ -99,6 +98,8 @@ def _parse_float_pair(text):
 
 
 def _parse_tail(text):
+    from . import evt
+
     if text == "none":
         return None
     kind, _, value = str(text).partition(":")
@@ -134,6 +135,8 @@ def _config_value(key, flag, value):
 
 def _resolve(args, command):
     """builtin defaults < --config file < explicit flags; then the required keys."""
+    from . import data as dt
+
     flags = {key: flag for group in command.groups for key, flag in group.items()}
     merged = {key: flag.default for key, flag in flags.items()}
     config_path = args.config
@@ -168,6 +171,8 @@ def _resolve(args, command):
 
 
 def _split_from(cfg) -> dt.RoleSplit:
+    from . import data as dt
+
     return dt.RoleSplit(
         known=_parse_int_list(cfg["known"]),
         source_unknown=_parse_int_list(cfg["source_unknown"]),
@@ -176,6 +181,8 @@ def _split_from(cfg) -> dt.RoleSplit:
 
 
 def _load_pool(cfg):
+    from . import data as dt
+
     rs = _split_from(cfg)
     if cfg.get("data"):
         src_x, src_y, tgt_x, tgt_y = dt.load_blobs(cfg["data"])
@@ -189,6 +196,11 @@ def _load_pool(cfg):
 
 
 def _train_config(cfg) -> pl.TrainConfig:
+    from dataclasses import replace
+
+    from . import objective as obj
+    from . import pipeline as pl
+
     tail = _parse_tail(cfg["tail"])
     if tail is None:
         raise UsageError("--tail none is only valid for fit-gev")
@@ -203,10 +215,15 @@ def _train_config(cfg) -> pl.TrainConfig:
 
 
 def _training_setup(cfg):
-    """The pool and network specs that train, ablate and sweep share."""
+    """The pool and network specs that train, ablate and sweep share; --hidden
+    is checked before the pool loads."""
+    from . import model as md
+
+    hidden = _parse_int_list(cfg["hidden"])
+    if not hidden or min(hidden) <= 0:
+        raise UsageError(f"--hidden must be one or more positive widths, got {cfg['hidden']!r}")
     pool, rs = _load_pool(cfg)
-    return pool, md.default_specs(pool.feature_dim, rs.num_known,
-                                  _parse_int_list(cfg["hidden"]))
+    return pool, md.default_specs(pool.feature_dim, rs.num_known, hidden)
 
 
 def _write_json(path, payload):
@@ -220,6 +237,10 @@ def _write_json(path, payload):
 def _report_payload(report: pl.EvalReport, gev, tc_cfg, label=None):
     """The report, the rejector (l, s, c, tau and the upper endpoint when c < 0),
     log K (the largest possible entropy) and the resolved config."""
+    import numpy as np
+
+    from . import evt
+
     payload = report.to_dict()
     payload["gev"] = {"l": gev.l, "s": gev.s, "c": gev.c, "tau": evt.rejection_threshold(gev)}
     if gev.c <= -evt.GUMBEL_EPS:
@@ -232,6 +253,10 @@ def _report_payload(report: pl.EvalReport, gev, tc_cfg, label=None):
 
 
 def cmd_gen_data(cfg) -> int:
+    import numpy as np
+
+    from . import data as dt
+
     rs = _split_from(cfg)
     all_role_ids = set(rs.known) | set(rs.source_unknown) | set(rs.target_unknown)
     outside = sorted(i for i in all_role_ids if not 0 <= i < cfg["classes"])
@@ -257,6 +282,9 @@ def cmd_gen_data(cfg) -> int:
 
 
 def cmd_train(cfg) -> int:
+    from . import model as md
+    from . import pipeline as pl
+
     pool, specs = _training_setup(cfg)
     tc = _train_config(cfg)
     result = pl.train(pool, specs, tc)
@@ -277,6 +305,10 @@ def cmd_train(cfg) -> int:
 
 
 def cmd_eval(cfg) -> int:
+    from . import data as dt
+    from . import model as md
+    from . import pipeline as pl
+
     params, gev = md.load_checkpoint(cfg["checkpoint"])
     if gev is None:
         raise dt.DataError(f"{cfg['checkpoint']}: no GEV section; cannot evaluate")
@@ -293,6 +325,8 @@ def cmd_eval(cfg) -> int:
 
 
 def cmd_ablate(cfg) -> int:
+    from . import pipeline as pl
+
     pool, specs = _training_setup(cfg)
     variant = cfg["variant"].replace("-", "_")
     report, result = pl.run_ablations(pool, specs, _train_config(cfg), (variant,),
@@ -307,6 +341,9 @@ def cmd_ablate(cfg) -> int:
 
 
 def cmd_fit_gev(cfg) -> int:
+    from . import data as dt
+    from . import evt
+
     values = dt.load_reals(cfg["input"])
     tail = _parse_tail(cfg["tail"])
     try:  # too few values is a data error, as in train; a fit that fails is numerical
@@ -326,6 +363,8 @@ def cmd_fit_gev(cfg) -> int:
 
 def _grid(cfg, key):
     """The loss weights of --grid-<key>, each checked, or the one of --<key>."""
+    from . import objective as obj
+
     raw = cfg["grid_" + key]
     if raw is None:
         return [cfg[key]]
@@ -339,6 +378,9 @@ def _grid(cfg, key):
 
 
 def cmd_sweep(cfg) -> int:
+    from . import objective as obj
+    from . import pipeline as pl
+
     # the flag values are checked even where a grid replaces them, and every
     # grid point before the first one trains
     obj.LossWeights(cfg["lambda_d"], cfg["lambda_e"], cfg["lambda_c"])
@@ -419,6 +461,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     command = COMMANDS[args.command]
+    from . import data as dt
+    from . import evt
+
     try:
         return command.handler(_resolve(args, command))
     except dt.DataError as e:

@@ -3,7 +3,10 @@ module attributes and the optimizer factory. These tests train a tiny pool
 under it, so that a renamed or bypassed hook fails here and not only in the
 benchmark's own smoke run."""
 
+import json
 import math
+import os
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -87,3 +90,18 @@ def test_traced_two_lane_training_keeps_one_step_span_per_step(spans, monkeypatc
     assert counts["objective.total_step_gradients"] == iterations
     assert counts["model.mlp_backward"] == 7 * iterations
     assert tracer._stack == []
+
+
+def test_traced_child_runs_the_cli(tmp_path):
+    """perfbench/child.py installs the tracer on a freshly imported package,
+    as every traced benchmark child does, then runs ``adagev --help``."""
+    spans_out = tmp_path / "spans.json"
+    src = Path(adagev.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), str(PERFBENCH), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(spans_out),
+                           "--help"], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: adagev")
+    names = {name for _, _, name, _, _, _ in json.loads(spans_out.read_text())}
+    assert "cli.main" in names

@@ -245,6 +245,16 @@ class TestTrain:
         assert rc == 2
         assert "is for 'gen-data', not 'train'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["", "0", "-5", "8,0"])
+    def test_non_positive_hidden_is_usage_error_before_data_loads(self, tmp_path, capsys,
+                                                                  value):
+        rc = run("train", "--out", str(tmp_path / "run"), "--data", str(tmp_path / "no.csv"),
+                 "--hidden", value)
+        assert rc == 2  # a missing --data file would exit 3
+        assert capsys.readouterr().err == (
+            f"error: --hidden must be one or more positive widths, got {value!r}\n")
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_non_finite_learning_rate_is_usage_error(self, small_data, tmp_path, capsys, value):
         _, flags = small_data
@@ -753,6 +763,47 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+# Run as `python -m adagev.cli ARG...`, then write the loaded module names to
+# the file named by the first argument, whether the run exits or raises.
+COLD_START = """
+import runpy, sys
+modules_out, sys.argv = sys.argv[1], ["adagev", *sys.argv[2:]]
+try:
+    runpy.run_module("adagev.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open(modules_out, "w", encoding="utf-8") as f:
+        f.write("\\n".join(sorted(sys.modules)))
+"""
+NUMERICAL_MODULES = {"numpy", *(f"adagev.{m}" for m in ("data", "evt", "model", "objective",
+                                                        "pipeline"))}
+
+
+@pytest.mark.parametrize("argv,code", [(["--help"], 0), (["train", "--help"], 0),
+                                       (["train", "--no-such-flag"], 2)],
+                         ids=["help", "train-help", "unknown-flag"])
+def test_help_and_usage_errors_exit_before_numpy_loads(argv, code, tmp_path, monkeypatch,
+                                                        capsys):
+    """The cold path loads no numerical module, and prints what main prints
+    with every module loaded."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help text to the terminal width
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    modules_out = tmp_path / "modules.txt"
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(modules_out), *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    loaded = set(modules_out.read_text(encoding="utf-8").splitlines())
+    assert NUMERICAL_MODULES.isdisjoint(loaded), sorted(NUMERICAL_MODULES & loaded)
+    assert not any(m.startswith(("numpy.", "scipy")) for m in loaded)
+    assert {"adagev", "adagev.autodiff"} <= loaded
+
+    with pytest.raises(SystemExit) as exited:
+        cli.main(argv)
+    assert done.returncode == exited.value.code == code
+    assert (done.stdout, done.stderr) == capsys.readouterr()
+    assert done.stdout.startswith("usage: adagev") if code == 0 else done.stderr == (
+        "error: adagev: unrecognized arguments: --no-such-flag\n")
+
+
 class TestIntLists:
     @pytest.mark.parametrize("flag,value", [("--hidden", "16,"), ("--known", "0,,1"),
                                             ("--target-unknown", ",7")])
@@ -812,7 +863,8 @@ def flag_values(command, key, flag):
         ids = st.lists(st.integers(0, 9), min_size=1, max_size=3).map(
             lambda v: ",".join(map(str, v)))
         repeated = st.integers(0, 9).map(lambda i: f"{i},{i}")
-        return st.one_of(any_code(ids), any_code(st.just("")),
+        return st.one_of(any_code(ids), (any_code if key in ROLE_KEYS else usage_error)(
+                             st.just("")),
                          (usage_error if key in ROLE_KEYS else any_code)(repeated),
                          usage_error(st.sampled_from(["1,", ",1", "1,,2", "a", "1.5", "nan"])))
     if key == "translate":
