@@ -14,7 +14,9 @@ among them, 2; an OSError, CheckpointError among them, 3. So a flag or
 config value invalid on its own exits 2; a conflict with a data file or a
 checkpoint, an unreadable or damaged file, and too few values for the GEV
 tail (in train or fit-gev) exit 3; training that diverges, a forward pass
-that overflows and a GEV fit that fails exit 4.
+that overflows and a GEV fit that fails exit 4. train, ablate, sweep and
+fit-gev check their flag values before they read a data file, so there a
+value invalid on its own exits 2 whatever the data.
 
 What loads when: ``--help`` and argparse's usage errors exit after loading
 only the standard library, the package ``__init__`` and ``autodiff``, which
@@ -285,8 +287,8 @@ def cmd_train(cfg) -> int:
     from . import model as md
     from . import pipeline as pl
 
-    pool, specs = _training_setup(cfg)
     tc = _train_config(cfg)
+    pool, specs = _training_setup(cfg)
     result = pl.train(pool, specs, tc)
 
     outdir = Path(cfg["out"])
@@ -327,10 +329,11 @@ def cmd_eval(cfg) -> int:
 def cmd_ablate(cfg) -> int:
     from . import pipeline as pl
 
-    pool, specs = _training_setup(cfg)
     variant = cfg["variant"].replace("-", "_")
-    report, result = pl.run_ablations(pool, specs, _train_config(cfg), (variant,),
-                                      cfg["tau"])[variant]
+    tc = _train_config(cfg)
+    pl.check_ablations((variant,), cfg["tau"])
+    pool, specs = _training_setup(cfg)
+    report, result = pl.run_ablations(pool, specs, tc, (variant,), cfg["tau"])[variant]
     outdir = Path(cfg["out"])
     _write_json(outdir / "report.json",
                 _report_payload(report, result.gev, cfg, label=cfg["variant"]))
@@ -344,8 +347,8 @@ def cmd_fit_gev(cfg) -> int:
     from . import data as dt
     from . import evt
 
-    values = dt.load_reals(cfg["input"])
     tail = _parse_tail(cfg["tail"])
+    values = dt.load_reals(cfg["input"])
     try:  # too few values is a data error, as in train; a fit that fails is numerical
         if tail is not None:
             values = evt.extract_tail(values, tail, rng_seed=cfg["seed"])
@@ -378,24 +381,25 @@ def _grid(cfg, key):
 
 
 def cmd_sweep(cfg) -> int:
-    from . import objective as obj
     from . import pipeline as pl
 
     # the flag values are checked even where a grid replaces them, and every
-    # grid point before the first one trains
-    obj.LossWeights(cfg["lambda_d"], cfg["lambda_e"], cfg["lambda_c"])
-    points = list(itertools.product(*(_grid(cfg, key)
-                                      for key in ("lambda_d", "lambda_e", "lambda_c"))))
+    # grid point before the data loads
+    _train_config(cfg)
+    points = [dict(cfg, lambda_d=ld, lambda_e=le, lambda_c=lc)
+              for ld, le, lc in itertools.product(*(_grid(cfg, key) for key in
+                                                    ("lambda_d", "lambda_e", "lambda_c")))]
+    configs = list(map(_train_config, points))
 
     pool, specs = _training_setup(cfg)
     outdir = Path(cfg["out"])
     summary = []
-    for idx, (ld, le, lc) in enumerate(points):
-        point = dict(cfg, lambda_d=ld, lambda_e=le, lambda_c=lc)
-        result = pl.train(pool, specs, _train_config(point))
+    for idx, (point, tc) in enumerate(zip(points, configs)):
+        result = pl.train(pool, specs, tc)
         report = pl.evaluate(result.params, result.gev, pool)
         _write_json(outdir / f"report_{idx:03d}.json", _report_payload(report, result.gev, point))
-        summary.append({"index": idx, "lambda_d": ld, "lambda_e": le, "lambda_c": lc,
+        summary.append({"index": idx, "lambda_d": point["lambda_d"],
+                        "lambda_e": point["lambda_e"], "lambda_c": point["lambda_c"],
                         "OS": report.os_score, "OS_star": report.os_star,
                         "UNK": report.unk_recall})
     _write_json(outdir / "summary.json", {"points": summary})

@@ -8,18 +8,20 @@ target-unknown classes; applying it yields the three pools the training
 loop draws from. Target ground-truth roles are kept out of every
 trainer-visible accessor.
 
-The blobs CSV writer writes each domain in blocks of SAVE_BLOCK_ROWS
+The blobs CSV writer writes each domain in blocks of CSV_BLOCK_ROWS
 rows, building one column of strings per feature with ``repr``; its bytes
 are those of a row-at-a-time writer. It refuses, as a ValueError and
 before it opens the file, what the reader would reject: features that are
 not finite, rows without a feature, label counts unlike row counts, a
 domain without rows, domains of different widths and labels beyond int64.
 
-The blobs CSV reader checks and converts whole columns at once, with
-``float`` and ``int`` as the converters, so it accepts exactly the files
-that a row-at-a-time reader with the same checks accepts. Every rejection
-is a DataError naming the file and the first defective line
-(``file:line``).
+The blobs CSV reader takes CSV_BLOCK_ROWS lines at a time and checks
+and converts each block's columns at once, with ``float`` and ``int`` as
+the converters, so it accepts exactly the files that a row-at-a-time
+reader with the same checks accepts, and holds the strings of one block
+only. Every rejection is a DataError naming the file and the first
+defective line (``file:line``); a rejected file is read again whole to
+find that line.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -35,7 +37,7 @@ EXPORT_HEADER = "adagev-blobs v1"
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 UNKNOWN_ROLE = -1
-SAVE_BLOCK_ROWS = 4096
+CSV_BLOCK_ROWS = 4096  # rows per block the blobs CSV writer writes, lines the reader reads
 
 
 class DataError(ValueError):
@@ -185,7 +187,7 @@ def save_blobs(path, source_x, source_y, target_x, target_y) -> None:
     """CSV export: header line, then 'domain,class,feat0,feat1,...' rows.
 
     Each feature is written as the ``repr`` of its float64 value and each
-    label as the int64 decimal. Rows go out in blocks of SAVE_BLOCK_ROWS,
+    label as the int64 decimal. Rows go out in blocks of CSV_BLOCK_ROWS,
     one column of strings per feature. Features that are not finite, a
     label count unlike the row count, rows without a feature, a domain
     without rows, domains of different widths and labels beyond int64 are a
@@ -199,8 +201,8 @@ def save_blobs(path, source_x, source_y, target_x, target_y) -> None:
     with open(path, "w", encoding="utf-8") as f:
         f.write(EXPORT_HEADER + "\n")
         for domain, x, y in domains:
-            for lo in range(0, len(x), SAVE_BLOCK_ROWS):
-                hi = lo + SAVE_BLOCK_ROWS
+            for lo in range(0, len(x), CSV_BLOCK_ROWS):
+                hi = lo + CSV_BLOCK_ROWS
                 cols = [map(repr, col) for col in x[lo:hi].T.tolist()]
                 rows = zip(repeat(domain), map(str, y[lo:hi].tolist()), *cols)
                 f.write("\n".join(map(",".join, rows)) + "\n")
@@ -272,6 +274,40 @@ def _raise_first_defect(path, lines: list[str]) -> None:
             raise DataError(f"{path}:{lineno}: class label out of range")
 
 
+def _parse_blocks(path):
+    """(features, labels, is_source) of a blobs CSV, parsed CSV_BLOCK_ROWS
+    lines at a time, or None if its header or any row is defective."""
+    with open(path, "r", encoding="utf-8") as f:
+        if f.readline().removesuffix("\n") != EXPORT_HEADER:
+            return None
+        blocks = []
+        while lines := list(islice(f, CSV_BLOCK_ROWS)):
+            rows = list(filter(None, map(str.strip, lines)))
+            if not rows:
+                continue
+            parsed = _parse_rows(rows)
+            if parsed is None or (blocks and parsed[0].shape[1] != blocks[0][0].shape[1]):
+                return None
+            blocks.append(parsed)
+    if not blocks:
+        return _parse_rows([])
+    return tuple(map(np.concatenate, zip(*blocks)))
+
+
+def _parse_whole(path):
+    """What ``_parse_blocks`` returns, from the whole text at once; a defect
+    is a DataError naming its line, and text that is not UTF-8 one naming
+    its byte."""
+    header, _, body = _read_text(path).partition("\n")
+    if header != EXPORT_HEADER:
+        raise DataError(f"{path}: bad header {header!r}")
+    lines = list(map(str.strip, body.split("\n")))
+    parsed = _parse_rows(list(filter(None, lines)))
+    if parsed is None:
+        _raise_first_defect(path, lines)
+    return parsed
+
+
 def load_blobs(path):
     """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y).
 
@@ -280,13 +316,12 @@ def load_blobs(path):
     that ``float`` accepts and that are finite, as many as in the first row.
     A defective file raises DataError naming its first defective line.
     """
-    header, _, body = _read_text(path).partition("\n")
-    if header != EXPORT_HEADER:
-        raise DataError(f"{path}: bad header {header!r}")
-    lines = list(map(str.strip, body.split("\n")))
-    parsed = _parse_rows(list(filter(None, lines)))
+    try:
+        parsed = _parse_blocks(path)
+    except UnicodeDecodeError:
+        parsed = None
     if parsed is None:
-        _raise_first_defect(path, lines)
+        parsed = _parse_whole(path)
     x, y, is_source = parsed
     out = []
     for domain, mask in (("source", is_source), ("target", ~is_source)):

@@ -176,17 +176,103 @@ def _negative_log_likelihood(values: np.ndarray):
     return nll
 
 
+class _BudgetSpent(FitError):
+    """The function-evaluation budget ran out in the middle of a step.
+
+    ``_nelder_mead`` catches it; it is a FitError so that, like every class
+    the package defines, it has an exit code in the CLI.
+    """
+
+
+def _nelder_mead(f, x0, xatol, fatol, maxiter, maxfev):
+    """Minimise ``f`` from ``x0`` by Nelder-Mead; (x, fun, iterations, converged).
+
+    A port of scipy's ``minimize(method="Nelder-Mead")`` without bounds or
+    adaptive coefficients, with its arithmetic in its order, so x and fun
+    equal scipy's bit for bit: the start simplex moves each coordinate by 5%
+    (0.00025 where it is 0), the vertices are re-sorted with argsort/take
+    after every iteration, the coefficients are reflection 1, expansion 2,
+    contraction 1/2 and shrink 1/2, and a step stops where it would exceed
+    ``maxfev`` evaluations. Convergence is both the simplex's largest
+    coordinate spread within ``xatol`` and its largest value spread within
+    ``fatol``; ``converged`` is False when a budget ran out first.
+    """
+    x0 = np.asarray(x0, dtype=np.float64).ravel()
+    n = len(x0)
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def call(x):
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(x.copy())
+
+    def by_value(sim, fsim):
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+    except _BudgetSpent:
+        pass
+    # sorted twice, as scipy does: argsort need not keep tied values in place
+    sim, fsim = by_value(*by_value(sim, fsim))
+    iterations = 1
+    while nfev < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = call(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = call(xc)
+                    accept = fxc <= fxr
+                else:  # inside contraction
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = call(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink towards the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = call(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        sim, fsim = by_value(sim, fsim)
+    converged = nfev < maxfev and iterations < maxiter
+    return sim[0], np.min(fsim), iterations, converged
+
+
 def fit_gev_mle(values) -> GevParams:
     """Maximum-likelihood GEV fit via Nelder-Mead over (l, log s, c).
 
     Moment-based Gumbel init: s0 = sqrt(6)*std/pi, l0 = mean - gamma*s0,
     c0 = 0.1. Log-parameterizing the scale keeps it positive; points with
-    any observation outside the support score -inf likelihood. scipy is
-    imported here, not at module load, so the commands that fit nothing
-    start without it.
+    any observation outside the support score -inf likelihood. The
+    minimiser is ``_nelder_mead``, so the fit, and tau with it, does not
+    depend on an installed scipy.
     """
-    from scipy.optimize import minimize
-
     values = np.asarray(values, dtype=np.float64)
     if values.size < MIN_TAIL:
         raise FitError(f"need >= {MIN_TAIL} values to fit, got {values.size}")
@@ -198,12 +284,11 @@ def fit_gev_mle(values) -> GevParams:
     nll = _negative_log_likelihood(values)
     if not np.isfinite(nll(x0)):
         x0[2] = 0.0  # Gumbel start is always feasible
-    res = minimize(nll, x0, method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000, "maxfev": 4000})
-    if not np.isfinite(res.fun):
+    x, fun, _, _ = _nelder_mead(nll, x0, xatol=1e-8, fatol=1e-10, maxiter=2000, maxfev=4000)
+    if not np.isfinite(fun):
         raise FitError("no feasible point found")
     try:
-        return _gev_at(*res.x)
+        return _gev_at(*x)
     except ValueError as e:
         raise FitError(f"the fit ended at an invalid point: {e}") from e
 

@@ -429,6 +429,18 @@ def _ablation_preds(variant: str, result: TrainResult, pool: dt.DatasetPool, see
     return _predict_blocks(params, pool.target_x, tau)
 
 
+def check_ablations(variants, hard_threshold: float | None = None) -> None:
+    """A ValueError unless ``variants`` are ablation variants and
+    ``hard_threshold`` is None or finite and read by the hard_threshold one."""
+    if not set(variants) <= set(ABLATION_VARIANTS):
+        raise ValueError(f"variant must be one of {ABLATION_VARIANTS}")
+    if hard_threshold is not None and not np.isfinite(hard_threshold):
+        raise ValueError(f"hard_threshold must be finite, got {hard_threshold}")
+    if hard_threshold is not None and "hard_threshold" not in variants:
+        raise ValueError(f"a hard threshold (ablate --tau) is read only by the hard_threshold "
+                         f"variant, not by {', '.join(variants)}")
+
+
 def run_ablations(pool: dt.DatasetPool, specs, tc: TrainConfig, variants,
                   hard_threshold: float | None = None
                   ) -> dict[str, tuple[EvalReport, TrainResult]]:
@@ -442,13 +454,7 @@ def run_ablations(pool: dt.DatasetPool, specs, tc: TrainConfig, variants,
     no_reweight changes the training, so training runs once per distinct
     weighting.
     """
-    if not set(variants) <= set(ABLATION_VARIANTS):
-        raise ValueError(f"variant must be one of {ABLATION_VARIANTS}")
-    if hard_threshold is not None and not np.isfinite(hard_threshold):
-        raise ValueError(f"hard_threshold must be finite, got {hard_threshold}")
-    if hard_threshold is not None and "hard_threshold" not in variants:
-        raise ValueError(f"a hard threshold (ablate --tau) is read only by the hard_threshold "
-                         f"variant, not by {', '.join(variants)}")
+    check_ablations(variants, hard_threshold)
     uniform = obj.WeightConfig("uniform", tc.weight_config.z_mode)
     trained, out = {}, {}
     for variant in variants:

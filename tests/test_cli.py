@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adagev
@@ -525,10 +525,8 @@ class TestFitGev:
         assert json.loads(out.read_text())["n_fit"] == 100
 
     def test_overflowing_fitted_scale_exits_4(self, tmp_path, capsys, monkeypatch):
-        import scipy.optimize
-        from scipy.optimize import OptimizeResult
-        monkeypatch.setattr(scipy.optimize, "minimize",
-                            lambda *a, **k: OptimizeResult(x=np.array([0.5, 1000.0, 0.1]), fun=1.0))
+        monkeypatch.setattr(evt, "_nelder_mead",
+                            lambda *a, **k: (np.array([0.5, 1000.0, 0.1]), 1.0, 1, True))
         src = tmp_path / "v.txt"
         src.write_text("\n".join(map(repr, evt.gev_sample(evt.GevParams(0.5, 0.2, 0.1), 100,
                                                           seed=0).tolist())))
@@ -603,7 +601,7 @@ class TestFitGev:
 # fails here rather than escaping main as a traceback.
 EXIT_CODE_OF = {
     dt.DataError: 3, md.CheckpointError: 3, OSError: 3,
-    evt.FitError: 4, ad.NonFiniteError: 4,
+    evt.FitError: 4, evt._BudgetSpent: 4, ad.NonFiniteError: 4,
     cli.UsageError: 2, ValueError: 2, io.UnsupportedOperation: 2,  # a ValueError and an OSError
 }
 PREFIX_OF = {2: "error: ", 3: "data error: ", 4: "numerical failure: "}
@@ -804,6 +802,32 @@ def test_help_and_usage_errors_exit_before_numpy_loads(argv, code, tmp_path, mon
         "error: adagev: unrecognized arguments: --no-such-flag\n")
 
 
+@pytest.mark.parametrize("command", ["fit-gev", "train"])
+def test_fitting_commands_import_no_scipy(command, tmp_path):
+    """fit-gev and train, run as `python -m adagev.cli`, fit a GEV without
+    importing any scipy module."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    if command == "fit-gev":
+        values = tmp_path / "values.txt"
+        values.write_text("\n".join(map(repr, evt.gev_sample(evt.GevParams(1, 0.2, 0.1), 60,
+                                                              0).tolist())))
+        argv = ["fit-gev", "--input", str(values), "--out", str(tmp_path / "fit.json")]
+    else:
+        data = tmp_path / "blobs.csv"
+        assert run("gen-data", "--out", str(data), "--source-per-class", "30",
+                   "--target-per-class", "20") == 0
+        argv = ["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "1",
+                "--batch", "16", "--hidden", "8", "--tail", "top:0.5"]
+    modules_out = tmp_path / "modules.txt"
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(modules_out), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = modules_out.read_text(encoding="utf-8").splitlines()
+    assert "adagev.evt" in loaded
+    assert not [m for m in loaded if m == "scipy" or m.startswith("scipy.")]
+
+
 class TestIntLists:
     @pytest.mark.parametrize("flag,value", [("--hidden", "16,"), ("--known", "0,,1"),
                                             ("--target-unknown", ",7")])
@@ -914,16 +938,14 @@ def one_flag_changed(draw):
     return command, ["--" + key.replace("_", "-"), value] * draw(st.integers(1, 2)), invalid
 
 
-@given(case=one_flag_changed())
-@settings(max_examples=100, deadline=None)
-def test_exit_codes_follow_the_documented_rule(exit_code_setup, case):
-    root, argv = exit_code_setup
-    command, changed, invalid = case
+def assert_documented_exit(root, argv, changed, invalid):
+    """Run argv plus the changed flag: a documented code, one stderr line on
+    failure, and 2 for a value marked invalid."""
     changed = [str(root / v) if v == MISSING else v for v in changed]
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         try:
-            rc = cli.main([*argv[command], *changed])
+            rc = cli.main([*argv, *changed])
         except SystemExit as e:
             rc = e.code
     lines = err.getvalue().splitlines()
@@ -932,3 +954,31 @@ def test_exit_codes_follow_the_documented_rule(exit_code_setup, case):
     assert "Traceback" not in err.getvalue()
     if invalid:
         assert rc == 2, (changed, lines)
+
+
+@given(case=one_flag_changed())
+@settings(max_examples=100, deadline=None)
+def test_exit_codes_follow_the_documented_rule(exit_code_setup, case):
+    root, argv = exit_code_setup
+    command, changed, invalid = case
+    assert_documented_exit(root, argv[command], changed, invalid)
+
+
+@given(case=one_flag_changed())
+@example(case=("train", ["--tail", "bogus:3"], True))
+@example(case=("train", ["--epochs", "0"], True))
+@example(case=("train", ["--lambda-d", "-1"], True))
+@example(case=("sweep", ["--lr", "-1"], True))
+@example(case=("ablate", ["--variant", "full", "--tau", "1"], True))
+@example(case=("fit-gev", ["--tail", "bogus:3"], True))
+@settings(max_examples=50, deadline=None)
+def test_invalid_flag_values_exit_2_before_the_data_loads(exit_code_setup, case):
+    """As above with the data file (fit-gev's input) missing: a value invalid
+    on its own is found before the data load fails."""
+    root, argv = exit_code_setup
+    command, changed, invalid = case
+    argv = list(argv[command])
+    for i, arg in enumerate(argv[:-1]):
+        if arg in ("--data", "--input"):
+            argv[i + 1] = str(root / MISSING)
+    assert_documented_exit(root, argv, changed, invalid)

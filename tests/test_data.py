@@ -1,6 +1,7 @@
 import math
 import struct
 from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -362,11 +363,19 @@ def blob_texts(draw):
     return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
 
 
-@given(blob_texts())
+@given(blob_texts(), st.sampled_from([dt.CSV_BLOCK_ROWS, 1, 2, 3]))
 @settings(max_examples=200, deadline=None)
-def test_load_blobs_matches_row_reference(tmp_path_factory, text):
+def test_load_blobs_matches_row_reference(tmp_path_factory, text, block):
+    """Also in blocks of 1-3 lines, which put block edges on data rows, blank
+    lines, CRLF endings and defects."""
     path = tmp_path_factory.mktemp("diff") / "blobs.csv"
     path.write_bytes(text.encode("utf-8"))
+    with mock.patch.object(dt, "CSV_BLOCK_ROWS", block):
+        assert_loads_like_reference(path)
+
+
+def assert_loads_like_reference(path):
+    """load_blobs returns the reference's arrays bit for bit, or raises its message."""
     try:
         expected = reference_load_blobs(path)
     except dt.DataError as e:
@@ -377,6 +386,36 @@ def test_load_blobs_matches_row_reference(tmp_path_factory, text):
     for want, got in zip(expected, dt.load_blobs(path), strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+def test_later_block_of_another_width_names_its_line(tmp_path, monkeypatch, block):
+    monkeypatch.setattr(dt, "CSV_BLOCK_ROWS", block)
+    path = tmp_path / "ragged.csv"
+    path.write_text("\n".join([dt.EXPORT_HEADER, "source,0,1.0,2.0", "", "target,1,1.5,2.5",
+                               "source,2,3.0", "target,3,1.0", "source,0,1.0"]) + "\n")
+    with pytest.raises(dt.DataError, match=r"ragged\.csv:5: 1 features, the first row has 2$"):
+        dt.load_blobs(path)
+    assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("earlier_defect", [False, True])
+@pytest.mark.parametrize("block", [1, 2, 3, dt.CSV_BLOCK_ROWS])
+def test_non_utf8_byte_in_a_later_block(tmp_path, monkeypatch, block, earlier_defect):
+    """A byte that is not UTF-8 past the reader's first 8 KB chunk is reported
+    at its position in the file, also when an earlier row is defective."""
+    monkeypatch.setattr(dt, "CSV_BLOCK_ROWS", block)
+    rows = [b"source,0,1.5\r\n", b"target,1,-2.25\r\n"] * 600
+    if earlier_defect:
+        rows[2] = b"source,0,x\r\n"
+    raw = HEADER + b"".join(rows) + b"target,0,\xff\r\n"
+    path = tmp_path / "late.csv"
+    path.write_bytes(raw)
+    with pytest.raises(UnicodeDecodeError) as decoding:
+        raw.decode("utf-8")
+    with pytest.raises(dt.DataError) as got:
+        dt.load_blobs(path)
+    assert str(got.value) == f"{path}: not UTF-8 text: {decoding.value}"
 
 
 def test_defect_after_many_good_rows_names_its_line(tmp_path):
@@ -421,7 +460,7 @@ def reference_save_blobs(path, source_x, source_y, target_x, target_y) -> None:
                 f.write(f"{domain},{int(label)},{feats}\n")
 
 
-BLOCK = dt.SAVE_BLOCK_ROWS
+BLOCK = dt.CSV_BLOCK_ROWS
 INT64 = np.iinfo(np.int64)
 # per feature dtype: a random scale's exponent range and values at its edges
 FEATURE_KINDS = {

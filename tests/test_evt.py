@@ -1,10 +1,12 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize
 
 from adagev import evt
 from adagev import pipeline as pl
@@ -209,10 +211,7 @@ class TestFit:
     def test_invalid_end_point_is_fit_error(self, monkeypatch, point):
         """An optimizer that reports a finite likelihood at a point that is no
         GEV (an overflowing scale, a NaN location) fails the fit."""
-        import scipy.optimize
-        from scipy.optimize import OptimizeResult
-        monkeypatch.setattr(scipy.optimize, "minimize",
-                            lambda *a, **k: OptimizeResult(x=np.array(point), fun=1.0))
+        monkeypatch.setattr(evt, "_nelder_mead", lambda *a, **k: (np.array(point), 1.0, 1, True))
         with pytest.raises(evt.FitError, match="invalid point"):
             evt.fit_gev_mle(evt.gev_sample(evt.GevParams(0.5, 0.2, 0.1), 100, seed=0))
 
@@ -232,6 +231,54 @@ class TestFit:
         sample = evt.gev_sample(true, 2000, seed=seed)
         fitted = evt.fit_gev_mle(sample)
         assert np.isfinite(fitted.l) and fitted.s > 0
+
+
+@st.composite
+def fit_samples(draw):
+    """(values, outlier): 30-400 GEV draws, at times rounded to one decimal
+    so that values tie, and at times (with 100 or more values) with one value
+    far below the rest, which leaves fit_gev_mle's c = 0.1 start infeasible."""
+    true = evt.GevParams(draw(st.floats(-1, 1)), draw(st.floats(0.1, 2)),
+                         draw(st.floats(-1, 0.5)))
+    outlier = draw(st.booleans())
+    values = evt.gev_sample(true, draw(st.integers(100 if outlier else 30, 400)),
+                            seed=draw(st.integers(0, 2 ** 31 - 1)))
+    if draw(st.booleans()):
+        values = np.round(values, 1)
+    if outlier:
+        values[0] = values.min() - 1e3 * (np.ptp(values) + 1.0)
+    return values, outlier
+
+
+@given(fit_samples(), st.integers(4, 60), st.integers(2, 40))
+@settings(max_examples=40, deadline=None)
+def test_nelder_mead_equals_scipy_bit_for_bit(sample, maxfev, maxiter):
+    """The port gives scipy's x, fun, iteration count and success on fit_gev_mle's
+    own objective and start, with the fit's budget and with small ones that
+    stop a run mid-iteration or after a few iterations."""
+    values, outlier = sample
+    calls = []
+    port = evt._nelder_mead
+
+    def spy(f, x0, **options):
+        calls.append((f, x0.copy(), options))
+        return port(f, x0, **options)
+
+    with mock.patch.object(evt, "_nelder_mead", spy):
+        try:
+            evt.fit_gev_mle(values)
+        except evt.FitError:
+            pass
+    assume(calls)  # a rounded sample can have no variance left
+    f, x0, fit_options = calls[0]
+    assert not outlier or x0[2] == 0.0
+    for budget in ({}, {"maxfev": maxfev}, {"maxiter": maxiter}):
+        options = {**fit_options, **budget}
+        x, fun, iterations, converged = port(f, x0, **options)
+        want = minimize(f, x0, method="Nelder-Mead", options=options)
+        assert x.tobytes() == want.x.tobytes()
+        assert np.float64(fun).tobytes() == np.float64(want.fun).tobytes()
+        assert (iterations, converged) == (want.nit, want.success)
 
 
 class TestThreshold:
