@@ -14,9 +14,9 @@ among them, 2; an OSError, CheckpointError among them, 3. So a flag or
 config value invalid on its own exits 2; a conflict with a data file or a
 checkpoint, an unreadable or damaged file, and too few values for the GEV
 tail (in train or fit-gev) exit 3; training that diverges, a forward pass
-that overflows and a GEV fit that fails exit 4. train, ablate, sweep and
-fit-gev check their flag values before they read a data file, so there a
-value invalid on its own exits 2 whatever the data.
+that overflows and a GEV fit that fails exit 4. train, ablate, sweep, eval
+and fit-gev check their flag values before they read a data file or a
+checkpoint, so there a value invalid on its own exits 2 whatever the files.
 
 What loads when: ``--help`` and argparse's usage errors exit after loading
 only the standard library, the package ``__init__`` and ``autodiff``, which
@@ -311,10 +311,10 @@ def cmd_eval(cfg) -> int:
     from . import model as md
     from . import pipeline as pl
 
+    pool, rs = _load_pool(cfg)
     params, gev = md.load_checkpoint(cfg["checkpoint"])
     if gev is None:
         raise dt.DataError(f"{cfg['checkpoint']}: no GEV section; cannot evaluate")
-    pool, rs = _load_pool(cfg)
     if (params.num_classes, params.spec_g.widths[0]) != (rs.num_known, pool.feature_dim):
         raise dt.DataError(
             f"{cfg['checkpoint']} has {params.num_classes} classes and input width "

@@ -20,8 +20,10 @@ and converts each block's columns at once, with ``float`` and ``int`` as
 the converters, so it accepts exactly the files that a row-at-a-time
 reader with the same checks accepts, and holds the strings of one block
 only. Every rejection is a DataError naming the file and the first
-defective line (``file:line``); a rejected file is read again whole to
-find that line.
+defective line (``file:line``), found by checking the rows of the block
+that holds it one at a time. Only a rejected file is decoded whole once
+more, so that a byte that is not UTF-8 is reported, at its position in
+the file, before any row defect.
 """
 
 from __future__ import annotations
@@ -250,14 +252,14 @@ def _parse_rows(rows: list[str]):
     return x, y, is_source
 
 
-def _raise_first_defect(path, lines: list[str]) -> None:
-    """Check the stripped body lines one by one and raise the first defect."""
-    width = None
-    for lineno, line in enumerate(lines, start=2):
+def _raise_first_defect(path, lines: list[str], lineno: int, width: int) -> None:
+    """Check stripped body lines one by one and raise the first defect; the
+    first line is line ``lineno`` of the file, and a row must have ``width``
+    cells, as the file's first row has."""
+    for lineno, line in enumerate(lines, start=lineno):
         if not line:
             continue
         parts = line.split(",")
-        width = width or len(parts)
         if len(parts) < 3 or parts[0] not in ("source", "target"):
             raise DataError(f"{path}:{lineno}: malformed row")
         if len(parts) != width:
@@ -274,55 +276,35 @@ def _raise_first_defect(path, lines: list[str]) -> None:
             raise DataError(f"{path}:{lineno}: class label out of range")
 
 
-def _parse_blocks(path):
-    """(features, labels, is_source) of a blobs CSV, parsed CSV_BLOCK_ROWS
-    lines at a time, or None if its header or any row is defective."""
-    with open(path, "r", encoding="utf-8") as f:
-        if f.readline().removesuffix("\n") != EXPORT_HEADER:
-            return None
-        blocks = []
-        while lines := list(islice(f, CSV_BLOCK_ROWS)):
-            rows = list(filter(None, map(str.strip, lines)))
-            if not rows:
-                continue
-            parsed = _parse_rows(rows)
-            if parsed is None or (blocks and parsed[0].shape[1] != blocks[0][0].shape[1]):
-                return None
-            blocks.append(parsed)
-    if not blocks:
-        return _parse_rows([])
-    return tuple(map(np.concatenate, zip(*blocks)))
-
-
-def _parse_whole(path):
-    """What ``_parse_blocks`` returns, from the whole text at once; a defect
-    is a DataError naming its line, and text that is not UTF-8 one naming
-    its byte."""
-    header, _, body = _read_text(path).partition("\n")
-    if header != EXPORT_HEADER:
-        raise DataError(f"{path}: bad header {header!r}")
-    lines = list(map(str.strip, body.split("\n")))
-    parsed = _parse_rows(list(filter(None, lines)))
-    if parsed is None:
-        _raise_first_defect(path, lines)
-    return parsed
-
-
 def load_blobs(path):
     """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y).
 
     Blank lines are skipped. Every other row must be 'source' or 'target',
     a class label that ``int`` accepts and that fits int64, and features
     that ``float`` accepts and that are finite, as many as in the first row.
-    A defective file raises DataError naming its first defective line.
+    A defective file raises DataError naming its first defective line, or
+    its first byte that is not UTF-8, wherever that byte is.
     """
+    blocks, lineno, width = [], 2, None
     try:
-        parsed = _parse_blocks(path)
+        with open(path, "r", encoding="utf-8") as f:
+            header = f.readline().removesuffix("\n")
+            if header != EXPORT_HEADER:
+                _read_text(path)
+                raise DataError(f"{path}: bad header {header!r}")
+            while lines := list(map(str.strip, islice(f, CSV_BLOCK_ROWS))):
+                if rows := list(filter(None, lines)):
+                    width = width or rows[0].count(",") + 1
+                    parsed = _parse_rows(rows)
+                    if parsed is None or parsed[0].shape[1] != width - 2:
+                        _read_text(path)
+                        _raise_first_defect(path, lines, lineno, width)
+                    blocks.append(parsed)
+                lineno += len(lines)
     except UnicodeDecodeError:
-        parsed = None
-    if parsed is None:
-        parsed = _parse_whole(path)
-    x, y, is_source = parsed
+        _read_text(path)
+        raise
+    x, y, is_source = map(np.concatenate, zip(*blocks)) if blocks else _parse_rows([])
     out = []
     for domain, mask in (("source", is_source), ("target", ~is_source)):
         if not mask.any():

@@ -971,14 +971,21 @@ def test_exit_codes_follow_the_documented_rule(exit_code_setup, case):
 @example(case=("sweep", ["--lr", "-1"], True))
 @example(case=("ablate", ["--variant", "full", "--tau", "1"], True))
 @example(case=("fit-gev", ["--tail", "bogus:3"], True))
+@example(case=("eval", ["--known", "1,1"], True))
 @settings(max_examples=50, deadline=None)
 def test_invalid_flag_values_exit_2_before_the_data_loads(exit_code_setup, case):
-    """As above with the data file (fit-gev's input) missing: a value invalid
-    on its own is found before the data load fails."""
+    """As above with the data file (fit-gev's input) and eval's checkpoint
+    missing: a value invalid on its own is found before a file load fails."""
     root, argv = exit_code_setup
     command, changed, invalid = case
     argv = list(argv[command])
     for i, arg in enumerate(argv[:-1]):
-        if arg in ("--data", "--input"):
+        if arg in ("--data", "--input", "--checkpoint"):
             argv[i + 1] = str(root / MISSING)
     assert_documented_exit(root, argv, changed, invalid)
+
+
+def test_eval_without_data_flags_is_usage_error_before_the_checkpoint(tmp_path, capsys):
+    rc = run("eval", "--checkpoint", str(tmp_path / "nope.bin"), "--out", str(tmp_path / "x"))
+    assert rc == 2
+    assert capsys.readouterr().err == "error: provide either --data or all four IDX paths\n"

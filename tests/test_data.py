@@ -399,16 +399,23 @@ def test_later_block_of_another_width_names_its_line(tmp_path, monkeypatch, bloc
     assert_loads_like_reference(path)
 
 
-@pytest.mark.parametrize("earlier_defect", [False, True])
+@pytest.mark.parametrize("earlier_defect", [False, True, "header", "width"])
 @pytest.mark.parametrize("block", [1, 2, 3, dt.CSV_BLOCK_ROWS])
 def test_non_utf8_byte_in_a_later_block(tmp_path, monkeypatch, block, earlier_defect):
-    """A byte that is not UTF-8 past the reader's first 8 KB chunk is reported
-    at its position in the file, also when an earlier row is defective."""
+    """A byte that is not UTF-8 past the reader's first 8 KB chunk and past
+    its second block is reported at its position in the file, also when the
+    reader finds an earlier defect first: a bad row in the first block
+    (True), a bad header, or a row of another width in the second block."""
+    rows = [b"source,0,1.5\r\n", b"target,1,-2.25\r\n"] * (2 * dt.CSV_BLOCK_ROWS)
     monkeypatch.setattr(dt, "CSV_BLOCK_ROWS", block)
-    rows = [b"source,0,1.5\r\n", b"target,1,-2.25\r\n"] * 600
-    if earlier_defect:
-        rows[2] = b"source,0,x\r\n"
-    raw = HEADER + b"".join(rows) + b"target,0,\xff\r\n"
+    header = HEADER
+    if earlier_defect is True:
+        rows[0] = b"source,0,x\r\n"
+    elif earlier_defect == "header":
+        header = b"adagev-blobs v0\r\n"
+    elif earlier_defect == "width":
+        rows[block] = b"source,0,1.5,2.5\r\n"
+    raw = header + b"".join(rows) + b"target,0,\xff\r\n"
     path = tmp_path / "late.csv"
     path.write_bytes(raw)
     with pytest.raises(UnicodeDecodeError) as decoding:
