@@ -159,8 +159,11 @@ def gen_shifted_blobs(cfg: BlobShiftConfig):
             ys.append(np.full(per_class, c, dtype=np.int64))
         return np.concatenate(xs), np.concatenate(ys)
 
-    src_x, src_y = draw(means, cfg.source_per_class)
-    tgt_x, tgt_y = draw(shifted, cfg.target_per_class)
+    # a cluster_std near the float64 limit overflows to inf, which the blobs'
+    # finite check reports, without numpy's warning before it
+    with np.errstate(over="ignore"):
+        src_x, src_y = draw(means, cfg.source_per_class)
+        tgt_x, tgt_y = draw(shifted, cfg.target_per_class)
     return src_x, src_y, tgt_x, tgt_y
 
 
@@ -290,19 +293,17 @@ def load_blobs(path):
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().removesuffix("\n")
             if header != EXPORT_HEADER:
-                _read_text(path)
                 raise DataError(f"{path}: bad header {header!r}")
             while lines := list(map(str.strip, islice(f, CSV_BLOCK_ROWS))):
                 if rows := list(filter(None, lines)):
                     width = width or rows[0].count(",") + 1
                     parsed = _parse_rows(rows)
                     if parsed is None or parsed[0].shape[1] != width - 2:
-                        _read_text(path)
                         _raise_first_defect(path, lines, lineno, width)
                     blocks.append(parsed)
                 lineno += len(lines)
-    except UnicodeDecodeError:
-        _read_text(path)
+    except (DataError, UnicodeDecodeError):
+        _read_text(path)  # a byte that is not UTF-8, anywhere in the file, is reported first
         raise
     x, y, is_source = map(np.concatenate, zip(*blocks)) if blocks else _parse_rows([])
     out = []
@@ -348,8 +349,10 @@ def _read_idx(path, expected_magic, expected_ndim):
 def load_idx(images_path, labels_path):
     """IDX image/label pair -> (samples scaled to [0,1] and flattened, labels)."""
     img_dims, img_raw = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
-    lbl_dims, lbl_raw = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     n, rows, cols = img_dims
+    if not rows * cols:
+        raise DataError(f"{images_path}: images of {rows} x {cols} pixels have no pixel")
+    lbl_dims, lbl_raw = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if lbl_dims[0] != n:
         raise DataError(f"{labels_path}: {lbl_dims[0]} labels for the {n} images of {images_path}")
     x = img_raw.astype(np.float64).reshape(n, rows * cols) / 255.0

@@ -13,9 +13,9 @@ closed-form gradient on them next to its value, and ``model.mlp_backward``
 carries it through the networks. The tests hold the step bit for bit to
 the same step built as an autodiff graph, whose losses use the graph ops
 ``log_softmax``, ``stable_softmax`` and ``log_sigmoid``. The source-unknown
-batch's chain can run on a second lane (``Lanes``), because only the
-gradient sums join it to the other batches. The sums are still formed in
-the graph's order: the extractor's target + unknown + source, the
+batch's chain can run on a second lane, a one-worker executor, because only
+the gradient sums join it to the other batches. The sums are still formed
+in the graph's order: the extractor's target + unknown + source, the
 classifier's unknown + source and the discriminator's source + target.
 
 Per-target instance weights are exp(-H)/Z by default: high-entropy
@@ -225,33 +225,8 @@ class _Inline:
         return self._result
 
 
-class Lanes:
-    """Where ``total_step_gradients`` runs its second lane, and that lane's
-    product buffers.
-
-    The lane is the source-unknown batch's chain, then the source batch's
-    extractor backward. It runs on ``executor``, a one-worker
-    ``concurrent.futures`` executor, or, without one, inline on the calling
-    thread: the same code, so the same bits. The buffers hold the lane's
-    products that the calling thread's would collide with: the source
-    batch's extractor gradient and the unknown batch's classifier gradient,
-    as ``model.layout`` views. They are made once here and written over by
-    every step.
-    """
-
-    def __init__(self, specs, executor=None):
-        spec_g, spec_c, _ = specs
-        self.executor = executor
-        _, (self.ext_s, self.clf_u) = md.layout((spec_g, spec_c))
-
-    def submit(self, fn, *args):
-        if self.executor is None:
-            return _Inline(fn, *args)
-        return self.executor.submit(fn, *args)
-
-
 def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
-                         wc: WeightConfig, lanes: Lanes | None = None) -> StepResult:
+                         wc: WeightConfig, executor=None) -> StepResult:
     """One joint gradient evaluation of the saddle-point objective.
 
     The gradients of J = lambda_d * L_d(with GRL) + lambda_e * L_e +
@@ -262,24 +237,28 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
     theta_c descends lambda_e*L_e + lambda_c*L_c.
 
     The source-unknown batch enters only L_e, so its chain (extractor and
-    classifier forward, L_e, classifier and extractor backward) runs on the
-    second lane of ``lanes`` (by default inline) while this thread runs the
-    source and target forwards, the weights, L_d, L_c and the
-    discriminator's and the source classifier's backward. Then the lane runs
-    the source batch's extractor backward while this thread runs the
-    target's. The sums are formed in the graph-built step's order: extractor
-    t + u + s, classifier u + s, discriminator s + t. Addition of two values
-    commutes, so the unknown pass may write the extractor's gradient and the
-    target pass add to it; every other product that would land out of order
-    waits in a ``lanes`` buffer. So every value equals that step's bit for
-    bit, and a failure raises the error that the graph's order of checks
-    reaches first.
+    classifier forward, L_e, classifier and extractor backward) runs on a
+    second lane while this thread runs the source and target forwards, the
+    weights, L_d, L_c and the discriminator's and the source classifier's
+    backward. Then the lane runs the source batch's extractor backward while
+    this thread runs the target's. The lane is ``executor``, a one-worker
+    ``concurrent.futures`` executor, or, without one, the calling thread at
+    once: the same code, so the same bits. The sums are formed in the
+    graph-built step's order: extractor t + u + s, classifier u + s,
+    discriminator s + t. Addition of two values commutes, so the unknown
+    pass may write the extractor's gradient and the target pass add to it;
+    the two products that would land out of order, the source batch's
+    extractor gradient and the unknown batch's classifier gradient, wait in
+    buffers of this step and are added last. So every value equals that
+    step's bit for bit, and a failure raises the error that the graph's
+    order of checks reaches first.
     """
     spec_g, spec_c, spec_d = params.spec_g, params.spec_c, params.spec_d
-    lanes = lanes or Lanes(params.specs)
+    submit = _Inline if executor is None else executor.submit
     # each network's first pass writes its gradients, the later ones add to them
     grad = np.empty_like(params.flat)
     _, (grad_g, grad_c, grad_d) = md.layout(params.specs, grad)
+    ext_s, clf_u = (tuple(map(np.empty_like, views)) for views in (grad_g, grad_c))
 
     def forward(spec, group, x):
         inputs = []
@@ -289,12 +268,12 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
         feat_u, in_gu = features.result()
         logits_u, in_cu = forward(spec_c, params.theta_c, feat_u)
         l_e, g_zu = loss_entropy_unknown(logits_u, scale=lw.lambda_e)
-        g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, g_zu, lanes.clf_u, add=False)
+        g_fu = md.mlp_backward(spec_c, params.theta_c, in_cu, g_zu, clf_u, add=False)
         md.mlp_backward(spec_g, params.theta_g, in_gu, g_fu, grad_g, add=False, wrt_input=False)
         return l_e
 
-    features_u = lanes.submit(forward, spec_g, params.theta_g, batch.unknown_x)
-    unknown = lanes.submit(unknown_chain, features_u)
+    features_u = submit(forward, spec_g, params.theta_g, batch.unknown_x)
+    unknown = submit(unknown_chain, features_u)
     try:
         feat_s, in_gs = forward(spec_g, params.theta_g, batch.source_x)
         feat_t, in_gt = forward(spec_g, params.theta_g, batch.target_x)
@@ -330,12 +309,11 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
     g_ft = -md.mlp_backward(spec_d, params.theta_d, in_dt, g_ztgt, grad_d)
     g_fs += md.mlp_backward(spec_c, params.theta_c, in_cs, g_zs, grad_c, add=False)
     l_e = unknown.result()
-    source = lanes.submit(md.mlp_backward, spec_g, params.theta_g, in_gs, g_fs, lanes.ext_s,
-                          False, False)
+    source = submit(md.mlp_backward, spec_g, params.theta_g, in_gs, g_fs, ext_s, False, False)
     md.mlp_backward(spec_g, params.theta_g, in_gt, g_ft, grad_g, wrt_input=False)  # u + t
     source.result()
     # the extractor's (u + t) + s, then the classifier's s + u
-    for acc, part in zip(grad_g + grad_c, lanes.ext_s + lanes.clf_u):
+    for acc, part in zip(grad_g + grad_c, ext_s + clf_u):
         acc += part
 
     total = -lw.lambda_d * l_d + lw.lambda_e * l_e + lw.lambda_c * l_c

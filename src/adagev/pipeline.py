@@ -21,11 +21,11 @@ log entropies and a GEV whose last bits differ from one unblocked pass's.
 Training uses an idle core the same way when its extractor passes are
 large enough to pay for the hand-offs (``LANE_MIN_MADDS``): each step runs
 the source-unknown batch's chain, then the source batch's extractor
-backward, on one worker thread (``objective.Lanes``). The gradients are
-still summed in the graph's order (the extractor's target + unknown +
-source, the classifier's unknown + source, the discriminator's source +
-target), so the worker count changes no bit of a checkpoint or a log
-either.
+backward, on one worker thread that ``train`` hands to
+``objective.total_step_gradients``. The gradients are still summed in the
+graph's order (the extractor's target + unknown + source, the classifier's
+unknown + source, the discriminator's source + target), so the worker count
+changes no bit of a checkpoint or a log either.
 Evaluation reports OS (macro recall over K+1 classes), OS* (over the K
 known classes), and UNK recall.
 """
@@ -228,14 +228,13 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
         from concurrent.futures import ThreadPoolExecutor
         executor = ThreadPoolExecutor(1)
     try:
-        lanes = obj.Lanes(specs, executor)
         for epoch in range(1, tc.epochs + 1):
             stats = {"L_d": 0.0, "L_e": 0.0, "L_c": 0.0, "total": 0.0,
                      "mean_weight": 0.0, "max_weight": 0.0}
             for it in range(1, iters + 1):
                 batch = dt.sample_batch_triple(pool, tc.batch_size, rng, with_aux=need_aux)
                 step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_config,
-                                                lanes)
+                                                executor)
                 optimizer.step(params.flat, step.grad)
                 stats["L_d"] += step.loss_d
                 stats["L_e"] += step.loss_e
@@ -306,11 +305,12 @@ def _row_blocks(x: np.ndarray, madds: int) -> list[np.ndarray]:
     return np.array_split(x, max(len(x) // rows, 1))
 
 
-def _map_blocks(fn, params: md.ModelParams, x: np.ndarray) -> list:
-    """``fn`` of each row block of ``x``, in block order. The blocks are
-    ``_row_blocks`` for the extractor's and the classifier's multiply-adds.
-    Every pass over a pool goes through here: the epoch log, the binary
-    head's features, eval and the ablations.
+def _forward_blocks(params: md.ModelParams, x: np.ndarray, fn) -> np.ndarray:
+    """``fn(features, probabilities)`` of each row block of ``x``,
+    concatenated in block order. The blocks are ``_row_blocks`` for the
+    extractor's and the classifier's multiply-adds. Every pass over a pool
+    goes through here: the epoch log, the binary head's features, eval and
+    the ablations.
 
     Several blocks run on a thread pool of ``_infer_workers`` threads, opened
     and closed within the call; numpy releases the GIL in matmul and ufuncs,
@@ -319,24 +319,19 @@ def _map_blocks(fn, params: md.ModelParams, x: np.ndarray) -> list:
     in order raises its error. ``concurrent.futures`` is imported only for a
     pool, so serial runs start without it.
     """
+    def block_fn(block):
+        feats = md.forward_features(params, block)
+        return fn(feats, md.forward_classifier(params, feats))
+
     blocks = _row_blocks(np.atleast_2d(x), params.spec_g.madds + params.spec_c.madds)
     # one block skips the rule: its reads cost a 1k-row evaluate about 2%
     workers = _infer_workers(len(blocks)) if len(blocks) > 1 else 1
     if workers == 1:
-        return [fn(block) for block in blocks]
+        return np.concatenate([block_fn(block) for block in blocks])
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(workers) as executor:
-        return list(executor.map(fn, blocks))
-
-
-def _forward_blocks(params: md.ModelParams, x: np.ndarray, fn) -> np.ndarray:
-    """``fn(features, probabilities)`` of each row block of ``x``
-    (``_map_blocks``), concatenated in block order."""
-    def block_fn(block):
-        feats = md.forward_features(params, block)
-        return fn(feats, md.forward_classifier(params, feats))
-    return np.concatenate(_map_blocks(block_fn, params, x))
+        return np.concatenate(list(executor.map(block_fn, blocks)))
 
 
 def _predict_blocks(params: md.ModelParams, x: np.ndarray, tau: float) -> np.ndarray:
@@ -417,8 +412,8 @@ def _ablation_preds(variant: str, result: TrainResult, pool: dt.DatasetPool, see
     params = result.params
     if variant == "no_evt_binary":
         sources = (pool.source_known_x, pool.source_unknown_x)
-        feats = np.concatenate([f for x in sources for f in _map_blocks(
-            lambda block: md.forward_features(params, block), params, x)])
+        feats = np.concatenate([_forward_blocks(params, x, lambda feats, _: feats)
+                                for x in sources])
         labels = np.repeat([0.0, 1.0], [len(x) for x in sources])
         spec, theta = _train_binary_head(feats, labels, seed=seed)
         return _forward_blocks(params, pool.target_x, lambda feats, probs: predict(

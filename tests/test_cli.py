@@ -76,11 +76,13 @@ class TestGenData:
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--std", "nan"), ("--std", "inf"),
-                                            ("--rotation-deg", "nan"), ("--translate", "nan,0")])
+                                            ("--std", "1e308"), ("--rotation-deg", "nan"),
+                                            ("--translate", "nan,0")])
     def test_non_finite_setting_is_data_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x.csv"
         assert run("gen-data", "--out", str(out), flag, value) == 2
-        assert "must be" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag,value,message", [
@@ -680,6 +682,20 @@ class TestIdx:
         assert capsys.readouterr().err == (f"data error: {labels}: 7 labels for the 240 images "
                                            f"of {idx_files['target_images']}\n")
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_images_without_pixels_exit_3(self, tmp_path, capsys, command):
+        paths = {}
+        for domain in ("source", "target"):
+            (tmp_path / domain).mkdir()
+            pair = write_idx_pair(tmp_path / domain, np.zeros((400, 0, 28)), np.arange(400) % 10)
+            paths[f"{domain}_images"], paths[f"{domain}_labels"] = map(str, pair)
+        out = tmp_path / "out"
+        extra = ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else []
+        assert run(command, "--out", str(out), *extra, *self.flags(paths)) == 3
+        assert capsys.readouterr().err == (f"data error: {paths['source_images']}: images of "
+                                           f"0 x 28 pixels have no pixel\n")
+        assert not out.exists()
 
 
 class TestSweep:

@@ -221,6 +221,13 @@ class TestIdx:
         with pytest.raises(dt.DataError):
             dt.load_idx(img_path, lbl_path)
 
+    @pytest.mark.parametrize("rows,cols", [(0, 28), (28, 0), (0, 0)])
+    def test_images_without_pixels(self, tmp_path, rows, cols):
+        img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((4, rows, cols)), np.zeros(4))
+        with pytest.raises(dt.DataError) as e:
+            dt.load_idx(img_path, lbl_path)
+        assert str(e.value) == f"{img_path}: images of {rows} x {cols} pixels have no pixel"
+
 
 HEADER = (dt.EXPORT_HEADER + "\n").encode()
 # Row-shaped text from a small alphabet reaches the row parser more often

@@ -495,6 +495,6 @@ def test_lanes_raise_the_graphs_first_error():
             wc = obj.WeightConfig(z_mode="same_batch" if aux is None else "fresh_batch")
             with np.errstate(over="ignore"):  # the graph's softmax warns where the step does not
                 expected = step_outcome(lambda: graph_step(batch, params, lw, wc))
-            for lanes in (None, obj.Lanes(params.specs, executor)):
-                got = step_outcome(lambda: obj.total_step_gradients(batch, params, lw, wc, lanes))
-                assert got == expected, (source, unknown, target, aux, lanes)
+            for lane in (None, executor):
+                got = step_outcome(lambda: obj.total_step_gradients(batch, params, lw, wc, lane))
+                assert got == expected, (source, unknown, target, aux, lane)

@@ -272,9 +272,7 @@ def wide():
 
 def wide_probs(params, x):
     """The classifier's probabilities, computed in the inference blocks."""
-    return np.concatenate(pl._map_blocks(
-        lambda block: md.forward_classifier(params, md.forward_features(params, block)),
-        params, x))
+    return pl._forward_blocks(params, x, lambda _, probs: probs)
 
 
 class TestBlockLayout:
@@ -460,10 +458,9 @@ def test_two_lane_step_equals_inline_bit_for_bit(lane_executor, d, hidden, b, ac
     batch = dt.DomainBatch(source_x=rows(), source_y=rng.integers(0, 5, b), unknown_x=rows(),
                            target_x=rows(), target_aux_x=None if z_mode == "same_batch" else rows())
     lw, wc = obj.LossWeights(0.3, 1.7, 0.45), obj.WeightConfig("neg_entropy", z_mode)
-    lanes = obj.Lanes(specs, lane_executor)
     inline = obj.total_step_gradients(batch, params, lw, wc)
-    for _ in range(2):  # the second step writes over the first one's buffers
-        two_lane = obj.total_step_gradients(batch, params, lw, wc, lanes)
+    for _ in range(2):  # the second step reuses the worker that ran the first
+        two_lane = obj.total_step_gradients(batch, params, lw, wc, lane_executor)
         assert two_lane.grad.tobytes() == inline.grad.tobytes()
         assert ([two_lane.loss_d, two_lane.loss_e, two_lane.loss_c, two_lane.total]
                 == [inline.loss_d, inline.loss_e, inline.loss_c, inline.total])
@@ -488,8 +485,7 @@ def test_two_lane_steps_agree_under_thread_pressure():
 
     def steps(k):
         with ThreadPoolExecutor(1) as executor:
-            lanes = obj.Lanes(specs, executor)
-            got[k] = [obj.total_step_gradients(b, params, lw, wc, lanes).grad.tobytes()
+            got[k] = [obj.total_step_gradients(b, params, lw, wc, executor).grad.tobytes()
                       for b in batches]
 
     interval = sys.getswitchinterval()
