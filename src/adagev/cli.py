@@ -10,8 +10,9 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical failure,
 and no other; a failure prints one stderr line and never a traceback.
 ``main`` gives each exception family one code, tried in this order:
 DataError 3; FitError and NonFiniteError 4; any other ValueError, UsageError
-among them, 2; an OSError, CheckpointError among them, 3. So a flag or
-config value invalid on its own exits 2; a conflict with a data file or a
+among them, 2; an OSError, CheckpointError among them, 3; a MemoryError, a
+resource failure as an OSError is, 3 ("out of memory"). So a flag or config
+value invalid on its own exits 2; a conflict with a data file or a
 checkpoint, an unreadable or damaged file, and too few values for the GEV
 tail (in train or fit-gev) exit 3; training that diverges, a forward pass
 that overflows and a GEV fit that fails exit 4. train, ablate, sweep, eval
@@ -182,19 +183,37 @@ def _split_from(cfg) -> dt.RoleSplit:
     )
 
 
-def _load_pool(cfg):
+def _load_pool(cfg, target_only=False):
+    """The role split and its pools, with float64 features.
+
+    IDX pixels stay uint8 until ``apply_roles`` has picked the rows; then
+    each kept pool is scaled to [0, 1], once. With ``target_only`` the
+    source pools are cut to zero rows of the data's width, as ``evaluate``
+    reads only the target rows; the source files are still read and checked
+    in full.
+    """
+    import numpy as np
+
     from . import data as dt
 
     rs = _split_from(cfg)
     if cfg.get("data"):
-        src_x, src_y, tgt_x, tgt_y = dt.load_blobs(cfg["data"])
+        pool = dt.apply_roles(*dt.load_blobs(cfg["data"]), rs)
     else:
         idx_keys = ("source_images", "source_labels", "target_images", "target_labels")
         if not all(cfg.get(k) for k in idx_keys):
             raise UsageError("provide either --data or all four IDX paths")
-        src_x, src_y = dt.load_idx(cfg["source_images"], cfg["source_labels"])
-        tgt_x, tgt_y = dt.load_idx(cfg["target_images"], cfg["target_labels"])
-    return dt.apply_roles(src_x, src_y, tgt_x, tgt_y, rs), rs
+        pool = dt.apply_roles(*dt.read_idx(cfg["source_images"], cfg["source_labels"]),
+                              *dt.read_idx(cfg["target_images"], cfg["target_labels"]), rs)
+    if target_only:
+        pool.source_known_x = np.empty((0, pool.feature_dim))
+        pool.source_known_y = np.empty(0, np.int64)
+        pool.source_unknown_x = np.empty((0, pool.feature_dim))
+    for key in ("source_known_x", "source_unknown_x", "target_x"):
+        rows = getattr(pool, key)
+        if rows.dtype == np.uint8:  # IDX pixels
+            setattr(pool, key, rows.astype(np.float64) / 255.0)
+    return pool, rs
 
 
 def _train_config(cfg) -> pl.TrainConfig:
@@ -311,7 +330,7 @@ def cmd_eval(cfg) -> int:
     from . import model as md
     from . import pipeline as pl
 
-    pool, rs = _load_pool(cfg)
+    pool, rs = _load_pool(cfg, target_only=True)
     params, gev = md.load_checkpoint(cfg["checkpoint"])
     if gev is None:
         raise dt.DataError(f"{cfg['checkpoint']}: no GEV section; cannot evaluate")
@@ -478,6 +497,8 @@ def main(argv=None) -> int:
         code, line = EXIT_USAGE, f"error: {e}"
     except OSError as e:  # md.CheckpointError among them
         code, line = EXIT_DATA, f"data error: {e}"
+    except MemoryError as e:  # a resource failure, as an OSError is
+        code, line = EXIT_DATA, "data error: out of memory" + (f": {e}" if str(e) else "")
     print(line, file=sys.stderr)
     return code
 

@@ -24,6 +24,16 @@ defective line (``file:line``), found by checking the rows of the block
 that holds it one at a time. Only a rejected file is decoded whole once
 more, so that a byte that is not UTF-8 is reported, at its position in
 the file, before any row defect.
+
+An IDX file is read whole and its payload taken as a uint8 view of those
+bytes, not copied; a file shorter or longer than its header says is a
+DataError. ``read_idx`` checks an image/label pair and keeps the pixels as
+uint8 rows, so that the CLI can let ``apply_roles`` pick the rows first and
+scale only the kept ones to float64, with the same bits. ``load_idx`` scales
+every row, and keeps its float line as it was, ``astype`` then a reshape
+then the division: the reshape is a view, so numpy holds two full-size
+arrays at once. A one-array form of that line read a higher peak RSS on
+the benchmark's wide-idx workload, whose set-up calls ``load_idx``.
 """
 
 from __future__ import annotations
@@ -331,23 +341,29 @@ def load_reals(path) -> np.ndarray:
 
 
 def _read_idx(path, expected_magic, expected_ndim):
+    """(dims, the payload as uint8) of an IDX file, the payload a view of the
+    bytes read; a file shorter or longer than its header says is a DataError."""
     with open(path, "rb") as f:
         data = f.read()
-    if len(data) < 4 * (1 + expected_ndim):
+    header_size = 4 * (1 + expected_ndim)
+    if len(data) < header_size:
         raise DataError(f"{path}: truncated header")
     magic = struct.unpack_from(">I", data, 0)[0]
     if magic != expected_magic:
         raise DataError(f"{path}: bad magic {magic:#010x}, expected {expected_magic:#010x}")
     dims = struct.unpack_from(f">{expected_ndim}I", data, 4)
-    payload = data[4 * (1 + expected_ndim):]
+    size = len(data) - header_size
     count = math.prod(dims)  # exact: a product of three uint32 can exceed int64
-    if len(payload) < count:
-        raise DataError(f"{path}: truncated payload ({len(payload)} bytes, need {count})")
-    return dims, np.frombuffer(payload[:count], dtype=np.uint8)
+    if size < count:
+        raise DataError(f"{path}: truncated payload ({size} bytes, need {count})")
+    if size > count:
+        raise DataError(f"{path}: {size - count} bytes after the {count}-byte payload "
+                        f"that its header gives")
+    return dims, np.frombuffer(data, np.uint8, count=count, offset=header_size)
 
 
-def load_idx(images_path, labels_path):
-    """IDX image/label pair -> (samples scaled to [0,1] and flattened, labels)."""
+def read_idx(images_path, labels_path):
+    """IDX image/label pair -> (uint8 images as rows of rows*cols pixels, int64 labels)."""
     img_dims, img_raw = _read_idx(images_path, IDX_IMAGE_MAGIC, 3)
     n, rows, cols = img_dims
     if not rows * cols:
@@ -355,12 +371,19 @@ def load_idx(images_path, labels_path):
     lbl_dims, lbl_raw = _read_idx(labels_path, IDX_LABEL_MAGIC, 1)
     if lbl_dims[0] != n:
         raise DataError(f"{labels_path}: {lbl_dims[0]} labels for the {n} images of {images_path}")
-    x = img_raw.astype(np.float64).reshape(n, rows * cols) / 255.0
-    return x, lbl_raw.astype(np.int64)
+    return img_raw.reshape(n, rows * cols), lbl_raw.astype(np.int64)
+
+
+def load_idx(images_path, labels_path):
+    """IDX image/label pair -> (samples scaled to [0,1] and flattened, labels)."""
+    raw, labels = read_idx(images_path, labels_path)
+    x = raw.astype(np.float64).reshape(raw.shape) / 255.0  # see the module docstring
+    return x, labels
 
 
 def apply_roles(source_x, source_y, target_x, target_y, rs: RoleSplit) -> DatasetPool:
-    """Assign pools per the protocol.
+    """Assign pools per the protocol. It only selects rows, so the samples
+    may be arrays of any dtype, and the pools keep it.
 
     Source: known-class samples keep labels re-indexed by position in the
     known list; source-unknown samples drop their labels; target-unknown

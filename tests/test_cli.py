@@ -3,10 +3,12 @@ import importlib
 import inspect
 import io
 import json
+import math
 import os
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -635,6 +637,23 @@ def test_every_exception_class_reaches_its_exit_code(cls, tmp_path, monkeypatch,
     assert capsys.readouterr().err == PREFIX_OF[rc] + "boom\n"
 
 
+def test_out_of_memory_exits_3(small_data, tmp_path, monkeypatch, capsys):
+    """An allocation the machine cannot give is a resource failure, as an
+    OSError is; the parameter vector's request fails without allocating."""
+    def no_memory(specs, flat=None):
+        raise MemoryError("Unable to allocate 581. GiB for an array with shape "
+                          "(78000000298,) and data type float64")
+
+    monkeypatch.setattr(md, "layout", no_memory)
+    _, flags = small_data
+    out = tmp_path / "run"
+    assert run("train", "--out", str(out), *flags, "--hidden", "2000000000") == 3
+    assert capsys.readouterr().err == ("data error: out of memory: Unable to allocate 581. GiB "
+                                       "for an array with shape (78000000298,) and data type "
+                                       "float64\n")
+    assert not out.exists()
+
+
 class TestIdx:
     @pytest.fixture(scope="class")
     def idx_files(self, tmp_path_factory):
@@ -683,13 +702,69 @@ class TestIdx:
                                            f"of {idx_files['target_images']}\n")
         assert not (tmp_path / "run").exists()
 
+    def test_images_longer_than_header_exit_3(self, idx_files, tmp_path, capsys):
+        images = tmp_path / "images.idx"
+        images.write_bytes(Path(idx_files["source_images"]).read_bytes() + bytes(100))
+        out = tmp_path / "run"
+        rc = run("train", "--out", str(out), *self.flags(dict(idx_files, source_images=str(images))),
+                 "--tail", "top:0.5")
+        assert rc == 3
+        assert capsys.readouterr().err == (f"data error: {images}: 100 bytes after the "
+                                           f"{400 * 16}-byte payload that its header gives\n")
+        assert not out.exists()
+
+    @staticmethod
+    def write_pairs(root, sizes, shape):
+        """A source and a target IDX pair under ``root``, of ``sizes`` images
+        of ``shape`` each, labels ``arange(n) % 10`` and pixels that take all
+        256 byte values once there are enough of them; the paths by config key."""
+        paths = {}
+        for domain, n in zip(("source", "target"), sizes):
+            (root / domain).mkdir()
+            images = (np.arange(n * math.prod(shape)) * 7 % 256).reshape(n, *shape)
+            pair = write_idx_pair(root / domain, images, np.arange(n) % 10)
+            paths[f"{domain}_images"], paths[f"{domain}_labels"] = map(str, pair)
+        return paths
+
+    def test_pools_equal_load_idx_bit_for_bit(self, tmp_path):
+        paths = self.write_pairs(tmp_path, (60, 50), (4, 4))
+        cfg = {key: flag.default for key, flag in cli.SPLIT_FLAGS.items()} | paths
+        expected = dt.apply_roles(*dt.load_idx(paths["source_images"], paths["source_labels"]),
+                                  *dt.load_idx(paths["target_images"], paths["target_labels"]),
+                                  dt.digits_split())
+        pool, _ = cli._load_pool(cfg)
+        for key in ("source_known_x", "source_known_y", "source_unknown_x", "target_x"):
+            got, want = getattr(pool, key), getattr(expected, key)
+            assert got.dtype == want.dtype and got.shape == want.shape, key
+            assert got.tobytes() == want.tobytes(), key
+        assert pool.eval_target_roles().tolist() == expected.eval_target_roles().tolist()
+
+        target, _ = cli._load_pool(cfg, target_only=True)
+        assert target.target_x.dtype == np.float64
+        assert target.target_x.tobytes() == expected.target_x.tobytes()
+        assert target.eval_target_roles().tolist() == expected.eval_target_roles().tolist()
+        for x in (target.source_known_x, target.source_unknown_x):
+            assert x.dtype == np.float64 and x.shape == (0, 16)
+        assert target.source_known_y.shape == (0,) and target.feature_dim == 16
+
+    def test_load_pool_peak_memory(self, tmp_path):
+        """Pixels stay uint8 until the roles pick the rows, so the peak stays
+        near the float64 bytes of the kept rows."""
+        paths = self.write_pairs(tmp_path, (6000, 2000), (28, 28))
+        cfg = {key: flag.default for key, flag in cli.SPLIT_FLAGS.items()} | paths
+        tracemalloc.start()
+        try:
+            pool, _ = cli._load_pool(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(x.nbytes for x in (pool.source_known_x, pool.source_unknown_x, pool.target_x))
+        assert kept == (6000 * 7 // 10 + 2000 * 7 // 10) * 28 * 28 * 8
+        assert peak < 1.5 * kept
+
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_images_without_pixels_exit_3(self, tmp_path, capsys, command):
-        paths = {}
-        for domain in ("source", "target"):
-            (tmp_path / domain).mkdir()
-            pair = write_idx_pair(tmp_path / domain, np.zeros((400, 0, 28)), np.arange(400) % 10)
-            paths[f"{domain}_images"], paths[f"{domain}_labels"] = map(str, pair)
+        paths = self.write_pairs(tmp_path, (400, 400), (0, 28))
         out = tmp_path / "out"
         extra = ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else []
         assert run(command, "--out", str(out), *extra, *self.flags(paths)) == 3

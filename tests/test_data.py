@@ -221,6 +221,28 @@ class TestIdx:
         with pytest.raises(dt.DataError):
             dt.load_idx(img_path, lbl_path)
 
+    @pytest.mark.parametrize("which,extra,size", [("images", 100, 8), ("labels", 4, 2)])
+    def test_longer_than_header(self, tmp_path, which, extra, size):
+        paths = dict(zip(("images", "labels"), write_idx_pair(
+            tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), np.zeros(2, dtype=np.uint8))))
+        paths[which].write_bytes(paths[which].read_bytes() + bytes(extra))
+        with pytest.raises(dt.DataError) as e:
+            dt.load_idx(paths["images"], paths["labels"])
+        assert str(e.value) == (f"{paths[which]}: {extra} bytes after the {size}-byte payload "
+                                f"that its header gives")
+
+    def test_payload_is_not_copied(self, tmp_path):
+        img_path, _ = write_idx_pair(tmp_path, np.ones((3, 2, 2)), np.zeros(3))
+        _, values = dt._read_idx(img_path, dt.IDX_IMAGE_MAGIC, 3)
+        assert not values.flags.owndata and values.tolist() == [1] * 12
+
+    def test_read_idx_keeps_bytes(self, tmp_path):
+        images = np.arange(256, dtype=np.uint8).reshape(4, 8, 8)
+        img_path, lbl_path = write_idx_pair(tmp_path, images, np.arange(4))
+        x, y = dt.read_idx(img_path, lbl_path)
+        assert x.dtype == np.uint8 and x.shape == (4, 64) and x.tobytes() == images.tobytes()
+        assert y.dtype == np.int64 and y.tolist() == [0, 1, 2, 3]
+
     @pytest.mark.parametrize("rows,cols", [(0, 28), (28, 0), (0, 0)])
     def test_images_without_pixels(self, tmp_path, rows, cols):
         img_path, lbl_path = write_idx_pair(tmp_path, np.zeros((4, rows, cols)), np.zeros(4))
