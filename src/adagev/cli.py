@@ -61,10 +61,9 @@ TRAIN_FLAGS = {
     "epochs": Flag(20, int), "batch": Flag(64, int), "lr": Flag(1e-3, float),
     "optimizer": Flag("adam", ["adam", "sgd-momentum"]),
     "lambda_d": Flag(0.5, float), "lambda_e": Flag(1.0, float), "lambda_c": Flag(1.0, float),
-    "weight_mode": Flag("neg-entropy", ["neg-entropy", "paper-literal", "uniform"]),
+    "weight_mode": Flag("neg-entropy", ["neg-entropy", "uniform"]),
     "z_mode": Flag("same-batch", ["same-batch", "fresh-batch", "combined"]),
     "tail": Flag("block:20", help="block:<size>, top:<fraction>, or none"),
-    "tail_pool": Flag("known-only", ["known-only", "known-plus-unknown"]),
     "hidden": Flag("64,64", help="feature extractor hidden widths, e.g. 64,64"),
     "seed": Flag(0, int),
 }
@@ -217,8 +216,6 @@ def _load_pool(cfg, target_only=False):
 
 
 def _train_config(cfg) -> pl.TrainConfig:
-    from dataclasses import replace
-
     from . import objective as obj
     from . import pipeline as pl
 
@@ -231,7 +228,7 @@ def _train_config(cfg) -> pl.TrainConfig:
         loss_weights=obj.LossWeights(cfg["lambda_d"], cfg["lambda_e"], cfg["lambda_c"]),
         weight_config=obj.WeightConfig(cfg["weight_mode"].replace("-", "_"),
                                        cfg["z_mode"].replace("-", "_")),
-        tail_config=replace(tail, source_pool=cfg["tail_pool"].replace("-", "_")), seed=cfg["seed"],
+        tail_config=tail, seed=cfg["seed"],
     )
 
 

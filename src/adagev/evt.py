@@ -48,7 +48,6 @@ class TailConfig:
     method: str = "block_maxima"
     block_size: int = 20
     fraction: float = 0.1
-    source_pool: str = "known_only"
 
     def __post_init__(self):
         if self.method not in ("block_maxima", "top_fraction"):
@@ -57,8 +56,6 @@ class TailConfig:
             raise ValueError("block_size must be positive")
         if not 0 < self.fraction < 1:
             raise ValueError("fraction must lie in (0,1)")
-        if self.source_pool not in ("known_only", "known_plus_unknown"):
-            raise ValueError(f"unknown source_pool {self.source_pool!r}")
 
 
 def gev_t(x, p: GevParams):

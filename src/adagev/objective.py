@@ -20,10 +20,8 @@ classifier's unknown + source and the discriminator's source + target.
 
 Per-target instance weights are exp(-H)/Z by default: high-entropy
 (likely unknown) target samples get down-weighted so they are not
-force-aligned with the source. ``paper_literal`` mode flips the sign of
-the exponent, which up-weights high-entropy samples instead; ``uniform``
-disables reweighting entirely (the ablation baseline). Weights are
-always gradient-detached.
+force-aligned with the source. ``uniform`` disables reweighting entirely
+(the no_reweight ablation). Weights are always gradient-detached.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ import numpy as np
 from . import autodiff as ad
 from . import model as md
 
-WEIGHT_MODES = ("neg_entropy", "paper_literal", "uniform")
+WEIGHT_MODES = ("neg_entropy", "uniform")
 Z_MODES = ("same_batch", "fresh_batch", "combined")
 
 
@@ -76,7 +74,7 @@ def batch_weights(entropies: np.ndarray, cfg: WeightConfig,
                   aux_entropies: np.ndarray | None = None) -> np.ndarray:
     """Instance weights w_i = u_i / Z over a target batch.
 
-    u_i is exp(-H_i), exp(+H_i), or 1 depending on weight_mode; Z sums the
+    u_i is exp(-H_i) in neg_entropy mode and 1 in uniform mode; Z sums the
     unnormalized weights over this batch, a fresh auxiliary batch, or both.
     """
     h = np.asarray(entropies, dtype=np.float64)
@@ -90,11 +88,7 @@ def batch_weights(entropies: np.ndarray, cfg: WeightConfig,
         raise ValueError("aux_entropies only valid for fresh_batch/combined z modes")
 
     def unnorm(hv):
-        if cfg.weight_mode == "neg_entropy":
-            return np.exp(-hv)
-        if cfg.weight_mode == "paper_literal":
-            return np.exp(hv)
-        return np.ones_like(hv)
+        return np.exp(-hv) if cfg.weight_mode == "neg_entropy" else np.ones_like(hv)
 
     u = unnorm(h)
     if cfg.z_mode == "same_batch":

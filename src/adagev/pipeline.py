@@ -207,8 +207,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     the same bit for bit.
     """
     spec_g, spec_c, spec_d = specs
-    with_unknown = tc.tail_config.source_pool == "known_plus_unknown"
-    n_tail = len(pool.source_known_x) + (len(pool.source_unknown_x) if with_unknown else 0)
+    n_tail = len(pool.source_known_x)
     try:
         evt.tail_size(n_tail, tc.tail_config)
     except evt.FitError as e:
@@ -256,8 +255,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
             executor.shutdown()
 
     # the last epoch's entropies come from the final parameters
-    h_tail = np.concatenate([h_known, h_unknown]) if with_unknown else h_known
-    gev = fit_rejector(h_tail, tc.tail_config, seed=int(tail_seed))
+    gev = fit_rejector(h_known, tc.tail_config, seed=int(tail_seed))
     return TrainResult(params, gev, log)
 
 

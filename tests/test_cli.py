@@ -564,15 +564,26 @@ class TestFitGev:
         assert "bin.txt: not UTF-8" in capsys.readouterr().err
 
     def test_tail_pool_is_usage_error(self, tmp_path, capsys):
+        """--tail-pool and --weight-mode paper-literal are gone from every
+        command; each is argparse's usage error, before any file is read."""
         src = tmp_path / "v.txt"
         src.write_text("\n".join(map(repr, np.linspace(0.0, 2.0, 100).tolist())))
-        with pytest.raises(SystemExit) as exit_:
-            run("fit-gev", "--input", str(src), "--out", str(tmp_path / "o.json"),
-                "--tail-pool", "known-only")
-        assert exit_.value.code == 2
-        assert capsys.readouterr().err == (
-            "error: adagev: unrecognized arguments: --tail-pool known-only\n")
-        assert not (tmp_path / "o.json").exists()
+        cases = [(["fit-gev", "--input", str(src)], "--tail-pool", "known-only")]
+        for command in ("train", "ablate", "sweep"):
+            cases += [([command, "--data", str(tmp_path / "blobs.csv")], flag, value)
+                      for flag, value in (("--tail-pool", "known-only"),
+                                          ("--weight-mode", "paper-literal"))]
+        for argv, flag, value in cases:
+            with pytest.raises(SystemExit) as exit_:
+                run(*argv, "--out", str(tmp_path / "o"), flag, value)
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            if flag == "--weight-mode":
+                assert err.startswith(f"error: adagev {argv[0]}: argument --weight-mode: "
+                                      f"invalid choice: 'paper-literal'")
+            else:
+                assert err == f"error: adagev: unrecognized arguments: {flag} {value}\n"
+            assert not (tmp_path / "o").exists()
 
     def test_degenerate_values(self, tmp_path):
         src = tmp_path / "v.txt"
@@ -814,6 +825,19 @@ class TestSweep:
         assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+def test_echo_with_a_removed_key_exits_2(trained_dir, tmp_path, capsys, command):
+    """An echo written before tail_pool was removed no longer replays."""
+    echo = json.loads((trained_dir / "config.json").read_text())
+    echo.update(command=command, tail_pool="known-only")
+    config = tmp_path / "old.json"
+    config.write_text(json.dumps(echo))
+    outdir = tmp_path / "replay"
+    assert run(command, "--out", str(outdir), "--config", str(config)) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: ['tail_pool']\n"
+    assert not outdir.exists()
+
+
 def test_cli_defaults_match_library_defaults():
     """Every CLI default is also a library default; the two must not drift apart."""
     gen = {key: flag.default for key, flag in cli.GEN_FLAGS.items()}
@@ -830,8 +854,14 @@ def test_cli_defaults_match_library_defaults():
 
     train = {key: flag.default for key, flag in cli.TRAIN_FLAGS.items()}
     # _train_config maps --batch, --lr, the three lambdas, the weight and z
-    # modes and --tail/--tail-pool onto TrainConfig and its nested configs
+    # modes and --tail onto TrainConfig and its nested configs
     assert cli._train_config(train) == pl.TrainConfig()
+    kinds = {key: [v.replace("-", "_") for v in cli.TRAIN_FLAGS[key].kind]
+             for key in ("weight_mode", "z_mode", "optimizer")}
+    assert kinds["weight_mode"] == list(obj.WEIGHT_MODES)
+    assert kinds["z_mode"] == list(obj.Z_MODES)
+    for optimizer in kinds["optimizer"]:
+        pl.TrainConfig(optimizer=optimizer)
     spec_g = md.default_specs(input_dim=2, num_classes=4)[0]
     assert cli._parse_int_list(train["hidden"]) == spec_g.widths[1:]
 

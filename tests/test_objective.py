@@ -51,17 +51,13 @@ class TestEntropy:
 
 class TestBatchWeights:
     def test_equal_entropies_uniform(self):
-        for mode in ("neg_entropy", "paper_literal", "uniform"):
+        for mode in obj.WEIGHT_MODES:
             w = obj.batch_weights(np.full(5, 0.7), obj.WeightConfig(mode))
             np.testing.assert_allclose(w, 0.2)
 
     def test_neg_entropy_hand_case(self):
         w = obj.batch_weights(np.array([0.0, np.log(2)]), obj.WeightConfig("neg_entropy"))
         np.testing.assert_allclose(w, [2 / 3, 1 / 3])
-
-    def test_paper_literal_hand_case(self):
-        w = obj.batch_weights(np.array([0.0, np.log(2)]), obj.WeightConfig("paper_literal"))
-        np.testing.assert_allclose(w, [1 / 3, 2 / 3])
 
     def test_neg_entropy_antitone(self):
         rng = np.random.default_rng(0)
@@ -70,19 +66,12 @@ class TestBatchWeights:
         order = np.argsort(h)
         assert np.all(np.diff(w[order]) < 0)
 
-    def test_paper_literal_monotone(self):
-        rng = np.random.default_rng(1)
-        h = rng.random(20) * np.log(4)
-        w = obj.batch_weights(h, obj.WeightConfig("paper_literal"))
-        order = np.argsort(h)
-        assert np.all(np.diff(w[order]) > 0)
-
     @given(st.integers(0, 2**31 - 1))
     @settings(max_examples=30, deadline=None)
     def test_same_batch_sums_to_one(self, seed):
         rng = np.random.default_rng(seed)
         h = rng.random(int(rng.integers(1, 40))) * 2
-        for mode in ("neg_entropy", "paper_literal", "uniform"):
+        for mode in obj.WEIGHT_MODES:
             w = obj.batch_weights(h, obj.WeightConfig(mode))
             assert abs(w.sum() - 1.0) < 1e-9
 

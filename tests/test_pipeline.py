@@ -77,13 +77,12 @@ class TestConfigValidation:
             pl.run_ablations(tiny_pool(), tiny_specs(), tiny_config(), ("full", "no_reweight"),
                              hard_threshold=0.1)
 
-    @pytest.mark.parametrize("source_pool,n", [("known_only", 80), ("known_plus_unknown", 140)])
-    def test_tail_too_small_before_the_first_step(self, monkeypatch, source_pool, n):
+    def test_tail_too_small_before_the_first_step(self, monkeypatch):
         def step(*args):
             raise AssertionError("a training step ran")
         monkeypatch.setattr(obj, "total_step_gradients", step)
-        tail = evt.TailConfig(source_pool=source_pool)  # blocks of 20
-        with pytest.raises(dt.DataError, match=rf"the {n} source rows .* got {n // 20} "):
+        tail = evt.TailConfig()  # blocks of 20
+        with pytest.raises(dt.DataError, match=r"the 80 source rows .* got 4 "):
             pl.train(tiny_pool(), tiny_specs(), tiny_config(tail_config=tail))
 
 
@@ -445,9 +444,10 @@ def lane_executor():
 @settings(max_examples=20, deadline=None)
 @given(d=st.integers(1, 200), hidden=st.lists(st.integers(16, 512), min_size=1, max_size=2),
        b=st.integers(1, 160), activation=st.sampled_from(["relu", "tanh"]),
-       z_mode=st.sampled_from(obj.Z_MODES), seed=st.integers(0, 2**32 - 1))
-def test_two_lane_step_equals_inline_bit_for_bit(lane_executor, d, hidden, b, activation, z_mode,
-                                                 seed):
+       weight_mode=st.sampled_from(obj.WEIGHT_MODES), z_mode=st.sampled_from(obj.Z_MODES),
+       seed=st.integers(0, 2**32 - 1))
+def test_two_lane_step_equals_inline_bit_for_bit(lane_executor, d, hidden, b, activation,
+                                                 weight_mode, z_mode, seed):
     rng = np.random.default_rng(seed)
     specs = (md.MlpSpec((d, *hidden), activation), md.MlpSpec((hidden[-1], 5), head="softmax"),
              md.MlpSpec((hidden[-1], 32, 1), activation, head="sigmoid"))
@@ -457,7 +457,7 @@ def test_two_lane_step_equals_inline_bit_for_bit(lane_executor, d, hidden, b, ac
         return rng.standard_normal((b, d))
     batch = dt.DomainBatch(source_x=rows(), source_y=rng.integers(0, 5, b), unknown_x=rows(),
                            target_x=rows(), target_aux_x=None if z_mode == "same_batch" else rows())
-    lw, wc = obj.LossWeights(0.3, 1.7, 0.45), obj.WeightConfig("neg_entropy", z_mode)
+    lw, wc = obj.LossWeights(0.3, 1.7, 0.45), obj.WeightConfig(weight_mode, z_mode)
     inline = obj.total_step_gradients(batch, params, lw, wc)
     for _ in range(2):  # the second step reuses the worker that ran the first
         two_lane = obj.total_step_gradients(batch, params, lw, wc, lane_executor)
@@ -786,38 +786,34 @@ class TestAblations:
         madds = specs[0].madds + specs[1].madds
         assert calls == [(n, madds) for n in want]
 
-    @pytest.mark.parametrize("source_pool", ["known_only", "known_plus_unknown"])
-    def test_gev_is_fitted_to_the_last_epoch_entropies(self, pool, monkeypatch, source_pool):
+    def test_gev_is_fitted_to_the_last_epoch_entropies(self, pool, monkeypatch):
         fitted, fit_rejector = [], pl.fit_rejector
 
         def captured(entropies, tail, seed=0):
             fitted.append(entropies)
             return fit_rejector(entropies, tail, seed)
         monkeypatch.setattr(pl, "fit_rejector", captured)
-        tail = evt.TailConfig("top_fraction", fraction=0.5, source_pool=source_pool)
-        res = pl.train(pool, tiny_specs(), tiny_config(tail_config=tail))
+        res = pl.train(pool, tiny_specs(), tiny_config())
         # the tiny pools are one block each, so one pass gives the same bits
         h_known, h_unknown = (obj.entropy(md.forward_classifier(
             res.params, md.forward_features(res.params, x)))
             for x in (pool.source_known_x, pool.source_unknown_x))
         assert (res.log[-1]["mean_known_entropy"], res.log[-1]["mean_unknown_entropy"]) == (
             float(h_known.mean()), float(h_unknown.mean()))
-        want = np.concatenate([h_known, h_unknown]) if source_pool == "known_plus_unknown" \
-            else h_known
-        assert len(fitted) == 1 and fitted[0].tobytes() == want.tobytes()
+        assert len(fitted) == 1 and fitted[0].tobytes() == h_known.tobytes()
 
     def test_worker_counts_agree_on_multi_block_source_pools(self, pool, monkeypatch, workers,
                                                               pools_opened, tmp_path):
         monkeypatch.setattr(pl, "INFER_BLOCK_ROWS", 16)
         monkeypatch.setattr(pl, "INFER_MIN_BLOCK_ROWS", 16)
         madds = sum(s.madds for s in tiny_specs()[:2])
-        assert len(pl._row_blocks(pool.source_unknown_x, madds)) == 3
-        tail = evt.TailConfig("top_fraction", fraction=0.5, source_pool="known_plus_unknown")
+        # the GEV is fitted to the source-known entropies, so its input spans blocks too
+        assert [len(pl._row_blocks(x, madds))
+                for x in (pool.source_known_x, pool.source_unknown_x)] == [5, 3]
         got = {}
         for n in (1, 2, 3):
             workers(n)
-            out = pl.run_ablations(pool, tiny_specs(), tiny_config(tail_config=tail),
-                                   pl.ABLATION_VARIANTS)
+            out = pl.run_ablations(pool, tiny_specs(), tiny_config(), pl.ABLATION_VARIANTS)
             got[n] = []
             for variant, (report, res) in out.items():
                 path = tmp_path / f"{n}-{variant}.bin"
