@@ -62,7 +62,6 @@ TRAIN_FLAGS = {
     "optimizer": Flag("adam", ["adam", "sgd-momentum"]),
     "lambda_d": Flag(0.5, float), "lambda_e": Flag(1.0, float), "lambda_c": Flag(1.0, float),
     "weight_mode": Flag("neg-entropy", ["neg-entropy", "uniform"]),
-    "z_mode": Flag("same-batch", ["same-batch", "fresh-batch", "combined"]),
     "tail": Flag("block:20", help="block:<size>, top:<fraction>, or none"),
     "hidden": Flag("64,64", help="feature extractor hidden widths, e.g. 64,64"),
     "seed": Flag(0, int),
@@ -226,8 +225,7 @@ def _train_config(cfg) -> pl.TrainConfig:
         epochs=cfg["epochs"], batch_size=cfg["batch"], learning_rate=cfg["lr"],
         optimizer=cfg["optimizer"].replace("-", "_"),
         loss_weights=obj.LossWeights(cfg["lambda_d"], cfg["lambda_e"], cfg["lambda_c"]),
-        weight_config=obj.WeightConfig(cfg["weight_mode"].replace("-", "_"),
-                                       cfg["z_mode"].replace("-", "_")),
+        weight_config=obj.WeightConfig(cfg["weight_mode"].replace("-", "_")),
         tail_config=tail, seed=cfg["seed"],
     )
 

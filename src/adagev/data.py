@@ -84,15 +84,13 @@ def digits_split() -> RoleSplit:
 
 @dataclass
 class DomainBatch:
-    """One training draw: B labeled source-known rows, B source-unknown rows,
-    B target rows, plus an optional auxiliary target batch for the
-    fresh-batch/combined partition-function estimates."""
+    """One training draw: B labeled source-known rows, B source-unknown rows
+    and B target rows."""
 
     source_x: np.ndarray
     source_y: np.ndarray
     unknown_x: np.ndarray
     target_x: np.ndarray
-    target_aux_x: np.ndarray | None = None
 
 
 @dataclass
@@ -429,8 +427,8 @@ def apply_roles(source_x, source_y, target_x, target_y, rs: RoleSplit) -> Datase
     )
 
 
-def sample_batch_triple(pool: DatasetPool, batch_size: int, rng: np.random.Generator,
-                        with_aux: bool = False) -> DomainBatch:
+def sample_batch_triple(pool: DatasetPool, batch_size: int,
+                        rng: np.random.Generator) -> DomainBatch:
     """Three independent uniform draws with replacement, each of size B."""
     for name, arr in (("source_known", pool.source_known_x),
                       ("source_unknown", pool.source_unknown_x),
@@ -440,13 +438,9 @@ def sample_batch_triple(pool: DatasetPool, batch_size: int, rng: np.random.Gener
     i_s = rng.integers(0, len(pool.source_known_x), size=batch_size)
     i_u = rng.integers(0, len(pool.source_unknown_x), size=batch_size)
     i_t = rng.integers(0, len(pool.target_x), size=batch_size)
-    aux = None
-    if with_aux:
-        aux = pool.target_x[rng.integers(0, len(pool.target_x), size=batch_size)]
     return DomainBatch(
         source_x=pool.source_known_x[i_s],
         source_y=pool.source_known_y[i_s],
         unknown_x=pool.source_unknown_x[i_u],
         target_x=pool.target_x[i_t],
-        target_aux_x=aux,
     )

@@ -34,7 +34,6 @@ from . import autodiff as ad
 from . import model as md
 
 WEIGHT_MODES = ("neg_entropy", "uniform")
-Z_MODES = ("same_batch", "fresh_batch", "combined")
 
 
 @dataclass(frozen=True)
@@ -53,13 +52,10 @@ class LossWeights:
 @dataclass(frozen=True)
 class WeightConfig:
     weight_mode: str = "neg_entropy"
-    z_mode: str = "same_batch"
 
     def __post_init__(self):
         if self.weight_mode not in WEIGHT_MODES:
             raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-        if self.z_mode not in Z_MODES:
-            raise ValueError(f"z_mode must be one of {Z_MODES}")
 
 
 def entropy(probs: np.ndarray) -> np.ndarray:
@@ -70,57 +66,40 @@ def entropy(probs: np.ndarray) -> np.ndarray:
     return -np.sum(probs * np.log(np.maximum(probs, ad.LOG_CLAMP)), axis=1)
 
 
-def batch_weights(entropies: np.ndarray, cfg: WeightConfig,
-                  aux_entropies: np.ndarray | None = None) -> np.ndarray:
+def batch_weights(entropies: np.ndarray, cfg: WeightConfig) -> np.ndarray:
     """Instance weights w_i = u_i / Z over a target batch.
 
-    u_i is exp(-H_i) in neg_entropy mode and 1 in uniform mode; Z sums the
-    unnormalized weights over this batch, a fresh auxiliary batch, or both.
+    u_i is exp(-H_i) in neg_entropy mode and 1 in uniform mode, and Z sums
+    u over the same batch, so the weights sum to one.
     """
     h = np.asarray(entropies, dtype=np.float64)
     if h.size < 1:
         raise ValueError("empty batch")
-    if cfg.z_mode != "same_batch":
-        if aux_entropies is None:
-            raise ValueError(f"z_mode {cfg.z_mode!r} requires aux_entropies")
-        h_aux = np.asarray(aux_entropies, dtype=np.float64)
-    elif aux_entropies is not None:
-        raise ValueError("aux_entropies only valid for fresh_batch/combined z modes")
-
-    def unnorm(hv):
-        return np.exp(-hv) if cfg.weight_mode == "neg_entropy" else np.ones_like(hv)
-
-    u = unnorm(h)
-    if cfg.z_mode == "same_batch":
-        z = u.sum()
-    elif cfg.z_mode == "fresh_batch":
-        z = unnorm(h_aux).sum()
-    else:
-        z = u.sum() + unnorm(h_aux).sum()
+    u = np.exp(-h) if cfg.weight_mode == "neg_entropy" else np.ones_like(h)
+    z = u.sum()
     if z <= 0:
         raise ValueError("partition function underflow: all unnormalized weights zero")
     return u / z
 
 
-def loss_domain(z_src, z_tgt, w: np.ndarray, require_normalized: bool = True,
+def loss_domain(z_src, z_tgt, w: np.ndarray, *,
                 scale: float = 1.0) -> tuple[float, np.ndarray, np.ndarray]:
     """Adversarial domain loss on the discriminator's logits:
     E log d(src) + sum_j w_j log(1 - d(tgt)_j), with d = sigmoid(z).
 
     Low when the discriminator separates the domains correctly. The
-    discriminator minimizes this; the feature extractor maximizes it.
-    ``require_normalized`` is dropped when the partition function is
-    estimated from outside the batch, in which case the in-batch weights
-    need not sum to one. Returns the loss and ``scale`` times its gradients
-    with respect to ``z_src`` and ``z_tgt``, scale*sigmoid(-z_src)/B and
-    -scale*w*sigmoid(z_tgt); the weights get none.
+    discriminator minimizes this; the feature extractor maximizes it. The
+    weights must be nonnegative and sum to one. Returns the loss and
+    ``scale`` times its gradients with respect to ``z_src`` and ``z_tgt``,
+    scale*sigmoid(-z_src)/B and -scale*w*sigmoid(z_tgt); the weights get
+    none.
     """
     z_src = np.asarray(z_src, dtype=np.float64)
     z_tgt = np.asarray(z_tgt, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if np.any(w < 0) or not np.all(np.isfinite(w)):
         raise ValueError("target weights must be finite and nonnegative")
-    if require_normalized and abs(w.sum() - 1.0) > 1e-6:
+    if abs(w.sum() - 1.0) > 1e-6:
         raise ValueError(f"target weights must sum to 1, got {w.sum()}")
     if w.ndim != 1 or z_tgt.shape not in ((len(w),), (len(w), 1)):
         raise ValueError(f"weights {w.shape} do not match discriminator outputs {z_tgt.shape}")
@@ -274,18 +253,11 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
 
         # detached: the weights carry no gradient
         h_t = entropy(md.softmax(forward(spec_c, params.theta_c, feat_t)[0])[0])
-        aux_h = None
-        if wc.z_mode != "same_batch":
-            if batch.target_aux_x is None:
-                raise ValueError(f"z_mode {wc.z_mode!r} needs an auxiliary target batch")
-            aux_features = md.forward_features(params, batch.target_aux_x)
-            aux_h = entropy(md.forward_classifier(params, aux_features))
-        w = batch_weights(h_t, wc, aux_h)
+        w = batch_weights(h_t, wc)
 
         z_src, in_ds = forward(spec_d, params.theta_d, feat_s)
         z_tgt, in_dt = forward(spec_d, params.theta_d, feat_t)
-        normalized = wc.z_mode == "same_batch"
-        l_d, g_zsrc, g_ztgt = loss_domain(z_src, z_tgt, w, normalized, scale=lw.lambda_d)
+        l_d, g_zsrc, g_ztgt = loss_domain(z_src, z_tgt, w, scale=lw.lambda_d)
     except Exception:
         # the graph checks the unknown batch's features before all of these
         unknown.exception()

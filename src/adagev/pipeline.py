@@ -46,6 +46,7 @@ from . import objective as obj
 
 UNKNOWN = dt.UNKNOWN_ROLE
 ABLATION_VARIANTS = ("full", "no_reweight", "no_evt_binary", "hard_threshold")
+OPTIMIZERS = ("adam", "sgd_momentum")
 INFER_BLOCK_ROWS = 4096
 # The multiply-adds an inference row block is sized to, and the fewest rows
 # it may have. On 2 cores with one BLAS thread, a 1,400-row pass of the
@@ -81,7 +82,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or not 0 <= self.learning_rate < np.inf:
             raise ValueError("need epochs >= 1, batch_size >= 1, finite learning_rate >= 0")
-        if self.optimizer not in ("adam", "sgd_momentum"):
+        if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
@@ -217,7 +218,6 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     params = md.init_params(spec_g, spec_c, spec_d, int(init_seed))
     rng = np.random.default_rng(int(sample_seed))
     optimizer = _make_optimizer(tc)
-    need_aux = tc.weight_config.z_mode != "same_batch"
 
     iters = math.ceil(len(pool.source_known_x) / tc.batch_size)
     log = []
@@ -231,7 +231,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
             stats = {"L_d": 0.0, "L_e": 0.0, "L_c": 0.0, "total": 0.0,
                      "mean_weight": 0.0, "max_weight": 0.0}
             for it in range(1, iters + 1):
-                batch = dt.sample_batch_triple(pool, tc.batch_size, rng, with_aux=need_aux)
+                batch = dt.sample_batch_triple(pool, tc.batch_size, rng)
                 step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_config,
                                                 executor)
                 optimizer.step(params.flat, step.grad)
@@ -448,7 +448,7 @@ def run_ablations(pool: dt.DatasetPool, specs, tc: TrainConfig, variants,
     weighting.
     """
     check_ablations(variants, hard_threshold)
-    uniform = obj.WeightConfig("uniform", tc.weight_config.z_mode)
+    uniform = obj.WeightConfig("uniform")
     trained, out = {}, {}
     for variant in variants:
         weights = uniform if variant == "no_reweight" else tc.weight_config

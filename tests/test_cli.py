@@ -564,14 +564,15 @@ class TestFitGev:
         assert "bin.txt: not UTF-8" in capsys.readouterr().err
 
     def test_tail_pool_is_usage_error(self, tmp_path, capsys):
-        """--tail-pool and --weight-mode paper-literal are gone from every
-        command; each is argparse's usage error, before any file is read."""
+        """--tail-pool, --z-mode and --weight-mode paper-literal are gone from
+        every command; each is argparse's usage error, before any file is read."""
         src = tmp_path / "v.txt"
         src.write_text("\n".join(map(repr, np.linspace(0.0, 2.0, 100).tolist())))
         cases = [(["fit-gev", "--input", str(src)], "--tail-pool", "known-only")]
         for command in ("train", "ablate", "sweep"):
             cases += [([command, "--data", str(tmp_path / "blobs.csv")], flag, value)
                       for flag, value in (("--tail-pool", "known-only"),
+                                          ("--z-mode", "same-batch"),
                                           ("--weight-mode", "paper-literal"))]
         for argv, flag, value in cases:
             with pytest.raises(SystemExit) as exit_:
@@ -827,15 +828,16 @@ class TestSweep:
 
 @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
 def test_echo_with_a_removed_key_exits_2(trained_dir, tmp_path, capsys, command):
-    """An echo written before tail_pool was removed no longer replays."""
-    echo = json.loads((trained_dir / "config.json").read_text())
-    echo.update(command=command, tail_pool="known-only")
-    config = tmp_path / "old.json"
-    config.write_text(json.dumps(echo))
-    outdir = tmp_path / "replay"
-    assert run(command, "--out", str(outdir), "--config", str(config)) == 2
-    assert capsys.readouterr().err == "error: unknown config keys: ['tail_pool']\n"
-    assert not outdir.exists()
+    """An echo written before tail_pool or z_mode was removed no longer replays."""
+    for key, value in (("tail_pool", "known-only"), ("z_mode", "same-batch")):
+        echo = json.loads((trained_dir / "config.json").read_text())
+        echo.update({"command": command, key: value})
+        config = tmp_path / f"old_{key}.json"
+        config.write_text(json.dumps(echo))
+        outdir = tmp_path / f"replay_{key}"
+        assert run(command, "--out", str(outdir), "--config", str(config)) == 2
+        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+        assert not outdir.exists()
 
 
 def test_cli_defaults_match_library_defaults():
@@ -853,15 +855,13 @@ def test_cli_defaults_match_library_defaults():
     assert cli._split_from(split) == dt.digits_split()
 
     train = {key: flag.default for key, flag in cli.TRAIN_FLAGS.items()}
-    # _train_config maps --batch, --lr, the three lambdas, the weight and z
-    # modes and --tail onto TrainConfig and its nested configs
+    # _train_config maps --batch, --lr, the three lambdas, the weight mode
+    # and --tail onto TrainConfig and its nested configs
     assert cli._train_config(train) == pl.TrainConfig()
     kinds = {key: [v.replace("-", "_") for v in cli.TRAIN_FLAGS[key].kind]
-             for key in ("weight_mode", "z_mode", "optimizer")}
+             for key in ("weight_mode", "optimizer")}
     assert kinds["weight_mode"] == list(obj.WEIGHT_MODES)
-    assert kinds["z_mode"] == list(obj.Z_MODES)
-    for optimizer in kinds["optimizer"]:
-        pl.TrainConfig(optimizer=optimizer)
+    assert kinds["optimizer"] == list(pl.OPTIMIZERS)
     spec_g = md.default_specs(input_dim=2, num_classes=4)[0]
     assert cli._parse_int_list(train["hidden"]) == spec_g.widths[1:]
 

@@ -75,22 +75,6 @@ class TestBatchWeights:
             w = obj.batch_weights(h, obj.WeightConfig(mode))
             assert abs(w.sum() - 1.0) < 1e-9
 
-    def test_fresh_batch_normalizes_over_aux(self):
-        h = np.array([0.0, 0.0])
-        aux = np.array([0.0, 0.0, 0.0, 0.0])
-        w = obj.batch_weights(h, obj.WeightConfig("neg_entropy", "fresh_batch"), aux)
-        np.testing.assert_allclose(w, [0.25, 0.25])
-
-    def test_combined_normalizes_over_both(self):
-        h = np.array([0.0, 0.0])
-        aux = np.array([0.0, 0.0])
-        w = obj.batch_weights(h, obj.WeightConfig("neg_entropy", "combined"), aux)
-        np.testing.assert_allclose(w, [0.25, 0.25])
-
-    def test_aux_required(self):
-        with pytest.raises(ValueError):
-            obj.batch_weights(np.ones(3), obj.WeightConfig("neg_entropy", "fresh_batch"))
-
 
 class TestLossDomain:
     def test_symmetric_midpoint(self):
@@ -368,11 +352,7 @@ def graph_step(batch, params, lw, wc):
     feat_u = mlp_graph(params.spec_g, g_nodes, batch.unknown_x)
     feat_t = mlp_graph(params.spec_g, g_nodes, batch.target_x)
     probs_t = ad.stable_softmax(mlp_graph(params.spec_c, c_nodes, feat_t))
-    aux_h = None
-    if wc.z_mode != "same_batch":
-        aux_h = obj.entropy(md.forward_classifier(
-            params, md.forward_features(params, batch.target_aux_x)))
-    w = obj.batch_weights(obj.entropy(probs_t.value), wc, aux_h)
+    w = obj.batch_weights(obj.entropy(probs_t.value), wc)
 
     z_src = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
     z_tgt = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
@@ -421,11 +401,15 @@ def as_bytes(step):
     return step.grad.tobytes(), grads, scalars, step.weights.tobytes()
 
 
-@pytest.mark.parametrize("specs,weight_mode,z_mode,weights", itertools.product(
-    SPEC_SETS, obj.WEIGHT_MODES, obj.Z_MODES, LOSS_WEIGHTS))
-def test_fused_step_equals_graph_bit_for_bit(specs, weight_mode, z_mode, weights):
-    seed = (list(SPEC_SETS).index(specs) * 9 + obj.WEIGHT_MODES.index(weight_mode) * 3
-            + obj.Z_MODES.index(z_mode))
+FUSED_CASES = list(itertools.product(SPEC_SETS, obj.WEIGHT_MODES, LOSS_WEIGHTS))
+
+
+# the ids and seeds are those these cases had when the normalizer was
+# selectable and "same_batch", the one that remains, was one of three
+@pytest.mark.parametrize("specs,weight_mode,weights", FUSED_CASES,
+                         ids=[f"{s}-{m}-same_batch-{w}" for s, m, w in FUSED_CASES])
+def test_fused_step_equals_graph_bit_for_bit(specs, weight_mode, weights):
+    seed = list(SPEC_SETS).index(specs) * 9 + obj.WEIGHT_MODES.index(weight_mode) * 3
     rng = np.random.default_rng(seed)
     params = md.init_params(*SPEC_SETS[specs], seed=seed)
     for group in params.groups().values():
@@ -436,8 +420,8 @@ def test_fused_step_equals_graph_bit_for_bit(specs, weight_mode, z_mode, weights
         return rng.standard_normal((16, params.spec_g.widths[0]))
 
     batch = dt.DomainBatch(source_x=rows(), source_y=rng.integers(0, 4, 16), unknown_x=rows(),
-                           target_x=rows(), target_aux_x=None if z_mode == "same_batch" else rows())
-    lw, wc = LOSS_WEIGHTS[weights], obj.WeightConfig(weight_mode, z_mode)
+                           target_x=rows())
+    lw, wc = LOSS_WEIGHTS[weights], obj.WeightConfig(weight_mode)
     fused = obj.total_step_gradients(batch, params, lw, wc)
     assert as_bytes(fused) == as_bytes(graph_step(batch, params, lw, wc))
 
@@ -469,21 +453,18 @@ def step_outcome(step):
 def test_lanes_raise_the_graphs_first_error():
     from concurrent.futures import ThreadPoolExecutor
 
-    params, lw = fault_params(), obj.LossWeights()
+    params, lw, wc = fault_params(), obj.LossWeights(), obj.WeightConfig()
     # a target row that only the losses on log-probabilities would see never fails
-    cases = itertools.product(FAULT_ROWS, FAULT_ROWS, ("none", "linear"),
-                              (None, "none", "linear"))
+    cases = itertools.product(FAULT_ROWS, FAULT_ROWS, ("none", "linear"))
     with ThreadPoolExecutor(1) as executor:
-        for source, unknown, target, aux in cases:
+        for source, unknown, target in cases:
             def rows(fault):
                 x = np.full((3, 2), 0.3)
                 x[1] = FAULT_ROWS[fault]
                 return x
-            batch = dt.DomainBatch(rows(source), np.array([0, 1, 2]), rows(unknown), rows(target),
-                                   None if aux is None else rows(aux))
-            wc = obj.WeightConfig(z_mode="same_batch" if aux is None else "fresh_batch")
+            batch = dt.DomainBatch(rows(source), np.array([0, 1, 2]), rows(unknown), rows(target))
             with np.errstate(over="ignore"):  # the graph's softmax warns where the step does not
                 expected = step_outcome(lambda: graph_step(batch, params, lw, wc))
             for lane in (None, executor):
                 got = step_outcome(lambda: obj.total_step_gradients(batch, params, lw, wc, lane))
-                assert got == expected, (source, unknown, target, aux, lane)
+                assert got == expected, (source, unknown, target, lane)

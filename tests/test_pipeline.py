@@ -127,11 +127,6 @@ class TestTrain:
                        tiny_config(epochs=10, learning_rate=3e-3))
         assert res.log[-1]["L_c"] < res.log[0]["L_c"]
 
-    def test_aux_batches_for_fresh_z(self):
-        cfg = tiny_config(weight_config=obj.WeightConfig("neg_entropy", "fresh_batch"))
-        res = pl.train(tiny_pool(), tiny_specs(), cfg)
-        assert len(res.log) == cfg.epochs
-
 
 @pytest.fixture(scope="module")
 def trained():
@@ -361,12 +356,10 @@ class TestTrainingLanes:
     def test_lane_specs_are_above_the_rule(self):
         assert LANE_BATCH * lane_specs()[0].madds >= pl.LANE_MIN_MADDS
 
-    @pytest.mark.parametrize("z_mode", ["same_batch", "fresh_batch"])
-    @pytest.mark.parametrize("optimizer", ["adam", "sgd_momentum"])
-    def test_worker_counts_agree_bit_for_bit(self, tmp_path, workers, pools_opened, z_mode,
-                                             optimizer):
-        cfg = tiny_config(epochs=3, batch_size=LANE_BATCH, optimizer=optimizer,
-                          weight_config=obj.WeightConfig("neg_entropy", z_mode))
+    # ids as when the same-batch normalizer was one of two cases here
+    @pytest.mark.parametrize("optimizer", pl.OPTIMIZERS, ids=lambda o: f"{o}-same_batch")
+    def test_worker_counts_agree_bit_for_bit(self, tmp_path, workers, pools_opened, optimizer):
+        cfg = tiny_config(epochs=3, batch_size=LANE_BATCH, optimizer=optimizer)
         out = {}
         for n in (1, 2):
             workers(n)
@@ -444,10 +437,9 @@ def lane_executor():
 @settings(max_examples=20, deadline=None)
 @given(d=st.integers(1, 200), hidden=st.lists(st.integers(16, 512), min_size=1, max_size=2),
        b=st.integers(1, 160), activation=st.sampled_from(["relu", "tanh"]),
-       weight_mode=st.sampled_from(obj.WEIGHT_MODES), z_mode=st.sampled_from(obj.Z_MODES),
-       seed=st.integers(0, 2**32 - 1))
+       weight_mode=st.sampled_from(obj.WEIGHT_MODES), seed=st.integers(0, 2**32 - 1))
 def test_two_lane_step_equals_inline_bit_for_bit(lane_executor, d, hidden, b, activation,
-                                                 weight_mode, z_mode, seed):
+                                                 weight_mode, seed):
     rng = np.random.default_rng(seed)
     specs = (md.MlpSpec((d, *hidden), activation), md.MlpSpec((hidden[-1], 5), head="softmax"),
              md.MlpSpec((hidden[-1], 32, 1), activation, head="sigmoid"))
@@ -456,8 +448,8 @@ def test_two_lane_step_equals_inline_bit_for_bit(lane_executor, d, hidden, b, ac
     def rows():
         return rng.standard_normal((b, d))
     batch = dt.DomainBatch(source_x=rows(), source_y=rng.integers(0, 5, b), unknown_x=rows(),
-                           target_x=rows(), target_aux_x=None if z_mode == "same_batch" else rows())
-    lw, wc = obj.LossWeights(0.3, 1.7, 0.45), obj.WeightConfig(weight_mode, z_mode)
+                           target_x=rows())
+    lw, wc = obj.LossWeights(0.3, 1.7, 0.45), obj.WeightConfig(weight_mode)
     inline = obj.total_step_gradients(batch, params, lw, wc)
     for _ in range(2):  # the second step reuses the worker that ran the first
         two_lane = obj.total_step_gradients(batch, params, lw, wc, lane_executor)
@@ -687,7 +679,7 @@ def reference_ablation(pool, specs, tc, variant, hard_threshold=None):
     of its own and the rejection rule written out; the reference for
     run_ablations."""
     if variant == "no_reweight":
-        tc = replace(tc, weight_config=obj.WeightConfig("uniform", tc.weight_config.z_mode))
+        tc = replace(tc, weight_config=obj.WeightConfig("uniform"))
     result = pl.train(pool, specs, tc)
     params = result.params
     k = params.num_classes
@@ -753,7 +745,7 @@ class TestAblations:
         assert out["no_reweight"][1] is not out["full"][1]
 
     def test_uniform_base_trains_once(self, pool, train_calls):
-        tc = tiny_config(weight_config=obj.WeightConfig("uniform", "fresh_batch"))
+        tc = tiny_config(weight_config=obj.WeightConfig("uniform"))
         out = pl.run_ablations(pool, tiny_specs(), tc, pl.ABLATION_VARIANTS)
         assert train_calls == [tc]
         assert len({id(res) for _, res in out.values()}) == 1
