@@ -62,7 +62,7 @@ TRAIN_FLAGS = {
     "optimizer": Flag("adam", ["adam", "sgd-momentum"]),
     "lambda_d": Flag(0.5, float), "lambda_e": Flag(1.0, float), "lambda_c": Flag(1.0, float),
     "weight_mode": Flag("neg-entropy", ["neg-entropy", "uniform"]),
-    "tail": Flag("block:20", help="block:<size>, top:<fraction>, or none"),
+    "tail": Flag("block:20", help="block:<size>"),
     "hidden": Flag("64,64", help="feature extractor hidden widths, e.g. 64,64"),
     "seed": Flag(0, int),
 }
@@ -104,14 +104,12 @@ def _parse_tail(text):
     if text == "none":
         return None
     kind, _, value = str(text).partition(":")
+    if kind != "block":
+        raise UsageError(f"--tail must be block:<size> or none, got {text!r}")
     try:
-        if kind == "block":
-            return evt.TailConfig(method="block_maxima", block_size=int(value))
-        if kind == "top":
-            return evt.TailConfig(method="top_fraction", fraction=float(value))
+        return evt.TailConfig(int(value))
     except ValueError as e:
         raise UsageError(f"bad --tail value {text!r}: {e}") from e
-    raise UsageError(f"--tail must be block:<size>, top:<fraction>, or none, got {text!r}")
 
 
 def _config_value(key, flag, value):
@@ -231,13 +229,17 @@ def _train_config(cfg) -> pl.TrainConfig:
 
 
 def _training_setup(cfg):
-    """The pool and network specs that train, ablate and sweep share; --hidden
-    is checked before the pool loads."""
+    """The pool and network specs that train, ablate and sweep share; --hidden,
+    and that --out can become a directory, are checked before the pool loads."""
     from . import model as md
 
     hidden = _parse_int_list(cfg["hidden"])
     if not hidden or min(hidden) <= 0:
         raise UsageError(f"--hidden must be one or more positive widths, got {cfg['hidden']!r}")
+    out = Path(cfg["out"])
+    existing = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
     pool, rs = _load_pool(cfg)
     return pool, md.default_specs(pool.feature_dim, rs.num_known, hidden)
 
@@ -445,7 +447,7 @@ COMMANDS = {
                       }, DATA_FLAGS), ("out",)),
     "fit-gev": Command(cmd_fit_gev, "fit a GEV to a file of entropy values", ({
         "input": Flag(None), **OUT_FLAG,
-        "tail": Flag("none", help="block:<size>, top:<fraction>, or none (default)"),
+        "tail": Flag("none", help="block:<size> or none (default)"),
         "seed": Flag(0, int),
     },), ("input", "out")),
     "sweep": Command(cmd_sweep, "grid sweep over the loss weights",

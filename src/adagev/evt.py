@@ -2,11 +2,10 @@
 
 Provides the GEV density/CDF in the unified (location, scale, shape)
 parameterization with a Gumbel code path near shape zero, inverse-CDF
-sampling, tail extraction from entropy samples (block maxima or top
-fraction), maximum-likelihood fitting via Nelder-Mead over
-(l, log s, c), and the rejection threshold for target samples. The rule
-CDF(h) > 0.5 is the same as h > tau, with tau the GEV median, because
-the CDF is monotone.
+sampling, block maxima of entropy samples as the tail, maximum-likelihood
+fitting via Nelder-Mead over (l, log s, c), and the rejection threshold
+for target samples. The rule CDF(h) > 0.5 is the same as h > tau, with
+tau the GEV median, because the CDF is monotone.
 """
 
 from __future__ import annotations
@@ -43,19 +42,13 @@ class GevParams:
 
 @dataclass(frozen=True)
 class TailConfig:
-    """How to turn raw entropy samples into the GEV fitting sample."""
+    """The block size whose maxima are the GEV fitting sample."""
 
-    method: str = "block_maxima"
     block_size: int = 20
-    fraction: float = 0.1
 
     def __post_init__(self):
-        if self.method not in ("block_maxima", "top_fraction"):
-            raise ValueError(f"unknown tail method {self.method!r}")
         if self.block_size < 1:
             raise ValueError("block_size must be positive")
-        if not 0 < self.fraction < 1:
-            raise ValueError("fraction must lie in (0,1)")
 
 
 def gev_t(x, p: GevParams):
@@ -122,32 +115,22 @@ def gev_sample(p: GevParams, n: int, seed: int) -> np.ndarray:
 def tail_size(n_values: int, tc: TailConfig) -> int:
     """How many of ``n_values`` values ``extract_tail`` keeps; FitError when
     that is fewer than MIN_TAIL, so a caller can check before it has them."""
-    if tc.method == "block_maxima":
-        k = n_values // tc.block_size
-        if k < MIN_TAIL:
-            raise FitError(f"block_maxima needs >= {MIN_TAIL} blocks, got {k} "
-                           f"({n_values} values, block size {tc.block_size})")
-        return k
-    k = int(np.ceil(tc.fraction * n_values))
+    k = n_values // tc.block_size
     if k < MIN_TAIL:
-        raise FitError(f"top_fraction retains {k} values, needs >= {MIN_TAIL}")
+        raise FitError(f"block_maxima needs >= {MIN_TAIL} blocks, got {k} "
+                       f"({n_values} values, block size {tc.block_size})")
     return k
 
 
 def extract_tail(entropies, tc: TailConfig, rng_seed: int = 0) -> np.ndarray:
-    """Reduce raw entropy values to the sample the GEV is fitted on.
-
-    block_maxima: deterministic shuffle, partition into blocks of
-    ``block_size``, keep each block's maximum (remainder dropped).
-    top_fraction: keep the ceil(q*N) largest values.
+    """Reduce raw entropy values to the sample the GEV is fitted on: a
+    deterministic shuffle, blocks of ``block_size`` (the remainder dropped)
+    and each block's maximum.
     """
     values = np.asarray(entropies, dtype=np.float64)
     k = tail_size(values.size, tc)
-    if tc.method == "block_maxima":
-        rng = np.random.default_rng(rng_seed)
-        shuffled = rng.permutation(values)[: k * tc.block_size]
-        return shuffled.reshape(k, tc.block_size).max(axis=1)
-    return np.sort(values)[-k:]
+    shuffled = np.random.default_rng(rng_seed).permutation(values)[: k * tc.block_size]
+    return shuffled.reshape(k, tc.block_size).max(axis=1)
 
 
 def _gev_at(l, log_s, c) -> GevParams:

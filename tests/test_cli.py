@@ -6,6 +6,7 @@ import json
 import math
 import os
 import pkgutil
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -35,7 +36,7 @@ def small_data(tmp_path_factory):
              "--source-per-class", "30", "--target-per-class", "20")
     assert rc == 0
     flags = ["--data", str(path), "--epochs", "2", "--batch", "16",
-             "--hidden", "8", "--tail", "top:0.5"]
+             "--hidden", "8", "--tail", "block:2"]
     return path, flags
 
 
@@ -161,7 +162,7 @@ class TestTrain:
         path, _ = small_data
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"epochs": 1, "batch": 16, "hidden": "8",
-                                      "tail": "top:0.5"}))
+                                      "tail": "block:2"}))
         outdir = tmp_path / "run"
         rc = run("train", "--out", str(outdir), "--data", str(path),
                  "--config", str(config), "--batch", "8")
@@ -232,6 +233,22 @@ class TestTrain:
         assert err == ["data error: the 120 source rows cannot give a GEV tail: "
                        "block_maxima needs >= 30 blocks, got 6 (120 values, block size 20)"]
         assert not outdir.exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    @pytest.mark.parametrize("under", [False, True], ids=["at", "under"])
+    def test_out_at_a_file_is_data_error_before_training(self, small_data, tmp_path, capsys,
+                                                         monkeypatch, command, under):
+        def step(*args):
+            raise AssertionError("a training step ran")
+        monkeypatch.setattr(obj, "total_step_gradients", step)
+        _, flags = small_data
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if under else afile
+        assert run(command, "--out", str(out), *flags) == 3
+        assert capsys.readouterr().err == f"data error: --out {out}: {afile} is not a directory\n"
+        assert afile.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [afile]
 
     def test_echo_replays_byte_identical(self, trained_dir, tmp_path):
         outdir = tmp_path / "replay"
@@ -316,7 +333,7 @@ class TestTrain:
         path, _ = small_data
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"epochs": 1.0, "batch": 16, "lambda_e": 1, "hidden": "8",
-                                      "tail": "top:0.5", "optimizer": "sgd-momentum",
+                                      "tail": "block:2", "optimizer": "sgd-momentum",
                                       "seed": None}))
         outdir = tmp_path / "run"
         rc = run("train", "--out", str(outdir), "--data", str(path), "--config", str(config))
@@ -331,7 +348,7 @@ class TestTrain:
         path, _ = small_data
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"epochs": 1, "batch": 16, "lr": 1, "hidden": "8",
-                                      "tail": "top:0.5", "optimizer": "sgd-momentum"}))
+                                      "tail": "block:2", "optimizer": "sgd-momentum"}))
         rc = run("train", "--out", str(tmp_path / "run"), "--data", str(path),
                  "--config", str(config))
         assert rc == 4
@@ -524,7 +541,7 @@ class TestFitGev:
         src.write_text("\n".join(str(v) for v in values))
         out = tmp_path / "fit.json"
         rc = run("fit-gev", "--input", str(src), "--out", str(out),
-                 "--tail", "top:0.1")
+                 "--tail", "block:10")
         assert rc == 0
         assert json.loads(out.read_text())["n_fit"] == 100
 
@@ -584,6 +601,18 @@ class TestFitGev:
                                       f"invalid choice: 'paper-literal'")
             else:
                 assert err == f"error: adagev: unrecognized arguments: {flag} {value}\n"
+            assert not (tmp_path / "o").exists()
+
+    def test_top_fraction_tail_is_usage_error(self, tmp_path, capsys):
+        """--tail top:<fraction> is gone; every command rejects it before it
+        reads a file, so the missing files here would exit 3."""
+        cases = [["fit-gev", "--input", str(tmp_path / "v.txt")]]
+        cases += [[command, "--data", str(tmp_path / "blobs.csv")]
+                  for command in ("train", "ablate", "sweep")]
+        for argv in cases:
+            assert run(*argv, "--out", str(tmp_path / "o"), "--tail", "top:0.5") == 2
+            assert capsys.readouterr().err == (
+                "error: --tail must be block:<size> or none, got 'top:0.5'\n")
             assert not (tmp_path / "o").exists()
 
     def test_degenerate_values(self, tmp_path):
@@ -693,7 +722,7 @@ class TestIdx:
     def test_train_and_eval(self, idx_files, tmp_path):
         outdir = tmp_path / "run"
         assert run("train", "--out", str(outdir), *self.flags(idx_files), "--hidden", "8",
-                   "--epochs", "1", "--batch", "16", "--tail", "top:0.5") == 0
+                   "--epochs", "1", "--batch", "16", "--tail", "block:2") == 0
         ckpt = outdir / "checkpoint.bin"
         assert run("eval", "--checkpoint", str(ckpt), "--out", str(tmp_path / "report.json"),
                    *self.flags(idx_files)) == 0
@@ -708,7 +737,7 @@ class TestIdx:
     def test_label_count_unlike_image_count(self, idx_files, tmp_path, capsys):
         _, labels = write_idx_pair(tmp_path, np.zeros((7, 4, 4)), np.zeros(7))
         rc = run("train", "--out", str(tmp_path / "run"),
-                 *self.flags(dict(idx_files, target_labels=str(labels))), "--tail", "top:0.5")
+                 *self.flags(dict(idx_files, target_labels=str(labels))), "--tail", "block:2")
         assert rc == 3
         assert capsys.readouterr().err == (f"data error: {labels}: 7 labels for the 240 images "
                                            f"of {idx_files['target_images']}\n")
@@ -719,7 +748,7 @@ class TestIdx:
         images.write_bytes(Path(idx_files["source_images"]).read_bytes() + bytes(100))
         out = tmp_path / "run"
         rc = run("train", "--out", str(out), *self.flags(dict(idx_files, source_images=str(images))),
-                 "--tail", "top:0.5")
+                 "--tail", "block:2")
         assert rc == 3
         assert capsys.readouterr().err == (f"data error: {images}: 100 bytes after the "
                                            f"{400 * 16}-byte payload that its header gives\n")
@@ -828,16 +857,34 @@ class TestSweep:
 
 @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
 def test_echo_with_a_removed_key_exits_2(trained_dir, tmp_path, capsys, command):
-    """An echo written before tail_pool or z_mode was removed no longer replays."""
-    for key, value in (("tail_pool", "known-only"), ("z_mode", "same-batch")):
+    """An echo written before tail_pool, z_mode or the top-fraction tail was
+    removed no longer replays."""
+    for key, value, err in (
+            ("tail_pool", "known-only", "unknown config keys: ['tail_pool']"),
+            ("z_mode", "same-batch", "unknown config keys: ['z_mode']"),
+            ("tail", "top:0.1", "--tail must be block:<size> or none, got 'top:0.1'")):
         echo = json.loads((trained_dir / "config.json").read_text())
         echo.update({"command": command, key: value})
         config = tmp_path / f"old_{key}.json"
         config.write_text(json.dumps(echo))
         outdir = tmp_path / f"replay_{key}"
         assert run(command, "--out", str(outdir), "--config", str(config)) == 2
-        assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+        assert capsys.readouterr().err == f"error: {err}\n"
         assert not outdir.exists()
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch):
+    """Every line of the README's "Command line" block exits 0, in order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    assert len(lines) == 6 and all(argv[0] == "adagev" for argv in lines)
+    monkeypatch.chdir(tmp_path)
+    values = evt.gev_sample(evt.GevParams(0.5, 0.2, 0.1), 600, seed=0)
+    Path("entropies.txt").write_text("\n".join(map(repr, values.tolist())) + "\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in lines:
+            assert cli.main(argv[1:]) == 0, argv
 
 
 def test_cli_defaults_match_library_defaults():
@@ -939,7 +986,7 @@ def test_fitting_commands_import_no_scipy(command, tmp_path):
         assert run("gen-data", "--out", str(data), "--source-per-class", "30",
                    "--target-per-class", "20") == 0
         argv = ["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "1",
-                "--batch", "16", "--hidden", "8", "--tail", "top:0.5"]
+                "--batch", "16", "--hidden", "8", "--tail", "block:2"]
     modules_out = tmp_path / "modules.txt"
     done = subprocess.run([sys.executable, "-c", COLD_START, str(modules_out), *argv], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -1016,11 +1063,11 @@ def flag_values(command, key, flag):
         return st.one_of(any_code(st.just("0.1,-0.2")), usage_error(
             st.sampled_from(["", "1", "1,2,3", "a,b", "nan,0", "0,inf"])))
     if key == "tail":
-        return st.one_of(any_code(st.sampled_from(["top:0.5", "block:2", "block:50"])),
+        return st.one_of(any_code(st.sampled_from(["block:1", "block:2", "block:50"])),
                          (any_code if command == "fit-gev" else usage_error)(st.just("none")),
                          usage_error(st.sampled_from(["", "block:", "block:x", "block:0",
-                                                      "top:0", "top:1", "top:nan", "top:",
-                                                      "max:3"])))
+                                                      "top:0.5", "top:0", "top:1", "top:nan",
+                                                      "top:", "max:3"])))
     if key.startswith("grid_"):
         return st.one_of(any_code(st.sampled_from(["0.5", "0,1"])), usage_error(
             st.sampled_from(["", "a", "1,,2", "nan", "0,inf", "-1"])))
@@ -1037,7 +1084,7 @@ def exit_code_setup(tmp_path_factory):
     assert run("gen-data", "--out", data, "--source-per-class", "30",
                "--target-per-class", "20") == 0
     train = ["--data", data, "--epochs", "1", "--batch", "16", "--hidden", "8",
-             "--tail", "top:0.5"]
+             "--tail", "block:2"]
     assert run("train", "--out", str(root / "model"), *train) == 0
     values = root / "values.txt"
     values.write_text("\n".join(map(str, evt.gev_sample(evt.GevParams(1, 0.2, 0.1), 60, 0))))

@@ -133,35 +133,24 @@ class TestSample:
 class TestExtractTail:
     def test_block_maxima_counts(self):
         vals = np.arange(650.0)
-        tail = evt.extract_tail(vals, evt.TailConfig("block_maxima", block_size=20))
+        tail = evt.extract_tail(vals, evt.TailConfig(block_size=20))
         assert tail.size == 32  # 650 // 20 blocks, remainder dropped
 
     def test_block_maxima_deterministic(self):
         vals = np.random.default_rng(0).random(800)
-        tc = evt.TailConfig("block_maxima", block_size=20)
+        tc = evt.TailConfig(block_size=20)
         np.testing.assert_array_equal(evt.extract_tail(vals, tc, rng_seed=5),
                                       evt.extract_tail(vals, tc, rng_seed=5))
 
     def test_block_maxima_too_few_blocks(self):
         with pytest.raises(evt.FitError):
-            evt.extract_tail(np.random.default_rng(0).random(100),
-                             evt.TailConfig("block_maxima", block_size=20))
+            evt.extract_tail(np.random.default_rng(0).random(100), evt.TailConfig(block_size=20))
 
-    def test_top_fraction_values(self):
-        vals = np.arange(1000.0)
-        tail = evt.extract_tail(vals, evt.TailConfig("top_fraction", fraction=0.1))
-        np.testing.assert_array_equal(tail, np.arange(900.0, 1000.0))
-
-    def test_top_fraction_too_few(self):
-        with pytest.raises(evt.FitError):
-            evt.extract_tail(np.arange(100.0), evt.TailConfig("top_fraction", fraction=0.1))
-
-    @pytest.mark.parametrize("tc", [evt.TailConfig("block_maxima", block_size=20),
-                                    evt.TailConfig("top_fraction", fraction=0.1)])
+    @pytest.mark.parametrize("tc", [evt.TailConfig(block_size=20), evt.TailConfig(block_size=10)])
     @pytest.mark.parametrize("n", [0, 290, 291, 599, 600, 1000])
     def test_tail_size_is_the_extracted_size(self, tc, n):
         vals = np.random.default_rng(n).random(n)
-        expected = n // 20 if tc.method == "block_maxima" else int(np.ceil(0.1 * n))
+        expected = n // tc.block_size
         if expected < evt.MIN_TAIL:
             with pytest.raises(evt.FitError):
                 evt.tail_size(n, tc)
@@ -172,11 +161,7 @@ class TestExtractTail:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            evt.TailConfig("bogus")
-        with pytest.raises(ValueError):
             evt.TailConfig(block_size=0)
-        with pytest.raises(ValueError):
-            evt.TailConfig(fraction=1.5)
 
 
 class TestFit:

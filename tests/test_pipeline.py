@@ -32,9 +32,8 @@ def tiny_specs():
 
 
 def tiny_config(**kw):
-    # the tiny pool is too small for block maxima; fit on the top half
-    base = dict(epochs=2, batch_size=16, seed=0,
-                tail_config=evt.TailConfig("top_fraction", fraction=0.5))
+    # the tiny pool is too small for the default blocks of 20; use blocks of 2
+    base = dict(epochs=2, batch_size=16, seed=0, tail_config=evt.TailConfig(2))
     base.update(kw)
     return pl.TrainConfig(**base)
 
@@ -408,7 +407,7 @@ class TestTrainingLanes:
         dt.save_blobs(tmp_path / "blobs.csv", sx, sy, tx, ty)
         rc = cli.main(["train", "--data", str(tmp_path / "blobs.csv"), "--out",
                        str(tmp_path / "run"), "--hidden", "256,256", "--batch", str(LANE_BATCH),
-                       "--epochs", "5", "--tail", "top:0.5"])
+                       "--epochs", "5", "--tail", "block:2"])
         assert rc == 4 and len(pools_opened) == 1
         err = capsys.readouterr().err
         assert re.fullmatch(r"numerical failure: training diverged at epoch \d+, iteration "
