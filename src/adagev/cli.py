@@ -18,6 +18,10 @@ tail (in train or fit-gev) exit 3; training that diverges, a forward pass
 that overflows and a GEV fit that fails exit 4. train, ablate, sweep, eval
 and fit-gev check their flag values before they read a data file or a
 checkpoint, so there a value invalid on its own exits 2 whatever the files.
+Next, before any data is read or generated, every command checks that --out
+can be written: a directory it needs where a file is, or an output file at
+an existing directory, exits 3 at once, in one line naming --out and that
+path.
 
 What loads when: ``--help`` and argparse's usage errors exit after loading
 only the standard library, the package ``__init__`` and ``autodiff``, which
@@ -179,8 +183,23 @@ def _split_from(cfg) -> dt.RoleSplit:
     )
 
 
-def _load_pool(cfg, target_only=False):
-    """The role split and its pools, with float64 features.
+def _check_out(out, is_file):
+    """Refuse an --out that cannot be written, creating nothing: an output
+    file at an existing directory, or a directory to hold the output (the
+    file's parent, or ``out`` itself) under a path that is not a directory."""
+    out = Path(out)
+    if is_file and out.is_dir():
+        raise IsADirectoryError(f"--out {out}: {out} is a directory")
+    folder = out.parent if is_file else out
+    existing = next((p for p in (folder, *folder.parents) if p.exists()), folder)
+    if not existing.is_dir():
+        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
+
+
+def _load_pool(cfg, out_is_file, target_only=False):
+    """The role split and its pools, with float64 features. The role and data
+    flags are checked first, then --out (see ``_check_out``); then the files
+    are read.
 
     IDX pixels stay uint8 until ``apply_roles`` has picked the rows; then
     each kept pool is scaled to [0, 1], once. With ``target_only`` the
@@ -193,12 +212,13 @@ def _load_pool(cfg, target_only=False):
     from . import data as dt
 
     rs = _split_from(cfg)
+    idx_keys = ("source_images", "source_labels", "target_images", "target_labels")
+    if not (cfg.get("data") or all(cfg.get(k) for k in idx_keys)):
+        raise UsageError("provide either --data or all four IDX paths")
+    _check_out(cfg["out"], out_is_file)
     if cfg.get("data"):
         pool = dt.apply_roles(*dt.load_blobs(cfg["data"]), rs)
     else:
-        idx_keys = ("source_images", "source_labels", "target_images", "target_labels")
-        if not all(cfg.get(k) for k in idx_keys):
-            raise UsageError("provide either --data or all four IDX paths")
         pool = dt.apply_roles(*dt.read_idx(cfg["source_images"], cfg["source_labels"]),
                               *dt.read_idx(cfg["target_images"], cfg["target_labels"]), rs)
     if target_only:
@@ -229,18 +249,15 @@ def _train_config(cfg) -> pl.TrainConfig:
 
 
 def _training_setup(cfg):
-    """The pool and network specs that train, ablate and sweep share; --hidden,
-    and that --out can become a directory, are checked before the pool loads."""
+    """The pool and network specs that train, ablate and sweep share; --hidden
+    is checked before the pool loads, and --out must be able to become a
+    directory."""
     from . import model as md
 
     hidden = _parse_int_list(cfg["hidden"])
     if not hidden or min(hidden) <= 0:
         raise UsageError(f"--hidden must be one or more positive widths, got {cfg['hidden']!r}")
-    out = Path(cfg["out"])
-    existing = next((p for p in (out, *out.parents) if p.exists()), out)
-    if not existing.is_dir():
-        raise NotADirectoryError(f"--out {out}: {existing} is not a directory")
-    pool, rs = _load_pool(cfg)
+    pool, rs = _load_pool(cfg, out_is_file=False)
     return pool, md.default_specs(pool.feature_dim, rs.num_known, hidden)
 
 
@@ -288,6 +305,7 @@ def cmd_gen_data(cfg) -> int:
         source_per_class=cfg["source_per_class"],
         target_per_class=cfg["target_per_class"], seed=cfg["seed"],
     )
+    _check_out(cfg["out"], is_file=True)
     src_x, src_y, tgt_x, tgt_y = dt.gen_shifted_blobs(bc)
     out = Path(cfg["out"])
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -327,7 +345,7 @@ def cmd_eval(cfg) -> int:
     from . import model as md
     from . import pipeline as pl
 
-    pool, rs = _load_pool(cfg, target_only=True)
+    pool, rs = _load_pool(cfg, out_is_file=True, target_only=True)
     params, gev = md.load_checkpoint(cfg["checkpoint"])
     if gev is None:
         raise dt.DataError(f"{cfg['checkpoint']}: no GEV section; cannot evaluate")
@@ -364,6 +382,7 @@ def cmd_fit_gev(cfg) -> int:
     from . import evt
 
     tail = _parse_tail(cfg["tail"])
+    _check_out(cfg["out"], is_file=True)
     values = dt.load_reals(cfg["input"])
     try:  # too few values is a data error, as in train; a fit that fails is numerical
         if tail is not None:

@@ -15,15 +15,16 @@ before it opens the file, what the reader would reject: features that are
 not finite, rows without a feature, label counts unlike row counts, a
 domain without rows, domains of different widths and labels beyond int64.
 
-The blobs CSV reader takes CSV_BLOCK_ROWS lines at a time and checks
-and converts each block's columns at once, with ``float`` and ``int`` as
-the converters, so it accepts exactly the files that a row-at-a-time
-reader with the same checks accepts, and holds the strings of one block
-only. Every rejection is a DataError naming the file and the first
-defective line (``file:line``), found by checking the rows of the block
-that holds it one at a time. Only a rejected file is decoded whole once
-more, so that a byte that is not UTF-8 is reported, at its position in
-the file, before any row defect.
+The blobs CSV reader reads the body in one call of numpy's C text reader,
+which gives the values ``float`` and ``int`` give but accepts fewer
+spellings. Its result is kept when every domain is 'source' or 'target',
+every feature is finite and the file holds no NUL (numpy drops a string
+field's trailing NULs). Any other file (numpy erred or warned, or a check
+failed; none that ``save_blobs`` writes) goes to the row reader: it checks
+each row with ``float`` and ``int``, CSV_BLOCK_ROWS lines at a time, and
+takes about four times as long. A rejection is a DataError naming the file
+and the first defective line (``file:line``), with a row-at-a-time reader's
+messages; a byte that is not UTF-8 is reported first, wherever it is.
 
 An IDX file is read whole and its payload taken as a uint8 view of those
 bytes, not copied; a file shorter or longer than its header says is a
@@ -40,6 +41,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
@@ -231,60 +233,57 @@ def _read_text(path) -> str:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
 
 
-def _parse_rows(rows: list[str]):
-    """(features, labels, is_source) of stripped nonblank rows, or None if any
-    row is defective.
-
-    Each check runs over all rows at once, with ``float`` and ``int`` as the
-    converters; which row is at fault is left to ``_raise_first_defect``.
-    """
-    n = len(rows)
-    if not n:
-        return np.empty((0, 0)), np.empty(0, np.int64), np.empty(0, bool)
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, n)
-    if commas[0] < 2 or (commas != commas[0]).any():
+def _read_c(path, f, body):
+    """(features, labels, is_source) of the body lines, which start at
+    position ``body`` of ``f``, from one call of numpy's C text reader, or
+    None where numpy refuses them or a check fails."""
+    width = next(filter(str.strip, iter(f.readline, "")), "").count(",") + 1
+    if width < 3:
         return None
-    width = int(commas[0]) + 1
-    cells = ",".join(rows).split(",")
-    domains = cells[0::width]
-    if not {"source", "target"}.issuperset(domains):
-        return None
-    is_source = np.fromiter(map("source".__eq__, domains), bool, n)
-    del cells[0::width]
-    labels = cells[0::width - 1]
-    del cells[0::width - 1]
+    f.seek(body)
+    dtype = [("domain", "U7"), ("label", np.int64), ("x", np.float64, (width - 2,))]
     try:
-        x = np.fromiter(map(float, cells), np.float64, len(cells)).reshape(n, width - 2)
-        y = np.fromiter(map(int, labels), np.int64, n)
-    except (ValueError, OverflowError):  # OverflowError: a label beyond int64
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(f, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, TypeError, Warning):  # UnicodeDecodeError is a ValueError
         return None
-    if not np.isfinite(x).all():
-        return None
-    return x, y, is_source
+    with open(path, "rb") as raw:  # numpy drops a string field's trailing NULs
+        nul = any(b"\0" in chunk for chunk in iter(lambda: raw.read(1 << 20), b""))
+    is_source = rows["domain"] == "source"
+    ok = (is_source | (rows["domain"] == "target")).all() and np.isfinite(rows["x"]).all()
+    return (rows["x"], rows["label"], is_source) if ok and not nul else None
 
 
-def _raise_first_defect(path, lines: list[str], lineno: int, width: int) -> None:
-    """Check stripped body lines one by one and raise the first defect; the
-    first line is line ``lineno`` of the file, and a row must have ``width``
-    cells, as the file's first row has."""
-    for lineno, line in enumerate(lines, start=lineno):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) < 3 or parts[0] not in ("source", "target"):
-            raise DataError(f"{path}:{lineno}: malformed row")
-        if len(parts) != width:
-            raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
-                            f"the first row has {width - 2}")
-        try:
-            feats = [float(v) for v in parts[2:]]
-            label = int(parts[1])
-        except ValueError as e:
-            raise DataError(f"{path}:{lineno}: {e}") from e
-        if not all(map(math.isfinite, feats)):
-            raise DataError(f"{path}:{lineno}: non-finite feature")
-        if not -2 ** 63 <= label < 2 ** 63:
-            raise DataError(f"{path}:{lineno}: class label out of range")
+def _read_rows(path, f):
+    """(features, labels, is_source) of the body lines of ``f``, read
+    CSV_BLOCK_ROWS at a time and checked one by one with ``float`` and ``int``;
+    the first defective line is a DataError."""
+    feats, labels, is_source, width, lineno = [], [], [], None, 1
+    while lines := list(islice(f, CSV_BLOCK_ROWS)):
+        for lineno, line in enumerate(map(str.strip, lines), start=lineno + 1):
+            if not line:
+                continue
+            parts = line.split(",")
+            width = width or len(parts)
+            if len(parts) < 3 or parts[0] not in ("source", "target"):
+                raise DataError(f"{path}:{lineno}: malformed row")
+            if len(parts) != width:
+                raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
+                                f"the first row has {width - 2}")
+            try:
+                row = [float(v) for v in parts[2:]]
+                label = int(parts[1])
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from e
+            if not all(map(math.isfinite, row)):
+                raise DataError(f"{path}:{lineno}: non-finite feature")
+            if not -2 ** 63 <= label < 2 ** 63:
+                raise DataError(f"{path}:{lineno}: class label out of range")
+            feats.append(row)
+            labels.append(label)
+            is_source.append(parts[0] == "source")
+    return np.array(feats, np.float64), np.array(labels, np.int64), np.array(is_source, bool)
 
 
 def load_blobs(path):
@@ -296,24 +295,20 @@ def load_blobs(path):
     A defective file raises DataError naming its first defective line, or
     its first byte that is not UTF-8, wherever that byte is.
     """
-    blocks, lineno, width = [], 2, None
     try:
         with open(path, "r", encoding="utf-8") as f:
             header = f.readline().removesuffix("\n")
             if header != EXPORT_HEADER:
                 raise DataError(f"{path}: bad header {header!r}")
-            while lines := list(map(str.strip, islice(f, CSV_BLOCK_ROWS))):
-                if rows := list(filter(None, lines)):
-                    width = width or rows[0].count(",") + 1
-                    parsed = _parse_rows(rows)
-                    if parsed is None or parsed[0].shape[1] != width - 2:
-                        _raise_first_defect(path, lines, lineno, width)
-                    blocks.append(parsed)
-                lineno += len(lines)
+            body = f.tell()
+            parsed = _read_c(path, f, body)
+            if parsed is None:
+                f.seek(body)
+                parsed = _read_rows(path, f)
     except (DataError, UnicodeDecodeError):
         _read_text(path)  # a byte that is not UTF-8, anywhere in the file, is reported first
         raise
-    x, y, is_source = map(np.concatenate, zip(*blocks)) if blocks else _parse_rows([])
+    x, y, is_source = parsed
     out = []
     for domain, mask in (("source", is_source), ("target", ~is_source)):
         if not mask.any():
@@ -394,7 +389,10 @@ def apply_roles(source_x, source_y, target_x, target_y, rs: RoleSplit) -> Datase
     if np.shape(source_x)[1:] != np.shape(target_x)[1:]:
         raise DataError(f"source samples have shape {np.shape(source_x)[1:]}, "
                         f"target samples {np.shape(target_x)[1:]}")
-    src_classes, tgt_classes = (set(np.unique(y).tolist()) for y in (source_y, target_y))
+    # the classes present, found with isin: np.unique would load numpy.ma
+    ids = [c for c in {*rs.known, *rs.source_unknown, *rs.target_unknown} if -2**63 <= c < 2**63]
+    src_classes, tgt_classes = ({c for c, hit in zip(ids, np.isin(ids, y).tolist()) if hit}
+                                for y in (source_y, target_y))
     for c in rs.known:
         if c not in src_classes or c not in tgt_classes:
             raise DataError(f"known class {c} missing from source or target")

@@ -695,6 +695,49 @@ def test_out_of_memory_exits_3(small_data, tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "gen-data", "fit-gev"])
+@pytest.mark.parametrize("blocked", ["under a file", "a directory"])
+def test_unusable_out_file_exits_3_before_any_data_is_read(small_data, trained_dir, tmp_path,
+                                                           monkeypatch, capsys, command,
+                                                           blocked):
+    def loader(*args, **kwargs):
+        raise AssertionError("data was read or generated")
+    for module, name in ((dt, "load_blobs"), (dt, "gen_shifted_blobs"), (dt, "load_reals"),
+                         (md, "load_checkpoint")):
+        monkeypatch.setattr(module, name, loader)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    if blocked == "under a file":
+        out, blocker, reason = afile / "out.json", afile, "is not a directory"
+    else:
+        out = blocker = tmp_path / "adir"
+        out.mkdir()
+        reason = "is a directory"
+    path, _ = small_data
+    flags = {"eval": ["--data", str(path), "--checkpoint", str(trained_dir / "checkpoint.bin")],
+             "gen-data": [], "fit-gev": ["--input", str(tmp_path / "values.txt")]}[command]
+    before = sorted(tmp_path.rglob("*"))
+    assert run(command, *flags, "--out", str(out)) == 3
+    assert capsys.readouterr().err == f"data error: --out {out}: {blocker} {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before and afile.read_text() == "kept\n"
+
+
+def test_eval_leaves_numpy_ma_unloaded(small_data, trained_dir, tmp_path):
+    """adagev eval, run as `python -m adagev.cli`, loads no numpy.ma (np.unique would)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    path, _ = small_data
+    modules_out = tmp_path / "modules.txt"
+    argv = ["eval", "--data", str(path), "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--out", str(tmp_path / "report.json")]
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(modules_out), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = modules_out.read_text(encoding="utf-8").splitlines()
+    assert "adagev.data" in loaded
+    assert "numpy.ma" not in loaded
+
+
 class TestIdx:
     @pytest.fixture(scope="class")
     def idx_files(self, tmp_path_factory):
@@ -770,17 +813,18 @@ class TestIdx:
     def test_pools_equal_load_idx_bit_for_bit(self, tmp_path):
         paths = self.write_pairs(tmp_path, (60, 50), (4, 4))
         cfg = {key: flag.default for key, flag in cli.SPLIT_FLAGS.items()} | paths
+        cfg["out"] = str(tmp_path / "out")
         expected = dt.apply_roles(*dt.load_idx(paths["source_images"], paths["source_labels"]),
                                   *dt.load_idx(paths["target_images"], paths["target_labels"]),
                                   dt.digits_split())
-        pool, _ = cli._load_pool(cfg)
+        pool, _ = cli._load_pool(cfg, out_is_file=False)
         for key in ("source_known_x", "source_known_y", "source_unknown_x", "target_x"):
             got, want = getattr(pool, key), getattr(expected, key)
             assert got.dtype == want.dtype and got.shape == want.shape, key
             assert got.tobytes() == want.tobytes(), key
         assert pool.eval_target_roles().tolist() == expected.eval_target_roles().tolist()
 
-        target, _ = cli._load_pool(cfg, target_only=True)
+        target, _ = cli._load_pool(cfg, out_is_file=True, target_only=True)
         assert target.target_x.dtype == np.float64
         assert target.target_x.tobytes() == expected.target_x.tobytes()
         assert target.eval_target_roles().tolist() == expected.eval_target_roles().tolist()
@@ -793,9 +837,10 @@ class TestIdx:
         near the float64 bytes of the kept rows."""
         paths = self.write_pairs(tmp_path, (6000, 2000), (28, 28))
         cfg = {key: flag.default for key, flag in cli.SPLIT_FLAGS.items()} | paths
+        cfg["out"] = str(tmp_path / "out")
         tracemalloc.start()
         try:
-            pool, _ = cli._load_pool(cfg)
+            pool, _ = cli._load_pool(cfg, out_is_file=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

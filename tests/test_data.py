@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 from contextlib import contextmanager
 from unittest import mock
 
@@ -477,6 +478,101 @@ def test_label_beyond_int64_is_data_error(tmp_path):
     path.write_bytes(HEADER + b"source,0,1.0\ntarget," + b"9" * 25 + b",1.0\n")
     with pytest.raises(dt.DataError, match=r"big\.csv:3: class label out of range"):
         dt.load_blobs(path)
+
+
+def no_row_reader(path, f):
+    raise AssertionError("the row reader ran")
+
+
+EDGE_FEATURES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@given(st.integers(1, 4), st.lists(st.integers(1, 40), min_size=2, max_size=2),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_c_pass_reads_what_save_blobs_writes(tmp_path_factory, width, counts, data):
+    """Every file save_blobs writes is read by the C pass alone, bit for bit."""
+    features = st.one_of(st.sampled_from(EDGE_FEATURES),
+                         st.floats(allow_nan=False, allow_infinity=False))
+    labels = st.one_of(st.sampled_from([INT64.min, INT64.max, 0, -1]),
+                       st.integers(INT64.min, INT64.max))
+    arrays = []
+    for n in counts:
+        arrays.append(np.array(data.draw(st.lists(st.lists(features, min_size=width,
+                                                           max_size=width),
+                                                  min_size=n, max_size=n)), np.float64))
+        arrays.append(np.array(data.draw(st.lists(labels, min_size=n, max_size=n)), np.int64))
+    path = tmp_path_factory.mktemp("c_pass") / "blobs.csv"
+    dt.save_blobs(path, *arrays)
+    with mock.patch.object(dt, "_read_rows", no_row_reader):
+        got = dt.load_blobs(path)
+    for want, x in zip(arrays, got, strict=True):
+        assert x.dtype == want.dtype and x.shape == want.shape
+        assert x.tobytes() == want.tobytes()
+
+
+# One file for each way that the C pass refuses a body, or would lose what
+# the row reader sees (a NUL after a domain).
+REFUSED_BODIES = {
+    "indented row": ["source,0,1.5", "  target,1,2.5"],
+    "whitespace-only line": ["source,0,1.5", " \t", "target,1,2.5"],
+    "underscore": ["source,0,2_0", "target,1,2.5"],
+    "full-width digit": ["source,0,１.5", "target,1,2.5"],
+    "float label": ["source,1.0,1.5", "target,1,2.5"],
+    "label beyond int64": ["source,0,1.5", "target,9223372036854775808,2.5"],
+    "ragged row": ["source,0,1.5", "target,1,2.5,3.5"],
+    "nan": ["source,0,1.5", "target,1,nan"],
+    "empty body": [],
+    "blank body": ["", "  "],
+    "two cells": ["source,0", "target,1"],
+    "NUL after a domain": ["source,0,1.5", "target\0,1,2.5"],
+    "padded domain": ["source ,0,1.5", "target,1,2.5"],
+}
+
+
+@pytest.mark.parametrize("lines", REFUSED_BODIES.values(), ids=REFUSED_BODIES)
+def test_c_pass_refusals_read_like_reference(tmp_path, lines):
+    path = tmp_path / "refused.csv"
+    path.write_text("\n".join([dt.EXPORT_HEADER, *lines]) + "\n", encoding="utf-8")
+    with open(path, encoding="utf-8") as f:
+        f.readline()
+        assert dt._read_c(path, f, f.tell()) is None
+    assert_loads_like_reference(path)
+
+
+@pytest.mark.parametrize("raw", [HEADER.replace(b"\n", b"\r") + b"source,0,1.5\rtarget,1,2.5\r",
+                                 HEADER + b"source,0,x\ntarget,1,2.5\xff\n"],
+                         ids=["bare CR", "non-UTF-8 after a defect"])
+def test_odd_bytes_read_like_reference(tmp_path, raw):
+    """Bare '\r' endings reach numpy as '\n' through the text layer, so the
+    C pass reads them; a byte that is not UTF-8 is reported before the row
+    defect that precedes it."""
+    path = tmp_path / "odd.csv"
+    path.write_bytes(raw)
+    assert_loads_like_reference(path)
+
+
+def test_warning_in_the_c_pass_sends_the_file_to_the_row_reader(tmp_path, monkeypatch):
+    """numpy < 2 warns where it reads an integer out of a float; the
+    warning stands in for that here."""
+    loadtxt, read_rows, calls = np.loadtxt, dt._read_rows, []
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("string or file could not be read to its end", DeprecationWarning)
+        return loadtxt(*args, **kwargs)
+
+    def counted_read_rows(path, f):
+        calls.append(path)
+        return read_rows(path, f)
+
+    monkeypatch.setattr(dt.np, "loadtxt", warning_loadtxt)
+    monkeypatch.setattr(dt, "_read_rows", counted_read_rows)
+    path = tmp_path / "blobs.csv"
+    dt.save_blobs(path, [[1.5], [-0.0]], [0, 1], [[2.5]], [INT64.max])
+    with warnings.catch_warnings():  # the warning counts whatever the caller's filters
+        warnings.simplefilter("ignore")
+        assert_loads_like_reference(path)
+    assert calls == [path]
 
 
 def test_idx_dims_product_beyond_int64_is_truncation(tmp_path):
