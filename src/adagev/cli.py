@@ -1,5 +1,5 @@
-"""Command-line surface: data generation, training, evaluation, ablations,
-GEV fitting, and loss-weight sweeps.
+"""Command-line surface: data generation, training, evaluation, GEV fitting,
+and ablations over a loss-weight grid.
 
 Every run writes a config echo (config.json) holding all resolved values,
 so any run can be reproduced exactly by replaying the echoed config.
@@ -15,8 +15,8 @@ resource failure as an OSError is, 3 ("out of memory"). So a flag or config
 value invalid on its own exits 2; a conflict with a data file or a
 checkpoint, an unreadable or damaged file, and too few values for the GEV
 tail (in train or fit-gev) exit 3; training that diverges, a forward pass
-that overflows and a GEV fit that fails exit 4. train, ablate, sweep, eval
-and fit-gev check their flag values before they read a data file or a
+that overflows and a GEV fit that fails exit 4. train, ablate, eval and
+fit-gev check their flag values before they read a data file or a
 checkpoint, so there a value invalid on its own exits 2 whatever the files.
 Next, before any data is read or generated, every command checks that --out
 can be written: a directory it needs where a file is, or an output file at
@@ -76,6 +76,7 @@ DATA_FLAGS = {
     "target_images": Flag(None), "target_labels": Flag(None),
 }
 OUT_FLAG = {"out": Flag(None)}
+VARIANTS = ("full", "no-reweight", "no-evt-binary", "hard-threshold")
 
 
 class UsageError(ValueError):
@@ -249,8 +250,8 @@ def _train_config(cfg) -> pl.TrainConfig:
 
 
 def _training_setup(cfg):
-    """The pool and network specs that train, ablate and sweep share; --hidden
-    is checked before the pool loads, and --out must be able to become a
+    """The pool and network specs that train and ablate share; --hidden is
+    checked before the pool loads, and --out must be able to become a
     directory."""
     from . import model as md
 
@@ -360,23 +361,6 @@ def cmd_eval(cfg) -> int:
     return 0
 
 
-def cmd_ablate(cfg) -> int:
-    from . import pipeline as pl
-
-    variant = cfg["variant"].replace("-", "_")
-    tc = _train_config(cfg)
-    pl.check_ablations((variant,), cfg["tau"])
-    pool, specs = _training_setup(cfg)
-    report, result = pl.run_ablations(pool, specs, tc, (variant,), cfg["tau"])[variant]
-    outdir = Path(cfg["out"])
-    _write_json(outdir / "report.json",
-                _report_payload(report, result.gev, cfg, label=cfg["variant"]))
-    _write_json(outdir / "config.json", {"command": "ablate", **cfg})
-    print(f"variant={cfg['variant']} OS={report.os_score:.4f} "
-          f"OS*={report.os_star:.4f} UNK={report.unk_recall}")
-    return 0
-
-
 def cmd_fit_gev(cfg) -> int:
     from . import data as dt
     from . import evt
@@ -415,12 +399,24 @@ def _grid(cfg, key):
     return values
 
 
-def cmd_sweep(cfg) -> int:
+def _variants(text):
+    """The --variant list: one or more of VARIANTS, none of them twice."""
+    names = str(text).split(",")
+    if not set(names) <= set(VARIANTS) or len(set(names)) < len(names):
+        raise UsageError(f"--variant must list distinct variants of {', '.join(VARIANTS)}, "
+                         f"got {text!r}")
+    return names
+
+
+def cmd_ablate(cfg) -> int:
     from . import pipeline as pl
 
-    # the flag values are checked even where a grid replaces them, and every
-    # grid point before the data loads
+    # the flag values are checked even where a grid replaces them; then the
+    # variants, --tau and every grid point, all before the data loads
     _train_config(cfg)
+    variants = _variants(cfg["variant"])
+    names = [v.replace("-", "_") for v in variants]
+    pl.check_ablations(names, cfg["tau"])
     points = [dict(cfg, lambda_d=ld, lambda_e=le, lambda_c=lc)
               for ld, le, lc in itertools.product(*(_grid(cfg, key) for key in
                                                     ("lambda_d", "lambda_e", "lambda_c")))]
@@ -430,20 +426,24 @@ def cmd_sweep(cfg) -> int:
     outdir = Path(cfg["out"])
     summary = []
     for idx, (point, tc) in enumerate(zip(points, configs)):
-        result = pl.train(pool, specs, tc)
-        report = pl.evaluate(result.params, result.gev, pool)
-        _write_json(outdir / f"report_{idx:03d}.json", _report_payload(report, result.gev, point))
-        summary.append({"index": idx, "lambda_d": point["lambda_d"],
-                        "lambda_e": point["lambda_e"], "lambda_c": point["lambda_c"],
-                        "OS": report.os_score, "OS_star": report.os_star,
-                        "UNK": report.unk_recall})
+        results = pl.run_ablations(pool, specs, tc, names, cfg["tau"])
+        for variant, name in zip(variants, names):
+            report, result = results[name]
+            _write_json(outdir / f"report_{idx:03d}_{variant}.json",
+                        _report_payload(report, result.gev, point, label=variant))
+            summary.append({"index": idx, "variant": variant, "lambda_d": point["lambda_d"],
+                            "lambda_e": point["lambda_e"], "lambda_c": point["lambda_c"],
+                            "OS": report.os_score, "OS_star": report.os_star,
+                            "UNK": report.unk_recall})
     _write_json(outdir / "summary.json", {"points": summary})
-    _write_json(outdir / "config.json", {"command": "sweep", **cfg})
-    print(f"{'idx':>4} {'l_d':>6} {'l_e':>6} {'l_c':>6} {'OS':>8} {'OS*':>8} {'UNK':>8}")
+    _write_json(outdir / "config.json", {"command": "ablate", **cfg})
+    print(f"{'idx':>4} {'variant':<14} {'l_d':>6} {'l_e':>6} {'l_c':>6} "
+          f"{'OS':>8} {'OS*':>8} {'UNK':>8}")
     for row in summary:
         unk = f"{row['UNK']:.4f}" if row["UNK"] is not None else "  n/a"
-        print(f"{row['index']:>4} {row['lambda_d']:>6.2f} {row['lambda_e']:>6.2f} "
-              f"{row['lambda_c']:>6.2f} {row['OS']:>8.4f} {row['OS_star']:>8.4f} {unk:>8}")
+        print(f"{row['index']:>4} {row['variant']:<14} {row['lambda_d']:>6.2f} "
+              f"{row['lambda_e']:>6.2f} {row['lambda_c']:>6.2f} {row['OS']:>8.4f} "
+              f"{row['OS_star']:>8.4f} {unk:>8}")
     return 0
 
 
@@ -458,22 +458,18 @@ COMMANDS = {
     "eval": Command(cmd_eval, "evaluate a checkpoint on a target pool",
                     (SPLIT_FLAGS, {"checkpoint": Flag(None)}, OUT_FLAG, DATA_FLAGS),
                     ("checkpoint", "out")),
-    "ablate": Command(cmd_ablate, "train and evaluate an ablation variant",
+    "ablate": Command(cmd_ablate, "train and evaluate ablation variants over a grid",
                       (TRAIN_FLAGS, SPLIT_FLAGS, OUT_FLAG, {
-                          "variant": Flag("full", ["full", "no-reweight", "no-evt-binary",
-                                                   "hard-threshold"]),
+                          "variant": Flag("full", help=f"comma list of {', '.join(VARIANTS)}"),
                           "tau": Flag(None, float, "entropy threshold for hard-threshold"),
+                          "grid_lambda_d": Flag(None), "grid_lambda_e": Flag(None),
+                          "grid_lambda_c": Flag(None),
                       }, DATA_FLAGS), ("out",)),
     "fit-gev": Command(cmd_fit_gev, "fit a GEV to a file of entropy values", ({
         "input": Flag(None), **OUT_FLAG,
         "tail": Flag("none", help="block:<size> or none (default)"),
         "seed": Flag(0, int),
     },), ("input", "out")),
-    "sweep": Command(cmd_sweep, "grid sweep over the loss weights",
-                     (TRAIN_FLAGS, SPLIT_FLAGS, OUT_FLAG, {
-                         "grid_lambda_d": Flag(None), "grid_lambda_e": Flag(None),
-                         "grid_lambda_c": Flag(None),
-                     }, DATA_FLAGS), ("out",)),
 }
 
 

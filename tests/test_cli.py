@@ -234,7 +234,7 @@ class TestTrain:
                        "block_maxima needs >= 30 blocks, got 6 (120 values, block size 20)"]
         assert not outdir.exists()
 
-    @pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+    @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("under", [False, True], ids=["at", "under"])
     def test_out_at_a_file_is_data_error_before_training(self, small_data, tmp_path, capsys,
                                                          monkeypatch, command, under):
@@ -462,7 +462,7 @@ class TestAblate:
         outdir = tmp_path / "abl"
         rc = run("ablate", "--out", str(outdir), "--variant", "no-reweight", *flags)
         assert rc == 0
-        report = json.loads((outdir / "report.json").read_text())
+        report = json.loads((outdir / "report_000_no-reweight.json").read_text())
         assert report["variant"] == "no-reweight"
 
     def test_hard_threshold_tau(self, small_data, tmp_path):
@@ -471,7 +471,7 @@ class TestAblate:
         rc = run("ablate", "--out", str(outdir), "--variant", "hard-threshold",
                  "--tau", "0.0", *flags)
         assert rc == 0
-        report = json.loads((outdir / "report.json").read_text())
+        report = json.loads((outdir / "report_000_hard-threshold.json").read_text())
         assert report["UNK"] == 1.0  # tau 0 rejects everything
 
     def test_tau_without_hard_threshold_is_usage_error(self, small_data, tmp_path, capsys,
@@ -507,7 +507,8 @@ class TestAblate:
         assert run("ablate", "--out", str(first), "--variant", "full", *flags) == 0
         assert json.loads((first / "config.json").read_text())["tau"] is None
         assert run("ablate", "--out", str(second), "--config", str(first / "config.json")) == 0
-        reports = [json.loads((d / "report.json").read_text()) for d in (first, second)]
+        reports = [json.loads((d / "report_000_full.json").read_text())
+                   for d in (first, second)]
         for r in reports:
             r.pop("config")
         assert reports[0] == reports[1]
@@ -520,6 +521,138 @@ class TestAblate:
         assert rc == 2
         assert "hard_threshold must be finite" in capsys.readouterr().err
         assert not outdir.exists()
+
+    def test_grid(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        outdir = tmp_path / "grid"
+        rc = run("ablate", "--out", str(outdir), "--grid-lambda-d", "0.0,0.5",
+                 "--epochs", "1", *flags)
+        assert rc == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert len(summary["points"]) == 2
+        assert {p["lambda_d"] for p in summary["points"]} == {0.0, 0.5}
+        assert {p["variant"] for p in summary["points"]} == {"full"}
+        assert (outdir / "report_000_full.json").exists()
+        assert (outdir / "report_001_full.json").exists()
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].split() == ["idx", "variant", "l_d", "l_e", "l_c", "OS", "OS*", "UNK"]
+        assert [line.split()[:3] for line in out[1:]] == [["0", "full", "0.00"],
+                                                          ["1", "full", "0.50"]]
+
+    def test_lambda_under_a_grid_is_still_checked(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        outdir = tmp_path / "grid"
+        rc = run("ablate", "--out", str(outdir), "--grid-lambda-d", "0.5", "--lambda-d", "nan",
+                 *flags)
+        assert rc == 2
+        assert "lambda_d must be" in capsys.readouterr().err
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("grid,message", [
+        ("0.5,nan", "--grid-lambda-d: lambda_d must be a nonnegative finite real, got nan"),
+        ("0.5,x", "--grid-lambda-d: could not convert string to float: 'x'"),
+    ], ids=["nan", "text"])
+    def test_bad_grid_point_trains_nothing(self, small_data, tmp_path, capsys, monkeypatch,
+                                           grid, message):
+        def train(*args):
+            raise AssertionError("training started")
+        monkeypatch.setattr(pl, "train", train)
+        _, flags = small_data
+        outdir = tmp_path / "grid"
+        rc = run("ablate", "--out", str(outdir), "--grid-lambda-d", grid, *flags)
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("value", ["", "x", "no_reweight", "full,", "full,bogus",
+                                       "full,full", "no-reweight,full,no-reweight"])
+    def test_bad_variant_list_is_usage_error_before_data_loads(self, tmp_path, capsys, value):
+        outdir = tmp_path / "abl"
+        rc = run("ablate", "--out", str(outdir), "--data", str(tmp_path / "no.csv"),
+                 "--variant", value)
+        assert rc == 2  # a missing --data file would exit 3
+        assert capsys.readouterr().err == (
+            "error: --variant must list distinct variants of full, no-reweight, "
+            f"no-evt-binary, hard-threshold, got {value!r}\n")
+        assert not outdir.exists()
+
+    def test_grid_reports_equal_train_then_evaluate(self, small_data, tmp_path):
+        """A full-variant grid writes, at each point, what pl.train and then
+        pl.evaluate give at that point's loss weights."""
+        _, flags = small_data
+        outdir = tmp_path / "grid"
+        assert run("ablate", "--out", str(outdir), "--variant", "full",
+                   "--grid-lambda-d", "0,0.25,0.5", *flags) == 0
+        cfg = json.loads((outdir / "config.json").read_text())
+        cfg.pop("command")
+        pool, specs = cli._training_setup(cfg)
+        for idx, lambda_d in enumerate((0.0, 0.25, 0.5)):
+            point = dict(cfg, lambda_d=lambda_d)
+            result = pl.train(pool, specs, cli._train_config(point))
+            report = pl.evaluate(result.params, result.gev, pool)
+            want = json.loads(json.dumps(cli._report_payload(report, result.gev, point)))
+            got = json.loads((outdir / f"report_{idx:03d}_full.json").read_text())
+            assert got.pop("variant") == "full"
+            assert got.pop("config") == point
+            want.pop("config")
+            assert got == want, idx
+
+    def test_each_variant_writes_its_one_variant_report(self, small_data, tmp_path):
+        """Byte for byte but the config's variant list, each report of a
+        two-variant run is what a run of that variant alone writes."""
+        _, flags = small_data
+        outdir = tmp_path / "abl"
+        assert run("ablate", "--out", str(outdir), "--variant", "full,no-reweight", *flags) == 0
+        names = [f"report_000_{variant}.json" for variant in ("full", "no-reweight")]
+        both = [(outdir / name).read_text() for name in names]
+        for variant, name, text in zip(("full", "no-reweight"), names, both):
+            assert run("ablate", "--out", str(outdir), "--variant", variant, *flags) == 0
+            assert text.count('"variant": "full,no-reweight"') == 1  # the config's
+            assert text.replace('"variant": "full,no-reweight"', f'"variant": "{variant}"') == (
+                (outdir / name).read_text())
+
+    def test_trains_once_per_weighting_and_point(self, small_data, tmp_path, monkeypatch):
+        calls = []
+        train = pl.train
+
+        def counted(*args):
+            calls.append(args[2])
+            return train(*args)
+        monkeypatch.setattr(pl, "train", counted)
+        _, flags = small_data
+        outdir = tmp_path / "abl"
+        assert run("ablate", "--out", str(outdir), "--variant",
+                   "full,no-evt-binary,hard-threshold", "--grid-lambda-d", "0,0.5", *flags) == 0
+        assert [tc.loss_weights.lambda_d for tc in calls] == [0.0, 0.5]
+        summary = json.loads((outdir / "summary.json").read_text())["points"]
+        assert [(row["index"], row["variant"]) for row in summary] == [
+            (idx, variant) for idx in (0, 1)
+            for variant in ("full", "no-evt-binary", "hard-threshold")]
+        assert sorted(p.name for p in outdir.iterdir()) == sorted(
+            ["config.json", "summary.json",
+             *(f"report_{row['index']:03d}_{row['variant']}.json" for row in summary)])
+
+    @pytest.mark.parametrize("variant,extra", [("no-evt-binary", []),
+                                               ("hard-threshold", ["--tau", "1.0"])],
+                             ids=["no-evt-binary", "hard-threshold"])
+    def test_one_variant_report_is_the_run_ablations_report(self, small_data, tmp_path,
+                                                             variant, extra):
+        """Without a grid, one variant's report is run_ablations' report for
+        it; its config is the echo, whose grid keys are null."""
+        _, flags = small_data
+        outdir = tmp_path / "abl"
+        assert run("ablate", "--out", str(outdir), "--variant", variant, *extra, *flags) == 0
+        assert sorted(p.name for p in outdir.iterdir()) == [
+            "config.json", f"report_000_{variant}.json", "summary.json"]
+        cfg = json.loads((outdir / "config.json").read_text())
+        assert cfg.pop("command") == "ablate"
+        assert [cfg[f"grid_lambda_{k}"] for k in "dec"] == [None, None, None]
+        pool, specs = cli._training_setup(cfg)
+        name = variant.replace("-", "_")
+        report, result = pl.run_ablations(pool, specs, cli._train_config(cfg), (name,),
+                                          cfg["tau"])[name]
+        want = json.loads(json.dumps(cli._report_payload(report, result.gev, cfg, variant)))
+        assert json.loads((outdir / f"report_000_{variant}.json").read_text()) == want
 
 
 class TestFitGev:
@@ -586,7 +719,7 @@ class TestFitGev:
         src = tmp_path / "v.txt"
         src.write_text("\n".join(map(repr, np.linspace(0.0, 2.0, 100).tolist())))
         cases = [(["fit-gev", "--input", str(src)], "--tail-pool", "known-only")]
-        for command in ("train", "ablate", "sweep"):
+        for command in ("train", "ablate"):
             cases += [([command, "--data", str(tmp_path / "blobs.csv")], flag, value)
                       for flag, value in (("--tail-pool", "known-only"),
                                           ("--z-mode", "same-batch"),
@@ -608,7 +741,7 @@ class TestFitGev:
         reads a file, so the missing files here would exit 3."""
         cases = [["fit-gev", "--input", str(tmp_path / "v.txt")]]
         cases += [[command, "--data", str(tmp_path / "blobs.csv")]
-                  for command in ("train", "ablate", "sweep")]
+                  for command in ("train", "ablate")]
         for argv in cases:
             assert run(*argv, "--out", str(tmp_path / "o"), "--tail", "top:0.5") == 2
             assert capsys.readouterr().err == (
@@ -859,48 +992,7 @@ class TestIdx:
         assert not out.exists()
 
 
-class TestSweep:
-    def test_grid(self, small_data, tmp_path, capsys):
-        _, flags = small_data
-        outdir = tmp_path / "sweep"
-        rc = run("sweep", "--out", str(outdir), "--grid-lambda-d", "0.0,0.5",
-                 "--epochs", "1", *flags)
-        assert rc == 0
-        summary = json.loads((outdir / "summary.json").read_text())
-        assert len(summary["points"]) == 2
-        assert {p["lambda_d"] for p in summary["points"]} == {0.0, 0.5}
-        assert (outdir / "report_000.json").exists()
-        assert (outdir / "report_001.json").exists()
-        assert "OS" in capsys.readouterr().out
-
-    def test_lambda_under_a_grid_is_still_checked(self, small_data, tmp_path, capsys):
-        _, flags = small_data
-        outdir = tmp_path / "sweep"
-        rc = run("sweep", "--out", str(outdir), "--grid-lambda-d", "0.5", "--lambda-d", "nan",
-                 *flags)
-        assert rc == 2
-        assert "lambda_d must be" in capsys.readouterr().err
-        assert not outdir.exists()
-
-
-    @pytest.mark.parametrize("grid,message", [
-        ("0.5,nan", "--grid-lambda-d: lambda_d must be a nonnegative finite real, got nan"),
-        ("0.5,x", "--grid-lambda-d: could not convert string to float: 'x'"),
-    ])
-    def test_bad_grid_point_trains_nothing(self, small_data, tmp_path, capsys, monkeypatch,
-                                           grid, message):
-        def train(*args):
-            raise AssertionError("training started")
-        monkeypatch.setattr(pl, "train", train)
-        _, flags = small_data
-        outdir = tmp_path / "sweep"
-        rc = run("sweep", "--out", str(outdir), "--grid-lambda-d", grid, *flags)
-        assert rc == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not outdir.exists()
-
-
-@pytest.mark.parametrize("command", ["train", "ablate", "sweep"])
+@pytest.mark.parametrize("command", ["train", "ablate"])
 def test_echo_with_a_removed_key_exits_2(trained_dir, tmp_path, capsys, command):
     """An echo written before tail_pool, z_mode or the top-fraction tail was
     removed no longer replays."""
@@ -916,6 +1008,26 @@ def test_echo_with_a_removed_key_exits_2(trained_dir, tmp_path, capsys, command)
         assert run(command, "--out", str(outdir), "--config", str(config)) == 2
         assert capsys.readouterr().err == f"error: {err}\n"
         assert not outdir.exists()
+
+
+def test_sweep_is_gone(small_data, trained_dir, tmp_path, capsys):
+    """sweep was folded into ablate: its command line is argparse's usage
+    error, and ablate does not replay its config.json echo."""
+    _, flags = small_data
+    outdir = tmp_path / "sweep"
+    with pytest.raises(SystemExit) as exited:
+        run("sweep", "--out", str(outdir), "--grid-lambda-d", "0,0.5", *flags)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: adagev: argument command: invalid choice: 'sweep'")
+    config = tmp_path / "sweep_config.json"
+    echo = json.loads((trained_dir / "config.json").read_text())
+    config.write_text(json.dumps(dict(echo, command="sweep", grid_lambda_d="0,0.5",
+                                      grid_lambda_e=None, grid_lambda_c=None)))
+    assert run("ablate", "--out", str(outdir), "--config", str(config)) == 2
+    assert capsys.readouterr().err == f"error: config {config} is for 'sweep', not 'ablate'\n"
+    assert sorted(tmp_path.iterdir()) == [config]
 
 
 def test_readme_command_block_runs(tmp_path, monkeypatch):
@@ -959,7 +1071,7 @@ def test_cli_defaults_match_library_defaults():
 
     ablate = {key: flag for group in cli.COMMANDS["ablate"].groups
               for key, flag in group.items()}
-    assert [v.replace("-", "_") for v in ablate["variant"].kind] == list(pl.ABLATION_VARIANTS)
+    assert [v.replace("-", "_") for v in cli.VARIANTS] == list(pl.ABLATION_VARIANTS)
     assert ablate["variant"].default.replace("-", "_") == pl.ABLATION_VARIANTS[0]
     hard = inspect.signature(pl.run_ablations).parameters["hard_threshold"]
     assert ablate["tau"].default == hard.default
@@ -1113,6 +1225,12 @@ def flag_values(command, key, flag):
                          usage_error(st.sampled_from(["", "block:", "block:x", "block:0",
                                                       "top:0.5", "top:0", "top:1", "top:nan",
                                                       "top:", "max:3"])))
+    if key == "variant":
+        subsets = st.lists(st.sampled_from(cli.VARIANTS), min_size=1, unique=True)
+        repeated = subsets.flatmap(lambda v: st.permutations([*v, v[0]]))
+        return st.one_of(any_code(subsets.map(",".join)), usage_error(repeated.map(",".join)),
+                         usage_error(st.sampled_from(["", "x", "no_reweight", "full,",
+                                                      "full,bogus", "FULL"])))
     if key.startswith("grid_"):
         return st.one_of(any_code(st.sampled_from(["0.5", "0,1"])), usage_error(
             st.sampled_from(["", "a", "1,,2", "nan", "0,inf", "-1"])))
@@ -1135,7 +1253,7 @@ def exit_code_setup(tmp_path_factory):
     values.write_text("\n".join(map(str, evt.gev_sample(evt.GevParams(1, 0.2, 0.1), 60, 0))))
     base = {
         "gen-data": ["--source-per-class", "5", "--target-per-class", "4"],
-        "train": train, "ablate": train, "sweep": train,
+        "train": train, "ablate": train,
         "eval": ["--data", data, "--checkpoint", str(root / "model" / "checkpoint.bin")],
         "fit-gev": ["--input", str(values)],
     }
@@ -1181,8 +1299,11 @@ def test_exit_codes_follow_the_documented_rule(exit_code_setup, case):
 @example(case=("train", ["--tail", "bogus:3"], True))
 @example(case=("train", ["--epochs", "0"], True))
 @example(case=("train", ["--lambda-d", "-1"], True))
-@example(case=("sweep", ["--lr", "-1"], True))
+@example(case=("ablate", ["--lr", "-1"], True))
 @example(case=("ablate", ["--variant", "full", "--tau", "1"], True))
+@example(case=("ablate", ["--variant", "full,bogus"], True))
+@example(case=("ablate", ["--variant", "no-reweight,full,no-reweight"], True))
+@example(case=("ablate", ["--grid-lambda-d", "0.5,nan"], True))
 @example(case=("fit-gev", ["--tail", "bogus:3"], True))
 @example(case=("eval", ["--known", "1,1"], True))
 @settings(max_examples=50, deadline=None)
