@@ -120,16 +120,18 @@ def _parse_tail(text):
 def _config_value(key, flag, value):
     """A --config file value checked against its flag's kind.
 
-    int kinds take integral numbers, float kinds any number, choice kinds a
-    listed member and the other kinds a string.
+    int kinds take integral numbers, float kinds any float and any integer
+    that a float holds, choice kinds a listed member and the other kinds a
+    string.
     """
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(flag.kind, list):
         ok, expected = value in flag.kind, f"one of {flag.kind}"
     elif flag.kind is int:
         ok, expected = number and (isinstance(value, int) or value.is_integer()), "an integer"
-    elif flag.kind is float:
-        ok, expected = number, "a number"
+    elif flag.kind is float:  # a larger integer would overflow where it is first used
+        ok = number and (isinstance(value, float) or abs(value) <= sys.float_info.max)
+        expected = "a number within float range"
     else:
         ok, expected = isinstance(value, str), "a string"
     if not ok:
@@ -270,17 +272,22 @@ def _write_json(path, payload):
         f.write("\n")
 
 
-def _report_payload(report: pl.EvalReport, gev, tc_cfg, label=None):
-    """The report, the rejector (l, s, c, tau and the upper endpoint when c < 0),
-    log K (the largest possible entropy) and the resolved config."""
+def _report_payload(report: pl.EvalReport, gev, tc_cfg, label=None, tau=None):
+    """The report, the rejector that was applied, log K (the largest possible
+    entropy) and the resolved config. The rejector is a fitted GEV under
+    ``gev`` (l, s, c, its tau and the upper endpoint when c < 0), a hard
+    entropy threshold under ``tau``, or neither, for the binary head."""
     import numpy as np
 
     from . import evt
 
     payload = report.to_dict()
-    payload["gev"] = {"l": gev.l, "s": gev.s, "c": gev.c, "tau": evt.rejection_threshold(gev)}
-    if gev.c <= -evt.GUMBEL_EPS:
-        payload["gev"]["upper_endpoint"] = gev.l - gev.s / gev.c
+    if gev is not None:
+        payload["gev"] = {"l": gev.l, "s": gev.s, "c": gev.c, "tau": evt.rejection_threshold(gev)}
+        if gev.c <= -evt.GUMBEL_EPS:
+            payload["gev"]["upper_endpoint"] = gev.l - gev.s / gev.c
+    if tau is not None:
+        payload["tau"] = tau
     payload["log_K"] = float(np.log(len(report.confusion) - 1))
     payload["config"] = tc_cfg
     if label:
@@ -424,17 +431,20 @@ def cmd_ablate(cfg) -> int:
 
     pool, specs = _training_setup(cfg)
     outdir = Path(cfg["out"])
-    summary = []
+    reports, summary = {}, []  # every point is scored before any file is written
     for idx, (point, tc) in enumerate(zip(points, configs)):
         results = pl.run_ablations(pool, specs, tc, names, cfg["tau"])
         for variant, name in zip(variants, names):
             report, result = results[name]
-            _write_json(outdir / f"report_{idx:03d}_{variant}.json",
-                        _report_payload(report, result.gev, point, label=variant))
+            gev, tau = pl.ablation_rejector(name, result, cfg["tau"])
+            reports[f"report_{idx:03d}_{variant}.json"] = _report_payload(
+                report, gev, point, label=variant, tau=tau)
             summary.append({"index": idx, "variant": variant, "lambda_d": point["lambda_d"],
                             "lambda_e": point["lambda_e"], "lambda_c": point["lambda_c"],
                             "OS": report.os_score, "OS_star": report.os_star,
                             "UNK": report.unk_recall})
+    for name, payload in reports.items():
+        _write_json(outdir / name, payload)
     _write_json(outdir / "summary.json", {"points": summary})
     _write_json(outdir / "config.json", {"command": "ablate", **cfg})
     print(f"{'idx':>4} {'variant':<14} {'l_d':>6} {'l_e':>6} {'l_c':>6} "

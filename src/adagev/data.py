@@ -16,15 +16,14 @@ not finite, rows without a feature, label counts unlike row counts, a
 domain without rows, domains of different widths and labels beyond int64.
 
 The blobs CSV reader reads the body in one call of numpy's C text reader,
-which gives the values ``float`` and ``int`` give but accepts fewer
-spellings. Its result is kept when every domain is 'source' or 'target',
-every feature is finite and the file holds no NUL (numpy drops a string
-field's trailing NULs). Any other file (numpy erred or warned, or a check
-failed; none that ``save_blobs`` writes) goes to the row reader: it checks
-each row with ``float`` and ``int``, CSV_BLOCK_ROWS lines at a time, and
-takes about four times as long. A rejection is a DataError naming the file
-and the first defective line (``file:line``), with a row-at-a-time reader's
-messages; a byte that is not UTF-8 is reported first, wherever it is.
+and that reader defines the format. Its result is kept when every domain
+is 'source' or 'target', every feature is finite and the file holds no NUL
+(numpy drops a string field's trailing NULs). Any other file (numpy erred
+or warned, or a check failed; none that ``save_blobs`` writes) is refused:
+the row checker reads it one line at a time and raises a DataError naming
+the file and the first defective line (``file:line``), with a
+row-at-a-time reader's messages; a byte that is not UTF-8 is reported
+first, wherever it is.
 
 An IDX file is read whole and its payload taken as a uint8 view of those
 bytes, not copied; a file shorter or longer than its header says is a
@@ -43,7 +42,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
-from itertools import islice, repeat
+from itertools import repeat
 
 import numpy as np
 
@@ -51,7 +50,7 @@ EXPORT_HEADER = "adagev-blobs v1"
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 UNKNOWN_ROLE = -1
-CSV_BLOCK_ROWS = 4096  # rows per block the blobs CSV writer writes, lines the reader reads
+CSV_BLOCK_ROWS = 4096  # rows per block the blobs CSV writer writes
 
 
 class DataError(ValueError):
@@ -255,45 +254,45 @@ def _read_c(path, f, body):
     return (rows["x"], rows["label"], is_source) if ok and not nul else None
 
 
-def _read_rows(path, f):
-    """(features, labels, is_source) of the body lines of ``f``, read
-    CSV_BLOCK_ROWS at a time and checked one by one with ``float`` and ``int``;
-    the first defective line is a DataError."""
-    feats, labels, is_source, width, lineno = [], [], [], None, 1
-    while lines := list(islice(f, CSV_BLOCK_ROWS)):
-        for lineno, line in enumerate(map(str.strip, lines), start=lineno + 1):
-            if not line:
-                continue
-            parts = line.split(",")
-            width = width or len(parts)
-            if len(parts) < 3 or parts[0] not in ("source", "target"):
-                raise DataError(f"{path}:{lineno}: malformed row")
-            if len(parts) != width:
-                raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
-                                f"the first row has {width - 2}")
-            try:
-                row = [float(v) for v in parts[2:]]
-                label = int(parts[1])
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from e
-            if not all(map(math.isfinite, row)):
-                raise DataError(f"{path}:{lineno}: non-finite feature")
-            if not -2 ** 63 <= label < 2 ** 63:
-                raise DataError(f"{path}:{lineno}: class label out of range")
-            feats.append(row)
-            labels.append(label)
-            is_source.append(parts[0] == "source")
-    return np.array(feats, np.float64), np.array(labels, np.int64), np.array(is_source, bool)
+def _raise_first_defect(path, f):
+    """Raise the DataError of the first defective body line of ``f``, read
+    one line at a time; a body without one is refused all the same."""
+    width = None
+    for lineno, line in enumerate(f, start=2):
+        if line == "\n":
+            continue
+        parts = line.removesuffix("\n").split(",")
+        width = width or len(parts)
+        if (len(parts) < 3 or parts[0] not in ("source", "target") or "_" in line
+                or not line.isascii()):
+            raise DataError(f"{path}:{lineno}: malformed row")
+        if len(parts) != width:
+            raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
+                            f"the first row has {width - 2}")
+        try:
+            row = [float(v) for v in parts[2:]]
+            label = int(parts[1])
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from e
+        if not all(map(math.isfinite, row)):
+            raise DataError(f"{path}:{lineno}: non-finite feature")
+        if not -2 ** 63 <= label < 2 ** 63:
+            raise DataError(f"{path}:{lineno}: class label out of range")
+    if width is None:
+        raise DataError(f"{path}: no source rows")
+    raise DataError(f"{path}: refused by numpy's text reader, with no defective row found")
 
 
 def load_blobs(path):
     """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y).
 
-    Blank lines are skipped. Every other row must be 'source' or 'target',
-    a class label that ``int`` accepts and that fits int64, and features
-    that ``float`` accepts and that are finite, as many as in the first row.
-    A defective file raises DataError naming its first defective line, or
-    its first byte that is not UTF-8, wherever that byte is.
+    The arrays come from numpy's C text reader alone. Empty lines are
+    skipped; every other line is 'source' or 'target', a label that fits
+    int64 and finite features, as many as in the first row, in spellings
+    numpy reads. A line that is indented, holds only whitespace, or holds
+    '_' or a character beyond ASCII is a malformed row. A defective file
+    raises DataError naming its first defective line, or its first byte
+    that is not UTF-8, wherever that byte is.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -304,7 +303,7 @@ def load_blobs(path):
             parsed = _read_c(path, f, body)
             if parsed is None:
                 f.seek(body)
-                parsed = _read_rows(path, f)
+                _raise_first_defect(path, f)
     except (DataError, UnicodeDecodeError):
         _read_text(path)  # a byte that is not UTF-8, anywhere in the file, is reported first
         raise

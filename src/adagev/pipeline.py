@@ -408,18 +408,28 @@ def _ablation_preds(variant: str, result: TrainResult, pool: dt.DatasetPool, see
     """One variant's target predictions from the model it trained: its
     rejector's per-row score against its threshold."""
     params = result.params
-    if variant == "no_evt_binary":
-        sources = (pool.source_known_x, pool.source_unknown_x)
-        feats = np.concatenate([_forward_blocks(params, x, lambda feats, _: feats)
-                                for x in sources])
-        labels = np.repeat([0.0, 1.0], [len(x) for x in sources])
-        spec, theta = _train_binary_head(feats, labels, seed=seed)
-        return _forward_blocks(params, pool.target_x, lambda feats, probs: predict(
-            probs, md.mlp_forward(spec, theta, feats)[:, 0], 0.5))
-    if variant != "hard_threshold":
-        return infer_batch(params, result.gev, pool.target_x)
-    tau = 0.5 * np.log(params.num_classes) if hard_threshold is None else hard_threshold
-    return _predict_blocks(params, pool.target_x, tau)
+    gev, tau = ablation_rejector(variant, result, hard_threshold)
+    if gev is not None:
+        return infer_batch(params, gev, pool.target_x)
+    if tau is not None:
+        return _predict_blocks(params, pool.target_x, tau)
+    sources = (pool.source_known_x, pool.source_unknown_x)  # no_evt_binary's binary head
+    feats = np.concatenate([_forward_blocks(params, x, lambda feats, _: feats)
+                            for x in sources])
+    labels = np.repeat([0.0, 1.0], [len(x) for x in sources])
+    spec, theta = _train_binary_head(feats, labels, seed=seed)
+    return _forward_blocks(params, pool.target_x, lambda feats, probs: predict(
+        probs, md.mlp_forward(spec, theta, feats)[:, 0], 0.5))
+
+
+def ablation_rejector(variant: str, result: TrainResult, hard_threshold: float | None = None):
+    """(gev, tau): the fitted GEV that rejects in ``variant``, or the entropy
+    threshold that hard_threshold applies (``hard_threshold``, else 0.5*log K);
+    both are None for no_evt_binary, whose binary head decides."""
+    if variant == "hard_threshold":
+        return None, (0.5 * np.log(result.params.num_classes) if hard_threshold is None
+                      else hard_threshold)
+    return (None if variant == "no_evt_binary" else result.gev), None
 
 
 def check_ablations(variants, hard_threshold: float | None = None) -> None:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import adagev
 from adagev import autodiff as ad, cli, data as dt, evt, model as md
 from adagev import objective as obj, pipeline as pl
-from test_data import write_idx_pair
+from test_data import ODD_SPELLINGS, REFUSED_BODIES, write_idx_pair
 
 
 def run(*argv):
@@ -311,6 +311,37 @@ class TestTrain:
                  "--config", str(config))
         assert rc == 2
         assert f"config key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lr", "lambda_d", "std", "tau"])
+    def test_integer_beyond_float_range_is_usage_error(self, tmp_path, capsys, key):
+        """Refused before any file is read; a float key keeps an integer that a
+        float holds as the integer it is, so its echo is unchanged."""
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({key: 10 ** 400}))
+        command = {"std": ["gen-data"], "tau": ["ablate", "--variant", "hard-threshold"]}.get(
+            key, ["train"])
+        data = [] if key == "std" else ["--data", str(tmp_path / "missing.csv")]
+        out = tmp_path / "out"
+        assert run(*command, "--config", str(config), "--out", str(out), *data) == 2
+        assert capsys.readouterr().err == (f"error: config key {key!r} must be a number "
+                                           f"within float range, got {10 ** 400!r}\n")
+        assert not out.exists()
+        flag = cli.GEN_FLAGS["std"] if key == "std" else cli.TRAIN_FLAGS["lr"]
+        assert type(cli._config_value(key, flag, 10 ** 308)) is int
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("name", ODD_SPELLINGS)
+    def test_odd_spelling_in_the_data_is_a_malformed_row(self, tmp_path, capsys, name,
+                                                          command):
+        path = tmp_path / "odd.csv"
+        path.write_text("\n".join([dt.EXPORT_HEADER, *REFUSED_BODIES[name]]) + "\n",
+                        encoding="utf-8")
+        out = tmp_path / ("run" if command == "train" else "report.json")
+        extra = ["--checkpoint", str(tmp_path / "none.bin")] if command == "eval" else []
+        assert run(command, "--data", str(path), "--out", str(out), *extra) == 3
+        assert capsys.readouterr().err == (f"data error: {path}:{ODD_SPELLINGS[name]}: "
+                                           f"malformed row\n")
+        assert not out.exists()
 
     def test_missing_config_file_is_data_error(self, small_data, tmp_path, capsys):
         _, flags = small_data
@@ -632,6 +663,29 @@ class TestAblate:
             ["config.json", "summary.json",
              *(f"report_{row['index']:03d}_{row['variant']}.json" for row in summary)])
 
+    @pytest.mark.parametrize("extra,tau", [([], 0.5 * np.log(4)), (["--tau", "1.0"], 1.0)],
+                             ids=["default", "tau"])
+    def test_reports_hold_the_rejector_applied(self, small_data, tmp_path, extra, tau):
+        """The hard threshold's report holds the tau it applied, the binary
+        head's no rejector, and the full method's its GEV."""
+        _, flags = small_data
+        outdir = tmp_path / "abl"
+        assert run("ablate", "--out", str(outdir), "--variant",
+                   "full,hard-threshold,no-evt-binary", *extra, *flags) == 0
+        full, hard, binary = (json.loads((outdir / f"report_000_{v}.json").read_text())
+                              for v in ("full", "hard-threshold", "no-evt-binary"))
+        assert "gev" in full and "tau" not in full
+        assert hard["tau"] == tau and "gev" not in hard
+        assert "gev" not in binary and "tau" not in binary
+
+    def test_failure_at_a_later_point_writes_nothing(self, small_data, tmp_path, capsys):
+        _, flags = small_data
+        outdir = tmp_path / "fail"
+        assert run("ablate", "--out", str(outdir), *flags, "--epochs", "2",
+                   "--grid-lambda-c", "1,1e308") == 4
+        assert capsys.readouterr().err.startswith("numerical failure: training diverged")
+        assert not outdir.exists() or not any(outdir.iterdir())
+
     @pytest.mark.parametrize("variant,extra", [("no-evt-binary", []),
                                                ("hard-threshold", ["--tau", "1.0"])],
                              ids=["no-evt-binary", "hard-threshold"])
@@ -651,7 +705,8 @@ class TestAblate:
         name = variant.replace("-", "_")
         report, result = pl.run_ablations(pool, specs, cli._train_config(cfg), (name,),
                                           cfg["tau"])[name]
-        want = json.loads(json.dumps(cli._report_payload(report, result.gev, cfg, variant)))
+        gev, tau = pl.ablation_rejector(name, result, cfg["tau"])
+        want = json.loads(json.dumps(cli._report_payload(report, gev, cfg, variant, tau=tau)))
         assert json.loads((outdir / f"report_000_{variant}.json").read_text()) == want
 
 

@@ -302,7 +302,9 @@ def test_any_bytes_read_as_idx_or_raise_data_error(tmp_path_factory, kind, raw):
 
 
 def reference_load_blobs(path):
-    """The row-at-a-time reader that load_blobs replaced, kept as its reference."""
+    """The row-at-a-time reader that load_blobs replaced, kept as its
+    reference in numpy's stricter format: no line is stripped, and a line
+    holding '_' or a character beyond ASCII is a malformed row."""
     def numbered_lines():
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -318,12 +320,12 @@ def reference_load_blobs(path):
     rows = {"source": ([], []), "target": ([], [])}
     width = None
     for lineno, line in lines:
-        line = line.strip()
+        line = line.removesuffix("\n")
         if not line:
             continue
         parts = line.split(",")
         width = width or len(parts)
-        if len(parts) < 3 or parts[0] not in rows:
+        if len(parts) < 3 or parts[0] not in rows or "_" in line or not line.isascii():
             raise dt.DataError(f"{path}:{lineno}: malformed row")
         if len(parts) != width:
             raise dt.DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
@@ -393,19 +395,17 @@ def blob_texts(draw):
     return newline.join([header, *lines]) + draw(st.sampled_from(["", newline]))
 
 
-@given(blob_texts(), st.sampled_from([dt.CSV_BLOCK_ROWS, 1, 2, 3]))
+@given(blob_texts())
 @settings(max_examples=200, deadline=None)
-def test_load_blobs_matches_row_reference(tmp_path_factory, text, block):
-    """Also in blocks of 1-3 lines, which put block edges on data rows, blank
-    lines, CRLF endings and defects."""
+def test_load_blobs_matches_row_reference(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("diff") / "blobs.csv"
     path.write_bytes(text.encode("utf-8"))
-    with mock.patch.object(dt, "CSV_BLOCK_ROWS", block):
-        assert_loads_like_reference(path)
+    assert_loads_like_reference(path)
 
 
 def assert_loads_like_reference(path):
-    """load_blobs returns the reference's arrays bit for bit, or raises its message."""
+    """load_blobs returns the reference's arrays bit for bit, from the C pass
+    alone, or raises the reference's message."""
     try:
         expected = reference_load_blobs(path)
     except dt.DataError as e:
@@ -413,39 +413,44 @@ def assert_loads_like_reference(path):
             dt.load_blobs(path)
         assert str(got.value) == str(e)
         return
-    for want, got in zip(expected, dt.load_blobs(path), strict=True):
+    with mock.patch.object(dt, "_raise_first_defect", no_row_checker):
+        loaded = dt.load_blobs(path)
+    for want, got in zip(expected, loaded, strict=True):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("block", [1, 2, 3])
-def test_later_block_of_another_width_names_its_line(tmp_path, monkeypatch, block):
-    monkeypatch.setattr(dt, "CSV_BLOCK_ROWS", block)
+@pytest.mark.parametrize("blanks", [1, 2, 3])
+def test_later_block_of_another_width_names_its_line(tmp_path, blanks):
+    """A row of another width after ``blanks`` empty lines names its line,
+    the empty ones counted."""
     path = tmp_path / "ragged.csv"
-    path.write_text("\n".join([dt.EXPORT_HEADER, "source,0,1.0,2.0", "", "target,1,1.5,2.5",
-                               "source,2,3.0", "target,3,1.0", "source,0,1.0"]) + "\n")
-    with pytest.raises(dt.DataError, match=r"ragged\.csv:5: 1 features, the first row has 2$"):
+    path.write_text("\n".join([dt.EXPORT_HEADER, "source,0,1.0,2.0", *[""] * blanks,
+                               "target,1,1.5,2.5", "source,2,3.0", "target,3,1.0",
+                               "source,0,1.0"]) + "\n")
+    with pytest.raises(dt.DataError,
+                       match=rf"ragged\.csv:{4 + blanks}: 1 features, the first row has 2$"):
         dt.load_blobs(path)
     assert_loads_like_reference(path)
 
 
 @pytest.mark.parametrize("earlier_defect", [False, True, "header", "width"])
-@pytest.mark.parametrize("block", [1, 2, 3, dt.CSV_BLOCK_ROWS])
-def test_non_utf8_byte_in_a_later_block(tmp_path, monkeypatch, block, earlier_defect):
-    """A byte that is not UTF-8 past the reader's first 8 KB chunk and past
-    its second block is reported at its position in the file, also when the
-    reader finds an earlier defect first: a bad row in the first block
-    (True), a bad header, or a row of another width in the second block."""
-    rows = [b"source,0,1.5\r\n", b"target,1,-2.25\r\n"] * (2 * dt.CSV_BLOCK_ROWS)
-    monkeypatch.setattr(dt, "CSV_BLOCK_ROWS", block)
+@pytest.mark.parametrize("after", [1, 2, 3, 4096])
+def test_non_utf8_byte_in_a_later_block(tmp_path, after, earlier_defect):
+    """A byte that is not UTF-8 past the text layer's first 8 KB chunk, with
+    ``after`` good rows after it, is reported at its position in the file,
+    also when the reader finds an earlier defect first: a bad first row
+    (True), a bad header, or a row of another width."""
+    rows = [b"source,0,1.5\r\n", b"target,1,-2.25\r\n"] * 8192
     header = HEADER
     if earlier_defect is True:
         rows[0] = b"source,0,x\r\n"
     elif earlier_defect == "header":
         header = b"adagev-blobs v0\r\n"
     elif earlier_defect == "width":
-        rows[block] = b"source,0,1.5,2.5\r\n"
-    raw = header + b"".join(rows) + b"target,0,\xff\r\n"
+        rows[1] = b"source,0,1.5,2.5\r\n"
+    rows.insert(len(rows) - after, b"target,0,\xff\r\n")
+    raw = header + b"".join(rows)
     path = tmp_path / "late.csv"
     path.write_bytes(raw)
     with pytest.raises(UnicodeDecodeError) as decoding:
@@ -480,8 +485,8 @@ def test_label_beyond_int64_is_data_error(tmp_path):
         dt.load_blobs(path)
 
 
-def no_row_reader(path, f):
-    raise AssertionError("the row reader ran")
+def no_row_checker(path, f):
+    raise AssertionError("the row checker ran")
 
 
 EDGE_FEATURES = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -504,7 +509,7 @@ def test_c_pass_reads_what_save_blobs_writes(tmp_path_factory, width, counts, da
         arrays.append(np.array(data.draw(st.lists(labels, min_size=n, max_size=n)), np.int64))
     path = tmp_path_factory.mktemp("c_pass") / "blobs.csv"
     dt.save_blobs(path, *arrays)
-    with mock.patch.object(dt, "_read_rows", no_row_reader):
+    with mock.patch.object(dt, "_raise_first_defect", no_row_checker):
         got = dt.load_blobs(path)
     for want, x in zip(arrays, got, strict=True):
         assert x.dtype == want.dtype and x.shape == want.shape
@@ -512,7 +517,7 @@ def test_c_pass_reads_what_save_blobs_writes(tmp_path_factory, width, counts, da
 
 
 # One file for each way that the C pass refuses a body, or would lose what
-# the row reader sees (a NUL after a domain).
+# the row checker sees (a NUL after a domain).
 REFUSED_BODIES = {
     "indented row": ["source,0,1.5", "  target,1,2.5"],
     "whitespace-only line": ["source,0,1.5", " \t", "target,1,2.5"],
@@ -552,27 +557,41 @@ def test_odd_bytes_read_like_reference(tmp_path, raw):
     assert_loads_like_reference(path)
 
 
-def test_warning_in_the_c_pass_sends_the_file_to_the_row_reader(tmp_path, monkeypatch):
+# The spellings that Python's float and int accept and numpy's C reader
+# refuses, and the line that each of their REFUSED_BODIES files names.
+ODD_SPELLINGS = {"indented row": 3, "whitespace-only line": 3, "underscore": 2,
+                 "full-width digit": 2}
+
+
+@pytest.mark.parametrize("name", ODD_SPELLINGS)
+def test_odd_spellings_are_malformed_rows(tmp_path, name):
+    path = tmp_path / "odd.csv"
+    path.write_text("\n".join([dt.EXPORT_HEADER, *REFUSED_BODIES[name]]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(dt.DataError) as got:
+        dt.load_blobs(path)
+    assert str(got.value) == f"{path}:{ODD_SPELLINGS[name]}: malformed row"
+
+
+def test_warning_in_the_c_pass_is_a_refusal(tmp_path, monkeypatch):
     """numpy < 2 warns where it reads an integer out of a float; the
-    warning stands in for that here."""
-    loadtxt, read_rows, calls = np.loadtxt, dt._read_rows, []
+    warning stands in for that here. The file is sound, so the row checker
+    finds no defect and raises its fixed message."""
+    loadtxt = np.loadtxt
 
     def warning_loadtxt(*args, **kwargs):
         warnings.warn("string or file could not be read to its end", DeprecationWarning)
         return loadtxt(*args, **kwargs)
 
-    def counted_read_rows(path, f):
-        calls.append(path)
-        return read_rows(path, f)
-
     monkeypatch.setattr(dt.np, "loadtxt", warning_loadtxt)
-    monkeypatch.setattr(dt, "_read_rows", counted_read_rows)
     path = tmp_path / "blobs.csv"
     dt.save_blobs(path, [[1.5], [-0.0]], [0, 1], [[2.5]], [INT64.max])
     with warnings.catch_warnings():  # the warning counts whatever the caller's filters
         warnings.simplefilter("ignore")
-        assert_loads_like_reference(path)
-    assert calls == [path]
+        with pytest.raises(dt.DataError) as got:
+            dt.load_blobs(path)
+    assert str(got.value) == (f"{path}: refused by numpy's text reader, "
+                              f"with no defective row found")
 
 
 def test_idx_dims_product_beyond_int64_is_truncation(tmp_path):
