@@ -32,7 +32,7 @@ def main():
     print("=== block maxima from a raw entropy-like sample ===")
     rng = np.random.default_rng(0)
     raw = rng.beta(2.0, 5.0, size=4000) * np.log(4)  # entropies in [0, ln 4]
-    tail = evt.extract_tail(raw, evt.TailConfig(block_size=20))
+    tail = evt.extract_tail(raw, block_size=20)
     print(f"{raw.size} raw values -> {tail.size} block maxima "
           f"(min {tail.min():.3f}, max {tail.max():.3f})")
     gev = evt.fit_gev_mle(tail)

@@ -21,13 +21,13 @@ def forward(spec, group, x):
     return md.mlp_forward(spec, group, x, inputs), inputs
 
 
-def unreversed_extractor_gradient(batch, params, lw, wc):
+def unreversed_extractor_gradient(batch, params, lw, weight_mode):
     """The extractor's gradient of lambda_d * L_d backpropagated without the
     reversal, in the step's order of the sums."""
     feat_s, in_gs = forward(params.spec_g, params.theta_g, batch.source_x)
     feat_t, in_gt = forward(params.spec_g, params.theta_g, batch.target_x)
     w = obj.batch_weights(
-        obj.entropy(md.softmax(forward(params.spec_c, params.theta_c, feat_t)[0])[0]), wc)
+        obj.entropy(md.softmax(forward(params.spec_c, params.theta_c, feat_t)[0])[0]), weight_mode)
     z_s, in_ds = forward(params.spec_d, params.theta_d, feat_s)
     z_t, in_dt = forward(params.spec_d, params.theta_d, feat_t)
     _, g_zs, g_zt = obj.loss_domain(z_s, z_t, w, scale=lw.lambda_d)
@@ -51,14 +51,14 @@ def main():
         unknown_x=rng.standard_normal((6, 3)),
         target_x=rng.standard_normal((6, 3)),
     )
-    wc = obj.WeightConfig()
+    weight_mode = "neg_entropy"
 
     print("=== forward identity, backward sign flip ===")
     print("the discriminator reads the extractor's features unchanged; only the")
     print("gradient it hands back to them is negated.")
     lw_d = obj.LossWeights(lambda_e=0.0, lambda_c=0.0)  # lambda_d * L_d alone
-    through_grl = obj.total_step_gradients(batch, params, lw_d, wc).grads["theta_g"]
-    unreversed = unreversed_extractor_gradient(batch, params, lw_d, wc)
+    through_grl = obj.total_step_gradients(batch, params, lw_d, weight_mode).grads["theta_g"]
+    unreversed = unreversed_extractor_gradient(batch, params, lw_d, weight_mode)
     print("extractor W0[0] gradient of lambda_d*L_d through the GRL:", through_grl[0][0])
     print("the same gradient without the reversal:                 ", unreversed[0][0])
     print("every extractor gradient is the exact negation:",
@@ -67,7 +67,7 @@ def main():
     print()
     print("=== saddle-point routing on a tiny model ===")
     lw = obj.LossWeights()
-    step = obj.total_step_gradients(batch, params, lw, wc)
+    step = obj.total_step_gradients(batch, params, lw, weight_mode)
     print("one fused backward pass produced gradients for all three groups:")
     for name, grads in step.grads.items():
         norms = [float(np.linalg.norm(g)) for g in grads]
@@ -82,7 +82,7 @@ def main():
         feat_s = md.forward_features(params, batch.source_x)
         feat_t = md.forward_features(params, batch.target_x)
         probs_t = md.forward_classifier(params, feat_t)
-        weights = obj.batch_weights(obj.entropy(probs_t), wc)
+        weights = obj.batch_weights(obj.entropy(probs_t), weight_mode)
         # the losses take logits: a training pass, which records its layer inputs
         z_s = md.mlp_forward(spec_d, params.theta_d, feat_s, [])
         z_t = md.mlp_forward(spec_d, params.theta_d, feat_t, [])

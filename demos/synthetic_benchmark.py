@@ -36,8 +36,7 @@ def main():
           f"{len(pool.source_unknown_x)} source unknown, "
           f"{len(pool.target_x)} target")
 
-    tc = pl.TrainConfig(epochs=80, batch_size=128, learning_rate=1e-4,
-                        optimizer="adam", seed=0)
+    tc = pl.TrainConfig(epochs=80, batch_size=128, learning_rate=1e-4, seed=0)
     runs = pl.run_ablations(pool, build_specs(), tc, pl.ABLATION_VARIANTS)
     report, result = runs["full"]
 

@@ -12,13 +12,12 @@ import sys
 _EXPORTS = {
     "data": ("BlobShiftConfig", "DatasetPool", "DomainBatch", "RoleSplit", "apply_roles",
              "digits_split", "gen_shifted_blobs", "load_idx", "sample_batch_triple"),
-    "evt": ("GevParams", "TailConfig", "fit_gev_mle", "gev_cdf", "gev_pdf", "gev_quantile",
-            "gev_sample", "rejection_threshold"),
+    "evt": ("GevParams", "fit_gev_mle", "gev_cdf", "gev_pdf", "gev_quantile", "gev_sample",
+            "rejection_threshold"),
     "model": ("MlpSpec", "ModelParams", "default_specs", "forward_classifier",
               "forward_features", "init_params", "load_checkpoint", "save_checkpoint"),
-    "objective": ("LossWeights", "WeightConfig", "batch_weights", "entropy",
-                  "loss_classification", "loss_domain", "loss_entropy_unknown",
-                  "total_step_gradients"),
+    "objective": ("LossWeights", "batch_weights", "entropy", "loss_classification",
+                  "loss_domain", "loss_entropy_unknown", "total_step_gradients"),
     "pipeline": ("EvalReport", "TrainConfig", "TrainResult", "evaluate", "infer_batch",
                  "predict", "run_ablations", "train"),
 }

@@ -2,7 +2,9 @@
 and ablations over a loss-weight grid.
 
 Every run writes a config echo (config.json) holding all resolved values,
-so any run can be reproduced exactly by replaying the echoed config.
+so any run can be reproduced exactly by replaying the echoed config. An
+echo holding a key its command no longer has (``optimizer``, say) is a
+usage error.
 Flags override values from an optional --config JSON file, which in turn
 overrides the built-in defaults.
 
@@ -63,7 +65,6 @@ SPLIT_FLAGS = {
 }
 TRAIN_FLAGS = {
     "epochs": Flag(20, int), "batch": Flag(64, int), "lr": Flag(1e-3, float),
-    "optimizer": Flag("adam", ["adam", "sgd-momentum"]),
     "lambda_d": Flag(0.5, float), "lambda_e": Flag(1.0, float), "lambda_c": Flag(1.0, float),
     "weight_mode": Flag("neg-entropy", ["neg-entropy", "uniform"]),
     "tail": Flag("block:20", help="block:<size>"),
@@ -104,17 +105,19 @@ def _parse_float_pair(text):
 
 
 def _parse_tail(text):
-    from . import evt
-
+    """The block size of --tail block:<size>, at least 1, or None for none."""
     if text == "none":
         return None
     kind, _, value = str(text).partition(":")
     if kind != "block":
         raise UsageError(f"--tail must be block:<size> or none, got {text!r}")
     try:
-        return evt.TailConfig(int(value))
+        block = int(value)
+        if block < 1:
+            raise ValueError("block_size must be positive")
     except ValueError as e:
         raise UsageError(f"bad --tail value {text!r}: {e}") from e
+    return block
 
 
 def _config_value(key, flag, value):
@@ -244,10 +247,8 @@ def _train_config(cfg) -> pl.TrainConfig:
         raise UsageError("--tail none is only valid for fit-gev")
     return pl.TrainConfig(
         epochs=cfg["epochs"], batch_size=cfg["batch"], learning_rate=cfg["lr"],
-        optimizer=cfg["optimizer"].replace("-", "_"),
         loss_weights=obj.LossWeights(cfg["lambda_d"], cfg["lambda_e"], cfg["lambda_c"]),
-        weight_config=obj.WeightConfig(cfg["weight_mode"].replace("-", "_")),
-        tail_config=tail, seed=cfg["seed"],
+        weight_mode=cfg["weight_mode"].replace("-", "_"), tail_block=tail, seed=cfg["seed"],
     )
 
 

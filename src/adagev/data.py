@@ -263,8 +263,8 @@ def _raise_first_defect(path, f):
             continue
         parts = line.removesuffix("\n").split(",")
         width = width or len(parts)
-        if (len(parts) < 3 or parts[0] not in ("source", "target") or "_" in line
-                or not line.isascii()):
+        if len(parts) < 3 or parts[0] not in ("source", "target") or not all(
+                cell.isascii() and "_" not in cell for cell in map(str.strip, parts[1:])):
             raise DataError(f"{path}:{lineno}: malformed row")
         if len(parts) != width:
             raise DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
@@ -287,10 +287,12 @@ def load_blobs(path):
     """Inverse of save_blobs; returns (source_x, source_y, target_x, target_y).
 
     The arrays come from numpy's C text reader alone. Empty lines are
-    skipped; every other line is 'source' or 'target', a label that fits
-    int64 and finite features, as many as in the first row, in spellings
-    numpy reads. A line that is indented, holds only whitespace, or holds
-    '_' or a character beyond ASCII is a malformed row. A defective file
+    skipped; every other line is 'source' or 'target', spelled exactly, a
+    label that fits int64 and finite features, as many as in the first row,
+    in spellings numpy reads. A label or feature may have whitespace around
+    it, ASCII or not; within that whitespace it is ASCII without '_'. Any
+    other line (an indented one, one of only whitespace, a number holding
+    '_' or a character beyond ASCII) is a malformed row. A defective file
     raises DataError naming its first defective line, or its first byte
     that is not UTF-8, wherever that byte is.
     """

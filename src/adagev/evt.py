@@ -2,7 +2,8 @@
 
 Provides the GEV density/CDF in the unified (location, scale, shape)
 parameterization with a Gumbel code path near shape zero, inverse-CDF
-sampling, block maxima of entropy samples as the tail, maximum-likelihood
+sampling, block maxima of entropy samples as the tail (blocks of a plain
+``block_size``, ``TrainConfig.tail_block`` in training), maximum-likelihood
 fitting via Nelder-Mead over (l, log s, c), and the rejection threshold
 for target samples. The rule CDF(h) > 0.5 is the same as h > tau, with
 tau the GEV median, because the CDF is monotone.
@@ -38,17 +39,6 @@ class GevParams:
             raise ValueError(f"scale must be positive and finite, got {self.s}")
         if not np.isfinite(self.c):
             raise ValueError("shape must be finite")
-
-
-@dataclass(frozen=True)
-class TailConfig:
-    """The block size whose maxima are the GEV fitting sample."""
-
-    block_size: int = 20
-
-    def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError("block_size must be positive")
 
 
 def gev_t(x, p: GevParams):
@@ -112,25 +102,28 @@ def gev_sample(p: GevParams, n: int, seed: int) -> np.ndarray:
     return gev_quantile(rng.uniform(size=n), p)
 
 
-def tail_size(n_values: int, tc: TailConfig) -> int:
-    """How many of ``n_values`` values ``extract_tail`` keeps; FitError when
-    that is fewer than MIN_TAIL, so a caller can check before it has them."""
-    k = n_values // tc.block_size
+def tail_size(n_values: int, block_size: int) -> int:
+    """How many of ``n_values`` values ``extract_tail`` keeps in blocks of
+    ``block_size``; FitError when that is fewer than MIN_TAIL, so a caller
+    can check before it has them. A block size below 1 is a ValueError."""
+    if block_size < 1:
+        raise ValueError(f"block_size must be positive, got {block_size}")
+    k = n_values // block_size
     if k < MIN_TAIL:
         raise FitError(f"block_maxima needs >= {MIN_TAIL} blocks, got {k} "
-                       f"({n_values} values, block size {tc.block_size})")
+                       f"({n_values} values, block size {block_size})")
     return k
 
 
-def extract_tail(entropies, tc: TailConfig, rng_seed: int = 0) -> np.ndarray:
+def extract_tail(entropies, block_size: int, rng_seed: int = 0) -> np.ndarray:
     """Reduce raw entropy values to the sample the GEV is fitted on: a
     deterministic shuffle, blocks of ``block_size`` (the remainder dropped)
     and each block's maximum.
     """
     values = np.asarray(entropies, dtype=np.float64)
-    k = tail_size(values.size, tc)
-    shuffled = np.random.default_rng(rng_seed).permutation(values)[: k * tc.block_size]
-    return shuffled.reshape(k, tc.block_size).max(axis=1)
+    k = tail_size(values.size, block_size)
+    shuffled = np.random.default_rng(rng_seed).permutation(values)[: k * block_size]
+    return shuffled.reshape(k, block_size).max(axis=1)
 
 
 def _gev_at(l, log_s, c) -> GevParams:

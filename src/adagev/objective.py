@@ -18,10 +18,12 @@ the gradient sums join it to the other batches. The sums are still formed
 in the graph's order: the extractor's target + unknown + source, the
 classifier's unknown + source and the discriminator's source + target.
 
-Per-target instance weights are exp(-H)/Z by default: high-entropy
-(likely unknown) target samples get down-weighted so they are not
-force-aligned with the source. ``uniform`` disables reweighting entirely
-(the no_reweight ablation). Weights are always gradient-detached.
+Per-target instance weights are exp(-H)/Z in the default weight mode,
+``neg_entropy``: high-entropy (likely unknown) target samples get
+down-weighted so they are not force-aligned with the source. The weight
+mode ``uniform`` disables reweighting entirely (the no_reweight ablation).
+The mode is a plain string, one of WEIGHT_MODES. Weights are always
+gradient-detached.
 """
 
 from __future__ import annotations
@@ -49,15 +51,6 @@ class LossWeights:
                 raise ValueError(f"{name} must be a nonnegative finite real, got {v}")
 
 
-@dataclass(frozen=True)
-class WeightConfig:
-    weight_mode: str = "neg_entropy"
-
-    def __post_init__(self):
-        if self.weight_mode not in WEIGHT_MODES:
-            raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
-
-
 def entropy(probs: np.ndarray) -> np.ndarray:
     """Per-row entropy of a probability matrix, as plain values."""
     probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
@@ -66,16 +59,19 @@ def entropy(probs: np.ndarray) -> np.ndarray:
     return -np.sum(probs * np.log(np.maximum(probs, ad.LOG_CLAMP)), axis=1)
 
 
-def batch_weights(entropies: np.ndarray, cfg: WeightConfig) -> np.ndarray:
+def batch_weights(entropies: np.ndarray, weight_mode: str) -> np.ndarray:
     """Instance weights w_i = u_i / Z over a target batch.
 
     u_i is exp(-H_i) in neg_entropy mode and 1 in uniform mode, and Z sums
-    u over the same batch, so the weights sum to one.
+    u over the same batch, so the weights sum to one. A ``weight_mode``
+    outside WEIGHT_MODES is a ValueError.
     """
+    if weight_mode not in WEIGHT_MODES:
+        raise ValueError(f"weight_mode must be one of {WEIGHT_MODES}")
     h = np.asarray(entropies, dtype=np.float64)
     if h.size < 1:
         raise ValueError("empty batch")
-    u = np.exp(-h) if cfg.weight_mode == "neg_entropy" else np.ones_like(h)
+    u = np.exp(-h) if weight_mode == "neg_entropy" else np.ones_like(h)
     z = u.sum()
     if z <= 0:
         raise ValueError("partition function underflow: all unnormalized weights zero")
@@ -199,11 +195,12 @@ class _Inline:
 
 
 def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
-                         wc: WeightConfig, executor=None) -> StepResult:
+                         weight_mode: str, executor=None) -> StepResult:
     """One joint gradient evaluation of the saddle-point objective.
 
     The gradients of J = lambda_d * L_d(with GRL) + lambda_e * L_e +
-    lambda_c * L_c, from one fused forward and backward pass. The reversal
+    lambda_c * L_c, from one fused forward and backward pass, with the
+    target weights of ``weight_mode`` (``batch_weights``). The reversal
     layer negates the gradient the discriminator hands back to the features,
     which realizes the routing contract: theta_d descends lambda_d*L_d,
     theta_g descends -lambda_d*L_d + lambda_e*L_e + lambda_c*L_c, and
@@ -253,7 +250,7 @@ def total_step_gradients(batch, params: md.ModelParams, lw: LossWeights,
 
         # detached: the weights carry no gradient
         h_t = entropy(md.softmax(forward(spec_c, params.theta_c, feat_t)[0])[0])
-        w = batch_weights(h_t, wc)
+        w = batch_weights(h_t, weight_mode)
 
         z_src, in_ds = forward(spec_d, params.theta_d, feat_s)
         z_tgt, in_dt = forward(spec_d, params.theta_d, feat_t)

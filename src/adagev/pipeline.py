@@ -1,13 +1,13 @@
 """End-to-end training, inference, evaluation, and ablations.
 
 The training loop draws a source-known / source-unknown / target batch
-triple each iteration, applies the joint saddle-point gradient step, and
-after the final epoch fits a GEV to the tail of the source entropy
-distribution. Inference rejects a target sample as unknown when the
-fitted CDF of its prediction entropy exceeds 0.5, i.e. when the entropy
-exceeds tau (the GEV median), otherwise takes the argmax class. Every
-rejector, the ablations' included, is a per-row score against a threshold
-through one ``predict``. Every pass over a pool (the epoch log's source
+triple each iteration, applies the joint saddle-point gradient step with
+Adam, and after the final epoch fits a GEV to the maxima of blocks of the
+source entropies; ``TrainConfig`` holds every training knob. Inference
+rejects a target sample as unknown when the fitted CDF of its prediction
+entropy exceeds 0.5, i.e. when the entropy exceeds tau (the GEV median),
+otherwise takes the argmax class. Every rejector, the ablations' included,
+is a per-row score against a threshold through one ``predict``. Every pass over a pool (the epoch log's source
 entropies, the binary head's source features, the target passes of eval and
 the ablations) runs in row blocks sized by the networks' multiply-adds per
 row (``_row_blocks``); when BLAS is pinned to fewer threads than there are
@@ -46,7 +46,6 @@ from . import objective as obj
 
 UNKNOWN = dt.UNKNOWN_ROLE
 ABLATION_VARIANTS = ("full", "no_reweight", "no_evt_binary", "hard_threshold")
-OPTIMIZERS = ("adam", "sgd_momentum")
 INFER_BLOCK_ROWS = 4096
 # The multiply-adds an inference row block is sized to, and the fewest rows
 # it may have. On 2 cores with one BLAS thread, a 1,400-row pass of the
@@ -70,20 +69,30 @@ LANE_MIN_MADDS = 2 ** 22
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Every training knob. ``weight_mode`` is one of ``objective.WEIGHT_MODES``;
+    ``tail_block`` is the block size whose maxima of the last epoch's source
+    entropies the GEV is fitted to. The optimizer is always Adam: the
+    ``optimizer`` field accepts only "adam", and stays for callers that
+    still name it."""
+
     epochs: int = 20
     batch_size: int = 64
     learning_rate: float = 1e-3
     optimizer: str = "adam"
     loss_weights: obj.LossWeights = field(default_factory=obj.LossWeights)
-    weight_config: obj.WeightConfig = field(default_factory=obj.WeightConfig)
-    tail_config: evt.TailConfig = field(default_factory=evt.TailConfig)
+    weight_mode: str = "neg_entropy"
+    tail_block: int = 20
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or not 0 <= self.learning_rate < np.inf:
             raise ValueError("need epochs >= 1, batch_size >= 1, finite learning_rate >= 0")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.optimizer != "adam":
+            raise ValueError(f"unknown optimizer {self.optimizer!r}; only 'adam' is available")
+        if self.weight_mode not in obj.WEIGHT_MODES:
+            raise ValueError(f"weight_mode must be one of {obj.WEIGHT_MODES}")
+        if self.tail_block < 1:
+            raise ValueError(f"tail_block must be positive, got {self.tail_block}")
 
 
 @dataclass
@@ -121,7 +130,8 @@ class TrainResult:
 
 class _Adam:
     """Adam over one flat vector, updated in place in blocks of ADAM_BLOCK
-    values through three reused block buffers.
+    values through three reused block buffers, with the usual fixed
+    beta1, beta2 and eps.
 
     A block whose squared gradient overflows raises NonFiniteError after
     the blocks before it (and its own m and v) have been updated, so the
@@ -129,8 +139,10 @@ class _Adam:
     head discard them on that error.
     """
 
-    def __init__(self, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr):
+        self.lr = lr
         self.m, self.v, self.t = None, None, 0
 
     def step(self, p: np.ndarray, g: np.ndarray):
@@ -166,28 +178,17 @@ class _Adam:
             pb -= num
 
 
-class _SgdMomentum:
-    def __init__(self, lr, momentum=0.9):
-        self.lr, self.momentum = lr, momentum
-        self.buf = None
-
-    def step(self, p: np.ndarray, g: np.ndarray):
-        if self.buf is None:
-            self.buf = np.zeros_like(p)
-        self.buf[:] = self.momentum * self.buf + g
-        p -= self.lr * self.buf
+def _make_optimizer(tc: TrainConfig) -> _Adam:
+    """The training run's optimizer. ``train`` makes it here, not inline, so a
+    profiler can wrap the step of each one made (perfbench/spans.py does)."""
+    return _Adam(tc.learning_rate)
 
 
-def _make_optimizer(tc: TrainConfig):
-    if tc.optimizer == "adam":
-        return _Adam(tc.learning_rate)
-    return _SgdMomentum(tc.learning_rate)
-
-
-def fit_rejector(entropies: np.ndarray, tail: evt.TailConfig, seed: int = 0) -> evt.GevParams:
-    """Fit the GEV to the extracted tail of the last epoch's source entropies."""
+def fit_rejector(entropies: np.ndarray, block_size: int, seed: int = 0) -> evt.GevParams:
+    """Fit the GEV to the maxima of blocks of ``block_size`` of the last
+    epoch's source entropies."""
     try:
-        return evt.fit_gev_mle(evt.extract_tail(entropies, tail, rng_seed=seed))
+        return evt.fit_gev_mle(evt.extract_tail(entropies, block_size, rng_seed=seed))
     except evt.FitError as e:
         raise evt.FitError(f"GEV fit of the {len(entropies)} last-epoch source entropies "
                            f"failed: {e}") from e
@@ -210,7 +211,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
     spec_g, spec_c, spec_d = specs
     n_tail = len(pool.source_known_x)
     try:
-        evt.tail_size(n_tail, tc.tail_config)
+        evt.tail_size(n_tail, tc.tail_block)
     except evt.FitError as e:
         raise dt.DataError(f"the {n_tail} source rows cannot give a GEV tail: {e}") from e
     root = np.random.SeedSequence(tc.seed)
@@ -232,7 +233,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
                      "mean_weight": 0.0, "max_weight": 0.0}
             for it in range(1, iters + 1):
                 batch = dt.sample_batch_triple(pool, tc.batch_size, rng)
-                step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_config,
+                step = obj.total_step_gradients(batch, params, tc.loss_weights, tc.weight_mode,
                                                 executor)
                 optimizer.step(params.flat, step.grad)
                 stats["L_d"] += step.loss_d
@@ -255,7 +256,7 @@ def train(pool: dt.DatasetPool, specs, tc: TrainConfig) -> TrainResult:
             executor.shutdown()
 
     # the last epoch's entropies come from the final parameters
-    gev = fit_rejector(h_known, tc.tail_config, seed=int(tail_seed))
+    gev = fit_rejector(h_known, tc.tail_block, seed=int(tail_seed))
     return TrainResult(params, gev, log)
 
 
@@ -458,13 +459,12 @@ def run_ablations(pool: dt.DatasetPool, specs, tc: TrainConfig, variants,
     weighting.
     """
     check_ablations(variants, hard_threshold)
-    uniform = obj.WeightConfig("uniform")
     trained, out = {}, {}
     for variant in variants:
-        weights = uniform if variant == "no_reweight" else tc.weight_config
-        if weights not in trained:
-            trained[weights] = train(pool, specs, replace(tc, weight_config=weights))
-        result = trained[weights]
+        mode = "uniform" if variant == "no_reweight" else tc.weight_mode
+        if mode not in trained:
+            trained[mode] = train(pool, specs, replace(tc, weight_mode=mode))
+        result = trained[mode]
         preds = _ablation_preds(variant, result, pool, tc.seed, hard_threshold)
         out[variant] = (compute_report(pool.eval_target_roles(), preds,
                                        result.params.num_classes), result)

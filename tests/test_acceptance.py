@@ -50,8 +50,7 @@ def benchmark_specs():
 
 
 def benchmark_config(seed):
-    return pl.TrainConfig(epochs=80, batch_size=128, learning_rate=1e-4,
-                          optimizer="adam", seed=seed)
+    return pl.TrainConfig(epochs=80, batch_size=128, learning_rate=1e-4, seed=seed)
 
 
 @pytest.fixture(scope="module")
@@ -211,8 +210,8 @@ def test_criterion_2_step_reverses_extractor_gradient():
         unknown_x=rng.standard_normal((6, 3)),
         target_x=rng.standard_normal((6, 3)),
     )
-    lw, wc = obj.LossWeights(lambda_d=0.5, lambda_e=0.0, lambda_c=0.0), obj.WeightConfig()
-    step = obj.total_step_gradients(batch, params, lw, wc)
+    lw, mode = obj.LossWeights(lambda_d=0.5, lambda_e=0.0, lambda_c=0.0), "neg_entropy"
+    step = obj.total_step_gradients(batch, params, lw, mode)
 
     def forward(spec, group, x):
         inputs = []
@@ -221,7 +220,7 @@ def test_criterion_2_step_reverses_extractor_gradient():
     feat_s, in_gs = forward(spec_g, params.theta_g, batch.source_x)
     feat_t, in_gt = forward(spec_g, params.theta_g, batch.target_x)
     w = obj.batch_weights(obj.entropy(md.softmax(forward(spec_c, params.theta_c, feat_t)[0])[0]),
-                          wc)
+                          mode)
     z_s, in_ds = forward(spec_d, params.theta_d, feat_s)
     z_t, in_dt = forward(spec_d, params.theta_d, feat_t)
     _, g_zs, g_zt = obj.loss_domain(z_s, z_t, w, scale=lw.lambda_d)
@@ -256,11 +255,11 @@ def test_criterion_3_saddle_point_routing():
         unknown_x=rng.standard_normal((5, 3)),
         target_x=rng.standard_normal((5, 3)),
     )
-    lw, wc = obj.LossWeights(), obj.WeightConfig()
-    step = obj.total_step_gradients(batch, params, lw, wc)
+    lw, mode = obj.LossWeights(), "neg_entropy"
+    step = obj.total_step_gradients(batch, params, lw, mode)
     base_w = obj.batch_weights(
         obj.entropy(md.forward_classifier(params, md.forward_features(params, batch.target_x))),
-        wc)
+        mode)
 
     def logits(spec, group, x):  # a training pass ends at the logits
         return md.mlp_forward(spec, group, x, [])
@@ -307,11 +306,11 @@ def test_criterion_4_weight_normalization():
     antitone_ok = True
     for _ in range(50):
         h = rng.random(int(rng.integers(2, 40))) * np.log(4)
-        w = obj.batch_weights(h, obj.WeightConfig("neg_entropy"))
+        w = obj.batch_weights(h, "neg_entropy")
         sums_ok &= abs(w.sum() - 1.0) < 1e-9
         order = np.argsort(h)
         antitone_ok &= bool(np.all(np.diff(w[order]) < 0))
-    hand = obj.batch_weights(np.array([0.0, np.log(2)]), obj.WeightConfig("neg_entropy"))
+    hand = obj.batch_weights(np.array([0.0, np.log(2)]), "neg_entropy")
     hand_ok = np.allclose(hand, [2 / 3, 1 / 3], atol=1e-12)
     report(4, "weight normalization, antitonicity, and hand check",
            sums_ok and antitone_ok and hand_ok,

@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 import adagev.cli  # the tracer wraps adagev.cli, which adagev's __init__ does not import
-from adagev import evt
 from adagev import model as md
 from adagev import pipeline as pl
 
@@ -36,7 +35,7 @@ def test_traced_training_records_every_hooked_layer(spans):
         pl.dt.BlobShiftConfig(source_per_class=20, target_per_class=15)), pl.dt.digits_split())
     specs = (md.MlpSpec((2, 8), "tanh"), md.MlpSpec((8, 4), head="softmax"),
              md.MlpSpec((8, 1), head="sigmoid"))
-    tc = pl.TrainConfig(epochs=1, batch_size=16, tail_config=evt.TailConfig(2))
+    tc = pl.TrainConfig(epochs=1, batch_size=16, tail_block=2)
     tracer = spans.Tracer()
     tracer.install(adagev)
     try:
@@ -73,7 +72,7 @@ def test_traced_two_lane_training_keeps_one_step_span_per_step(spans, monkeypatc
     cfg = pl.dt.BlobShiftConfig(dim=64, source_per_class=20, target_per_class=15)
     pool = pl.dt.apply_roles(*pl.dt.gen_shifted_blobs(cfg), pl.dt.digits_split())
     specs = md.default_specs(64, 4, (256, 256))
-    tc = pl.TrainConfig(epochs=2, batch_size=64, tail_config=evt.TailConfig(2))
+    tc = pl.TrainConfig(epochs=2, batch_size=64, tail_block=2)
     assert tc.batch_size * (64 * 256 + 256 * 256) >= pl.LANE_MIN_MADDS
     tracer = spans.Tracer()
     tracer.install(adagev)

@@ -300,7 +300,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("values,key", [
         ({"epochs": "2"}, "epochs"), ({"epochs": 2.5}, "epochs"), ({"epochs": True}, "epochs"),
-        ({"lr": "0.1"}, "lr"), ({"optimizer": "sgd"}, "optimizer"),
+        ({"lr": "0.1"}, "lr"), ({"weight_mode": "neg_entropy"}, "weight_mode"),
         ({"hidden": [8, 8]}, "hidden"), ({"data": 5}, "data"),
     ])
     def test_config_value_of_wrong_kind(self, small_data, tmp_path, capsys, values, key):
@@ -364,7 +364,7 @@ class TestTrain:
         path, _ = small_data
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({"epochs": 1.0, "batch": 16, "lambda_e": 1, "hidden": "8",
-                                      "tail": "block:2", "optimizer": "sgd-momentum",
+                                      "tail": "block:2", "weight_mode": "uniform",
                                       "seed": None}))
         outdir = tmp_path / "run"
         rc = run("train", "--out", str(outdir), "--data", str(path), "--config", str(config))
@@ -374,12 +374,12 @@ class TestTrain:
         assert type(echo["epochs"]) is int
 
     def test_saturated_classifier_is_numerical_failure(self, small_data, tmp_path, capsys):
-        # SGD-momentum at lr 1 saturates the classifier within an epoch, so
-        # the source entropies the GEV is fitted to have no spread
+        # Adam at lr 100 saturates the classifier within an epoch, so the
+        # source entropies the GEV is fitted to have no spread
         path, _ = small_data
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"epochs": 1, "batch": 16, "lr": 1, "hidden": "8",
-                                      "tail": "block:2", "optimizer": "sgd-momentum"}))
+        config.write_text(json.dumps({"epochs": 1, "batch": 16, "lr": 100, "hidden": "8",
+                                      "tail": "block:2"}))
         rc = run("train", "--out", str(tmp_path / "run"), "--data", str(path),
                  "--config", str(config))
         assert rc == 4
@@ -769,8 +769,9 @@ class TestFitGev:
         assert "bin.txt: not UTF-8" in capsys.readouterr().err
 
     def test_tail_pool_is_usage_error(self, tmp_path, capsys):
-        """--tail-pool, --z-mode and --weight-mode paper-literal are gone from
-        every command; each is argparse's usage error, before any file is read."""
+        """--tail-pool, --z-mode, --optimizer and --weight-mode paper-literal
+        are gone from every command; each is argparse's usage error, before
+        any file is read."""
         src = tmp_path / "v.txt"
         src.write_text("\n".join(map(repr, np.linspace(0.0, 2.0, 100).tolist())))
         cases = [(["fit-gev", "--input", str(src)], "--tail-pool", "known-only")]
@@ -778,6 +779,7 @@ class TestFitGev:
             cases += [([command, "--data", str(tmp_path / "blobs.csv")], flag, value)
                       for flag, value in (("--tail-pool", "known-only"),
                                           ("--z-mode", "same-batch"),
+                                          ("--optimizer", "adam"),
                                           ("--weight-mode", "paper-literal"))]
         for argv, flag, value in cases:
             with pytest.raises(SystemExit) as exit_:
@@ -792,16 +794,19 @@ class TestFitGev:
             assert not (tmp_path / "o").exists()
 
     def test_top_fraction_tail_is_usage_error(self, tmp_path, capsys):
-        """--tail top:<fraction> is gone; every command rejects it before it
-        reads a file, so the missing files here would exit 3."""
+        """--tail top:<fraction> is gone, and a block size must be positive;
+        every command rejects either before it reads a file, so the missing
+        files here would exit 3."""
         cases = [["fit-gev", "--input", str(tmp_path / "v.txt")]]
         cases += [[command, "--data", str(tmp_path / "blobs.csv")]
                   for command in ("train", "ablate")]
         for argv in cases:
-            assert run(*argv, "--out", str(tmp_path / "o"), "--tail", "top:0.5") == 2
-            assert capsys.readouterr().err == (
-                "error: --tail must be block:<size> or none, got 'top:0.5'\n")
-            assert not (tmp_path / "o").exists()
+            for tail, err in (("top:0.5", "--tail must be block:<size> or none, got 'top:0.5'"),
+                              ("block:0", "bad --tail value 'block:0': block_size must be "
+                                          "positive")):
+                assert run(*argv, "--out", str(tmp_path / "o"), "--tail", tail) == 2
+                assert capsys.readouterr().err == f"error: {err}\n"
+                assert not (tmp_path / "o").exists()
 
     def test_degenerate_values(self, tmp_path):
         src = tmp_path / "v.txt"
@@ -1049,10 +1054,11 @@ class TestIdx:
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_echo_with_a_removed_key_exits_2(trained_dir, tmp_path, capsys, command):
-    """An echo written before tail_pool, z_mode or the top-fraction tail was
-    removed no longer replays."""
+    """An echo written before tail_pool, z_mode, optimizer or the
+    top-fraction tail was removed no longer replays."""
     for key, value, err in (
             ("tail_pool", "known-only", "unknown config keys: ['tail_pool']"),
+            ("optimizer", "adam", "unknown config keys: ['optimizer']"),
             ("z_mode", "same-batch", "unknown config keys: ['z_mode']"),
             ("tail", "top:0.1", "--tail must be block:<size> or none, got 'top:0.1'")):
         echo = json.loads((trained_dir / "config.json").read_text())
@@ -1115,12 +1121,10 @@ def test_cli_defaults_match_library_defaults():
 
     train = {key: flag.default for key, flag in cli.TRAIN_FLAGS.items()}
     # _train_config maps --batch, --lr, the three lambdas, the weight mode
-    # and --tail onto TrainConfig and its nested configs
+    # and --tail onto TrainConfig's fields
     assert cli._train_config(train) == pl.TrainConfig()
-    kinds = {key: [v.replace("-", "_") for v in cli.TRAIN_FLAGS[key].kind]
-             for key in ("weight_mode", "optimizer")}
-    assert kinds["weight_mode"] == list(obj.WEIGHT_MODES)
-    assert kinds["optimizer"] == list(pl.OPTIMIZERS)
+    modes = [v.replace("-", "_") for v in cli.TRAIN_FLAGS["weight_mode"].kind]
+    assert modes == list(obj.WEIGHT_MODES)
     spec_g = md.default_specs(input_dim=2, num_classes=4)[0]
     assert cli._parse_int_list(train["hidden"]) == spec_g.widths[1:]
 

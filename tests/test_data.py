@@ -303,8 +303,9 @@ def test_any_bytes_read_as_idx_or_raise_data_error(tmp_path_factory, kind, raw):
 
 def reference_load_blobs(path):
     """The row-at-a-time reader that load_blobs replaced, kept as its
-    reference in numpy's stricter format: no line is stripped, and a line
-    holding '_' or a character beyond ASCII is a malformed row."""
+    reference in numpy's stricter format: no line is stripped, the domain
+    must match exactly, and a label or feature that holds '_' or a character
+    beyond ASCII once its whitespace is stripped is a malformed row."""
     def numbered_lines():
         try:
             with open(path, "r", encoding="utf-8") as f:
@@ -325,7 +326,8 @@ def reference_load_blobs(path):
             continue
         parts = line.split(",")
         width = width or len(parts)
-        if len(parts) < 3 or parts[0] not in rows or "_" in line or not line.isascii():
+        if len(parts) < 3 or parts[0] not in rows or not all(
+                cell.isascii() and "_" not in cell for cell in map(str.strip, parts[1:])):
             raise dt.DataError(f"{path}:{lineno}: malformed row")
         if len(parts) != width:
             raise dt.DataError(f"{path}:{lineno}: {len(parts) - 2} features, "
@@ -352,9 +354,9 @@ def reference_load_blobs(path):
 
 # Values that float() or int() accept in unusual spellings, values they
 # reject, and values outside what a row may hold.
-ODD_FEATURES = ["2_0", "１．５", " 3.5", "1e999", "nan", "-inf", "infinity",
+ODD_FEATURES = ["2_0", "１．５", " 3.5", "3.5\u3000", "1e999", "nan", "-inf", "infinity",
                 "abc", "", "0x1"]
-ODD_LABELS = ["2_0", "３", " 4 ", "-9223372036854775808", "9223372036854775807",
+ODD_LABELS = ["2_0", "３", " 4 ", "\u00a04", "-9223372036854775808", "9223372036854775807",
               "9223372036854775808", "9" * 25, "x", "1.0", ""]
 
 
@@ -571,6 +573,35 @@ def test_odd_spellings_are_malformed_rows(tmp_path, name):
     with pytest.raises(dt.DataError) as got:
         dt.load_blobs(path)
     assert str(got.value) == f"{path}:{ODD_SPELLINGS[name]}: malformed row"
+
+
+# Whitespace beyond ASCII, and a tab, that numpy's C pass takes around a
+# number, as str.strip does.
+SPACES = {"U+00A0": "\u00a0", "U+2003": "\u2003", "U+3000": "\u3000", "tab": "\t"}
+
+
+@pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+def test_whitespace_around_a_number_loads(tmp_path, space):
+    path = tmp_path / "spaced.csv"
+    path.write_text("\n".join([dt.EXPORT_HEADER, f"source,{space}0,1.5{space},{space}4",
+                               f"target,1{space},{space}-2.5,3{space}"]) + "\n",
+                    encoding="utf-8")
+    assert_loads_like_reference(path)  # from the C pass alone
+    got = [a.tolist() for a in dt.load_blobs(path)]
+    assert got == [[[1.5, 4.0]], [0], [[-2.5, 3.0]], [1]]
+
+
+@pytest.mark.parametrize("space", SPACES.values(), ids=SPACES)
+def test_defect_after_whitespace_around_a_number_names_its_line(tmp_path, space):
+    """The row checker passes a line that the C pass took, so it names the
+    line that numpy refused."""
+    path = tmp_path / "spaced.csv"
+    path.write_text("\n".join([dt.EXPORT_HEADER, f"source,0,1.5{space}", "target,1,2_0"]) + "\n",
+                    encoding="utf-8")
+    with pytest.raises(dt.DataError) as got:
+        dt.load_blobs(path)
+    assert str(got.value) == f"{path}:3: malformed row"
+    assert_loads_like_reference(path)
 
 
 def test_warning_in_the_c_pass_is_a_refusal(tmp_path, monkeypatch):

@@ -133,35 +133,36 @@ class TestSample:
 class TestExtractTail:
     def test_block_maxima_counts(self):
         vals = np.arange(650.0)
-        tail = evt.extract_tail(vals, evt.TailConfig(block_size=20))
+        tail = evt.extract_tail(vals, block_size=20)
         assert tail.size == 32  # 650 // 20 blocks, remainder dropped
 
     def test_block_maxima_deterministic(self):
         vals = np.random.default_rng(0).random(800)
-        tc = evt.TailConfig(block_size=20)
-        np.testing.assert_array_equal(evt.extract_tail(vals, tc, rng_seed=5),
-                                      evt.extract_tail(vals, tc, rng_seed=5))
+        np.testing.assert_array_equal(evt.extract_tail(vals, 20, rng_seed=5),
+                                      evt.extract_tail(vals, 20, rng_seed=5))
 
     def test_block_maxima_too_few_blocks(self):
         with pytest.raises(evt.FitError):
-            evt.extract_tail(np.random.default_rng(0).random(100), evt.TailConfig(block_size=20))
+            evt.extract_tail(np.random.default_rng(0).random(100), block_size=20)
 
-    @pytest.mark.parametrize("tc", [evt.TailConfig(block_size=20), evt.TailConfig(block_size=10)])
+    # ids as when the block size came in a TailConfig
+    @pytest.mark.parametrize("block", [20, 10], ids=["tc0", "tc1"])
     @pytest.mark.parametrize("n", [0, 290, 291, 599, 600, 1000])
-    def test_tail_size_is_the_extracted_size(self, tc, n):
+    def test_tail_size_is_the_extracted_size(self, block, n):
         vals = np.random.default_rng(n).random(n)
-        expected = n // tc.block_size
+        expected = n // block
         if expected < evt.MIN_TAIL:
             with pytest.raises(evt.FitError):
-                evt.tail_size(n, tc)
+                evt.tail_size(n, block)
             with pytest.raises(evt.FitError):
-                evt.extract_tail(vals, tc)
+                evt.extract_tail(vals, block)
         else:
-            assert evt.tail_size(n, tc) == expected == evt.extract_tail(vals, tc).size
+            assert evt.tail_size(n, block) == expected == evt.extract_tail(vals, block).size
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            evt.TailConfig(block_size=0)
+        for n in (0, 1000):
+            with pytest.raises(ValueError, match="block_size must be positive, got 0"):
+                evt.tail_size(n, 0)
 
 
 class TestFit:

@@ -52,17 +52,22 @@ class TestEntropy:
 class TestBatchWeights:
     def test_equal_entropies_uniform(self):
         for mode in obj.WEIGHT_MODES:
-            w = obj.batch_weights(np.full(5, 0.7), obj.WeightConfig(mode))
+            w = obj.batch_weights(np.full(5, 0.7), mode)
             np.testing.assert_allclose(w, 0.2)
 
+    @pytest.mark.parametrize("mode", ["paper_literal", "neg-entropy", ""])
+    def test_unknown_mode(self, mode):
+        with pytest.raises(ValueError, match="weight_mode must be one of"):
+            obj.batch_weights(np.full(5, 0.7), mode)
+
     def test_neg_entropy_hand_case(self):
-        w = obj.batch_weights(np.array([0.0, np.log(2)]), obj.WeightConfig("neg_entropy"))
+        w = obj.batch_weights(np.array([0.0, np.log(2)]), "neg_entropy")
         np.testing.assert_allclose(w, [2 / 3, 1 / 3])
 
     def test_neg_entropy_antitone(self):
         rng = np.random.default_rng(0)
         h = rng.random(20) * np.log(4)
-        w = obj.batch_weights(h, obj.WeightConfig("neg_entropy"))
+        w = obj.batch_weights(h, "neg_entropy")
         order = np.argsort(h)
         assert np.all(np.diff(w[order]) < 0)
 
@@ -72,7 +77,7 @@ class TestBatchWeights:
         rng = np.random.default_rng(seed)
         h = rng.random(int(rng.integers(1, 40))) * 2
         for mode in obj.WEIGHT_MODES:
-            w = obj.batch_weights(h, obj.WeightConfig(mode))
+            w = obj.batch_weights(h, mode)
             assert abs(w.sum() - 1.0) < 1e-9
 
 
@@ -168,7 +173,7 @@ def training_pass(spec, group, x):
     return md.mlp_forward(spec, group, x, [])
 
 
-def group_loss(params, batch, lw, wc, which, fixed_w=None):
+def group_loss(params, batch, lw, mode, which, fixed_w=None):
     """Value of the objective one parameter group is supposed to descend.
 
     The importance weights are detached constants in the analytic step, so
@@ -180,7 +185,7 @@ def group_loss(params, batch, lw, wc, which, fixed_w=None):
     feat_t = md.forward_features(params, batch.target_x)
     if fixed_w is None:
         probs_t = md.forward_classifier(params, feat_t)
-        w = obj.batch_weights(obj.entropy(probs_t), wc)
+        w = obj.batch_weights(obj.entropy(probs_t), mode)
     else:
         w = fixed_w
     l_d = obj.loss_domain(training_pass(params.spec_d, params.theta_d, feat_s),
@@ -198,11 +203,11 @@ def group_loss(params, batch, lw, wc, which, fixed_w=None):
 class TestTotalStepGradients:
     def test_routing_matches_finite_differences(self):
         params, batch = tiny_setup()
-        lw, wc = obj.LossWeights(), obj.WeightConfig()
-        step = obj.total_step_gradients(batch, params, lw, wc)
+        lw, mode = obj.LossWeights(), "neg_entropy"
+        step = obj.total_step_gradients(batch, params, lw, mode)
         base_w = obj.batch_weights(
             obj.entropy(md.forward_classifier(params, md.forward_features(params, batch.target_x))),
-            wc)
+            mode)
         h = 1e-5
         for which in ("theta_g", "theta_c", "theta_d"):
             group = params.groups()[which]
@@ -214,9 +219,9 @@ class TestTotalStepGradients:
                     idx = it.multi_index
                     orig = tensor[idx]
                     tensor[idx] = orig + h
-                    up = group_loss(params, batch, lw, wc, which, fixed_w=base_w)
+                    up = group_loss(params, batch, lw, mode, which, fixed_w=base_w)
                     tensor[idx] = orig - h
-                    down = group_loss(params, batch, lw, wc, which, fixed_w=base_w)
+                    down = group_loss(params, batch, lw, mode, which, fixed_w=base_w)
                     tensor[idx] = orig
                     numeric[idx] = (up - down) / (2 * h)
                 err = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-8)
@@ -225,19 +230,19 @@ class TestTotalStepGradients:
     def test_lambda_d_zero_decouples(self):
         params, batch = tiny_setup(seed=3)
         step = obj.total_step_gradients(batch, params, obj.LossWeights(0.0, 1.0, 1.0),
-                                        obj.WeightConfig())
+                                        "neg_entropy")
         for g in step.grads["theta_d"]:
             assert not g.any()
 
     def test_discriminator_step_decreases_loss_domain(self):
         for seed in range(5):
             params, batch = tiny_setup(seed=seed)
-            lw, wc = obj.LossWeights(), obj.WeightConfig()
-            before = group_loss(params, batch, lw, wc, "theta_d") / lw.lambda_d
-            step = obj.total_step_gradients(batch, params, lw, wc)
+            lw, mode = obj.LossWeights(), "neg_entropy"
+            before = group_loss(params, batch, lw, mode, "theta_d") / lw.lambda_d
+            step = obj.total_step_gradients(batch, params, lw, mode)
             for tensor, grad in zip(params.theta_d, step.grads["theta_d"]):
                 tensor -= 1e-3 * grad
-            after = group_loss(params, batch, lw, wc, "theta_d") / lw.lambda_d
+            after = group_loss(params, batch, lw, mode, "theta_d") / lw.lambda_d
             assert after < before
 
     def test_weights_detached(self):
@@ -245,9 +250,9 @@ class TestTotalStepGradients:
         # should leave theta_d gradients untouched by the weight computation
         params, batch = tiny_setup(seed=4)
         step1 = obj.total_step_gradients(batch, params, obj.LossWeights(0.5, 0.0, 0.0),
-                                         obj.WeightConfig())
+                                         "neg_entropy")
         step2 = obj.total_step_gradients(batch, params, obj.LossWeights(0.5, 1.0, 1.0),
-                                         obj.WeightConfig())
+                                         "neg_entropy")
         for a, b in zip(step1.grads["theta_d"], step2.grads["theta_d"]):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
@@ -272,7 +277,7 @@ class TestLogitGradients:
     def test_domain(self):
         rng = np.random.default_rng(11)
         z_src, z_tgt = rng.standard_normal((5, 1)) * 3, rng.standard_normal((5, 1)) * 3
-        w = obj.batch_weights(rng.random(5), obj.WeightConfig())
+        w = obj.batch_weights(rng.random(5), "neg_entropy")
         _, g_src, g_tgt = obj.loss_domain(z_src, z_tgt, w, scale=0.7)
         for z, g in ((z_src, g_src), (z_tgt, g_tgt)):
             numeric = central_differences(lambda: 0.7 * obj.loss_domain(z_src, z_tgt, w)[0], z)
@@ -324,7 +329,7 @@ class TestSaturatedLogits:
         params, batch = tiny_setup(seed=6)
         params.theta_d[0][...] = 0.0
         params.theta_d[1][...] = 30.0
-        step = obj.total_step_gradients(batch, params, obj.LossWeights(), obj.WeightConfig())
+        step = obj.total_step_gradients(batch, params, obj.LossWeights(), "neg_entropy")
         np.testing.assert_allclose(step.grads["theta_d"][1], [-0.5], rtol=1e-9)
 
     def test_logits_beyond_the_float_range_name_log_softmax(self):
@@ -340,19 +345,19 @@ def test_tanh_overflow_in_the_step_names_linear():
     params.theta_g[0][:] = 1e308
     batch.source_x[:] = 10.0
     with pytest.raises(ad.NonFiniteError, match="'linear'"):
-        obj.total_step_gradients(batch, params, obj.LossWeights(), obj.WeightConfig())
+        obj.total_step_gradients(batch, params, obj.LossWeights(), "neg_entropy")
 
 
 # The graph-built step the fused step replaced, kept as its bit-for-bit
 # reference: the same losses as autodiff nodes and one backward pass.
 
-def graph_step(batch, params, lw, wc):
+def graph_step(batch, params, lw, mode):
     g_nodes, c_nodes, d_nodes = (param_nodes(t) for t in params.groups().values())
     feat_s = mlp_graph(params.spec_g, g_nodes, batch.source_x)
     feat_u = mlp_graph(params.spec_g, g_nodes, batch.unknown_x)
     feat_t = mlp_graph(params.spec_g, g_nodes, batch.target_x)
     probs_t = ad.stable_softmax(mlp_graph(params.spec_c, c_nodes, feat_t))
-    w = obj.batch_weights(obj.entropy(probs_t.value), wc)
+    w = obj.batch_weights(obj.entropy(probs_t.value), mode)
 
     z_src = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_s))
     z_tgt = mlp_graph(params.spec_d, d_nodes, ad.grad_reverse(feat_t))
@@ -421,9 +426,9 @@ def test_fused_step_equals_graph_bit_for_bit(specs, weight_mode, weights):
 
     batch = dt.DomainBatch(source_x=rows(), source_y=rng.integers(0, 4, 16), unknown_x=rows(),
                            target_x=rows())
-    lw, wc = LOSS_WEIGHTS[weights], obj.WeightConfig(weight_mode)
-    fused = obj.total_step_gradients(batch, params, lw, wc)
-    assert as_bytes(fused) == as_bytes(graph_step(batch, params, lw, wc))
+    lw = LOSS_WEIGHTS[weights]
+    fused = obj.total_step_gradients(batch, params, lw, weight_mode)
+    assert as_bytes(fused) == as_bytes(graph_step(batch, params, lw, weight_mode))
 
 
 # Rows that make one batch fail where the graph's order of checks sees it:
@@ -453,7 +458,7 @@ def step_outcome(step):
 def test_lanes_raise_the_graphs_first_error():
     from concurrent.futures import ThreadPoolExecutor
 
-    params, lw, wc = fault_params(), obj.LossWeights(), obj.WeightConfig()
+    params, lw, mode = fault_params(), obj.LossWeights(), "neg_entropy"
     # a target row that only the losses on log-probabilities would see never fails
     cases = itertools.product(FAULT_ROWS, FAULT_ROWS, ("none", "linear"))
     with ThreadPoolExecutor(1) as executor:
@@ -464,7 +469,7 @@ def test_lanes_raise_the_graphs_first_error():
                 return x
             batch = dt.DomainBatch(rows(source), np.array([0, 1, 2]), rows(unknown), rows(target))
             with np.errstate(over="ignore"):  # the graph's softmax warns where the step does not
-                expected = step_outcome(lambda: graph_step(batch, params, lw, wc))
+                expected = step_outcome(lambda: graph_step(batch, params, lw, mode))
             for lane in (None, executor):
-                got = step_outcome(lambda: obj.total_step_gradients(batch, params, lw, wc, lane))
+                got = step_outcome(lambda: obj.total_step_gradients(batch, params, lw, mode, lane))
                 assert got == expected, (source, unknown, target, lane)

@@ -33,7 +33,7 @@ def tiny_specs():
 
 def tiny_config(**kw):
     # the tiny pool is too small for the default blocks of 20; use blocks of 2
-    base = dict(epochs=2, batch_size=16, seed=0, tail_config=evt.TailConfig(2))
+    base = dict(epochs=2, batch_size=16, seed=0, tail_block=2)
     base.update(kw)
     return pl.TrainConfig(**base)
 
@@ -54,6 +54,20 @@ class TestConfigValidation:
     def test_bad_optimizer(self):
         with pytest.raises(ValueError):
             pl.TrainConfig(optimizer="adagrad")
+
+    def test_benchmark_call_form(self):
+        """perfbench/run.py still names the optimizer. The next change to the
+        benchmark drops its optimizer="adam", and then the field goes too."""
+        form = dict(epochs=2, batch_size=128, learning_rate=1e-4, seed=1)
+        assert pl.TrainConfig(**form, optimizer="adam") == pl.TrainConfig(**form)
+        with pytest.raises(ValueError, match="unknown optimizer 'sgd_momentum'"):
+            pl.TrainConfig(**form, optimizer="sgd_momentum")
+
+    @pytest.mark.parametrize("kw", [{"weight_mode": "paper_literal"}, {"weight_mode": "uniform "},
+                                    {"tail_block": 0}, {"tail_block": -20}])
+    def test_bad_weight_mode_or_tail_block(self, kw):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            pl.TrainConfig(**kw)
 
     def test_bad_ablation_variant(self, no_training):
         with pytest.raises(ValueError, match="variant must be one of"):
@@ -80,9 +94,8 @@ class TestConfigValidation:
         def step(*args):
             raise AssertionError("a training step ran")
         monkeypatch.setattr(obj, "total_step_gradients", step)
-        tail = evt.TailConfig()  # blocks of 20
         with pytest.raises(dt.DataError, match=r"the 80 source rows .* got 4 "):
-            pl.train(tiny_pool(), tiny_specs(), tiny_config(tail_config=tail))
+            pl.train(tiny_pool(), tiny_specs(), tiny_config(tail_block=20))
 
 
 class TestTrain:
@@ -355,8 +368,8 @@ class TestTrainingLanes:
     def test_lane_specs_are_above_the_rule(self):
         assert LANE_BATCH * lane_specs()[0].madds >= pl.LANE_MIN_MADDS
 
-    # ids as when the same-batch normalizer was one of two cases here
-    @pytest.mark.parametrize("optimizer", pl.OPTIMIZERS, ids=lambda o: f"{o}-same_batch")
+    # ids as when the same-batch normalizer and SGD-momentum were cases here
+    @pytest.mark.parametrize("optimizer", ["adam"], ids=lambda o: f"{o}-same_batch")
     def test_worker_counts_agree_bit_for_bit(self, tmp_path, workers, pools_opened, optimizer):
         cfg = tiny_config(epochs=3, batch_size=LANE_BATCH, optimizer=optimizer)
         out = {}
@@ -448,10 +461,10 @@ def test_two_lane_step_equals_inline_bit_for_bit(lane_executor, d, hidden, b, ac
         return rng.standard_normal((b, d))
     batch = dt.DomainBatch(source_x=rows(), source_y=rng.integers(0, 5, b), unknown_x=rows(),
                            target_x=rows())
-    lw, wc = obj.LossWeights(0.3, 1.7, 0.45), obj.WeightConfig(weight_mode)
-    inline = obj.total_step_gradients(batch, params, lw, wc)
+    lw = obj.LossWeights(0.3, 1.7, 0.45)
+    inline = obj.total_step_gradients(batch, params, lw, weight_mode)
     for _ in range(2):  # the second step reuses the worker that ran the first
-        two_lane = obj.total_step_gradients(batch, params, lw, wc, lane_executor)
+        two_lane = obj.total_step_gradients(batch, params, lw, weight_mode, lane_executor)
         assert two_lane.grad.tobytes() == inline.grad.tobytes()
         assert ([two_lane.loss_d, two_lane.loss_e, two_lane.loss_c, two_lane.total]
                 == [inline.loss_d, inline.loss_e, inline.loss_c, inline.total])
@@ -470,13 +483,13 @@ def test_two_lane_steps_agree_under_thread_pressure():
     pool, rng = lane_pool(), np.random.default_rng(3)
     # a new batch each step, so a buffer read too early holds other bits
     batches = [dt.sample_batch_triple(pool, LANE_BATCH, rng) for _ in range(15)]
-    lw, wc = obj.LossWeights(), obj.WeightConfig()
-    expected = [obj.total_step_gradients(b, params, lw, wc).grad.tobytes() for b in batches]
+    lw, mode = obj.LossWeights(), "neg_entropy"
+    expected = [obj.total_step_gradients(b, params, lw, mode).grad.tobytes() for b in batches]
     got = {}
 
     def steps(k):
         with ThreadPoolExecutor(1) as executor:
-            got[k] = [obj.total_step_gradients(b, params, lw, wc, executor).grad.tobytes()
+            got[k] = [obj.total_step_gradients(b, params, lw, mode, executor).grad.tobytes()
                       for b in batches]
 
     interval = sys.getswitchinterval()
@@ -678,7 +691,7 @@ def reference_ablation(pool, specs, tc, variant, hard_threshold=None):
     of its own and the rejection rule written out; the reference for
     run_ablations."""
     if variant == "no_reweight":
-        tc = replace(tc, weight_config=obj.WeightConfig("uniform"))
+        tc = replace(tc, weight_mode="uniform")
     result = pl.train(pool, specs, tc)
     params = result.params
     k = params.num_classes
@@ -739,12 +752,12 @@ class TestAblations:
 
     def test_trains_once_per_weighting(self, pool, train_calls):
         out = pl.run_ablations(pool, tiny_specs(), tiny_config(), pl.ABLATION_VARIANTS)
-        assert [tc.weight_config.weight_mode for tc in train_calls] == ["neg_entropy", "uniform"]
+        assert [tc.weight_mode for tc in train_calls] == ["neg_entropy", "uniform"]
         assert out["full"][1] is out["no_evt_binary"][1] is out["hard_threshold"][1]
         assert out["no_reweight"][1] is not out["full"][1]
 
     def test_uniform_base_trains_once(self, pool, train_calls):
-        tc = tiny_config(weight_config=obj.WeightConfig("uniform"))
+        tc = tiny_config(weight_mode="uniform")
         out = pl.run_ablations(pool, tiny_specs(), tc, pl.ABLATION_VARIANTS)
         assert train_calls == [tc]
         assert len({id(res) for _, res in out.values()}) == 1
@@ -780,9 +793,9 @@ class TestAblations:
     def test_gev_is_fitted_to_the_last_epoch_entropies(self, pool, monkeypatch):
         fitted, fit_rejector = [], pl.fit_rejector
 
-        def captured(entropies, tail, seed=0):
+        def captured(entropies, block_size, seed=0):
             fitted.append(entropies)
-            return fit_rejector(entropies, tail, seed)
+            return fit_rejector(entropies, block_size, seed)
         monkeypatch.setattr(pl, "fit_rejector", captured)
         res = pl.train(pool, tiny_specs(), tiny_config())
         # the tiny pools are one block each, so one pass gives the same bits
@@ -905,25 +918,10 @@ def test_adam_overflow_in_last_block_raises():
     assert (params[:2 * pl.ADAM_BLOCK] != 0).all() and not params[2 * pl.ADAM_BLOCK:].any()
 
 
-def test_sgd_momentum_step_equals_out_of_place_expressions_bit_for_bit():
-    rng = np.random.default_rng(0)
-    params = rng.standard_normal(19)
-    ref = params.copy()
-    buf = np.zeros(19)
-    sgd = pl._SgdMomentum(1e-2)
-    for _ in range(5):
-        g = rng.standard_normal(19)
-        sgd.step(params, g)
-        buf = sgd.momentum * buf + g
-        ref = ref - 1e-2 * buf
-        assert params.tobytes() == ref.tobytes()
-
-
 class TestDivergence:
     def test_huge_lr_raises(self):
         with pytest.raises((ad.NonFiniteError, evt.FitError)):
-            pl.train(tiny_pool(), tiny_specs(),
-                     tiny_config(epochs=10, learning_rate=10.0, optimizer="sgd_momentum"))
+            pl.train(tiny_pool(), tiny_specs(), tiny_config(epochs=10, learning_rate=10.0))
 
     def test_non_finite_step_names_epoch_and_iteration(self):
         with pytest.raises(ad.NonFiniteError, match=r"epoch 1, iteration 2: op 'linear'"):
