@@ -162,11 +162,13 @@ def gen_shifted_blobs(cfg: BlobShiftConfig):
     shifted[:, 1] = sin * means[:, 0] + cos * means[:, 1] + cfg.translation[1]
 
     def draw(centers, per_class):
-        xs, ys = [], []
+        x = np.empty((cfg.class_count * per_class, cfg.dim))
         for c in range(cfg.class_count):
-            xs.append(centers[c] + cfg.cluster_std * rng.standard_normal((per_class, cfg.dim)))
-            ys.append(np.full(per_class, c, dtype=np.int64))
-        return np.concatenate(xs), np.concatenate(ys)
+            rows = x[c * per_class:(c + 1) * per_class]
+            rng.standard_normal(out=rows)
+            rows *= cfg.cluster_std
+            rows += centers[c]
+        return x, np.repeat(np.arange(cfg.class_count, dtype=np.int64), per_class)
 
     # a cluster_std near the float64 limit overflows to inf, which the blobs'
     # finite check reports, without numpy's warning before it

@@ -11,7 +11,8 @@ is a per-row score against a threshold through one ``predict``. Every pass over 
 entropies, the binary head's source features, the target passes of eval and
 the ablations) runs in row blocks sized by the networks' multiply-adds per
 row (``_row_blocks``); when BLAS is pinned to fewer threads than there are
-usable CPUs, the blocks run at once on the idle cores. The block layout
+usable CPUs, the blocks run at once on the idle cores, on the calling thread
+and a pool of one thread fewer than the worker count. The block layout
 depends only on the row count and the widths, so the worker count changes
 no bit. The layout itself can change the last bits of a probability,
 because BLAS chooses its kernel, and so its rounding, by a product's shape:
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -270,8 +272,9 @@ def predict(probs: np.ndarray, scores: np.ndarray, threshold: float) -> np.ndarr
 
 def _infer_workers(blocks: int) -> int:
     """How many row blocks inference runs at once: min(blocks, usable CPUs //
-    BLAS threads). ``train`` runs its second lane when this is above 1 for
-    two blocks.
+    BLAS threads), the calling thread included, so a pass with w workers
+    opens a pool of w - 1 threads. ``train`` runs its second lane when this
+    is above 1 for two blocks.
 
     The BLAS thread count is OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS. Unset
     or unparsable, BLAS already takes every core, and more workers would only
@@ -311,12 +314,15 @@ def _forward_blocks(params: md.ModelParams, x: np.ndarray, fn) -> np.ndarray:
     goes through here: the epoch log, the binary head's features, eval and
     the ablations.
 
-    Several blocks run on a thread pool of ``_infer_workers`` threads, opened
-    and closed within the call; numpy releases the GIL in matmul and ufuncs,
-    so they run at the same time. Each block computes the same values on any
-    thread, so the worker count changes no bit, and the first failing block
-    in order raises its error. ``concurrent.futures`` is imported only for a
-    pool, so serial runs start without it.
+    When ``_infer_workers`` gives w > 1, the calling thread and a pool of
+    w - 1 threads, opened and closed within the call, take the blocks in
+    order from one shared iterator; numpy releases the GIL in matmul and
+    ufuncs, so they run at the same time. Each block computes the same
+    values on any thread, so the worker count changes no bit. After a block
+    fails no thread starts another; once every started block has finished,
+    the first failing block in order raises its error.
+    ``concurrent.futures`` is imported only for a pool, so serial runs start
+    without it.
     """
     def block_fn(block):
         feats = md.forward_features(params, block)
@@ -329,8 +335,28 @@ def _forward_blocks(params: md.ModelParams, x: np.ndarray, fn) -> np.ndarray:
         return np.concatenate([block_fn(block) for block in blocks])
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers) as executor:
-        return np.concatenate(list(executor.map(block_fn, blocks)))
+    results, errors, lock = [None] * len(blocks), {}, threading.Lock()
+    order = iter(range(len(blocks)))
+
+    def run():
+        while True:
+            with lock:  # so no block starts once one has failed
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = block_fn(blocks[i])
+            except BaseException as e:  # raised below, once every thread is done
+                with lock:
+                    errors[i] = e
+
+    with ThreadPoolExecutor(workers - 1) as executor:
+        for _ in range(workers - 1):
+            executor.submit(run)
+        run()
+    if errors:
+        raise errors[min(errors)]
+    return np.concatenate(results)
 
 
 def _predict_blocks(params: md.ModelParams, x: np.ndarray, tau: float) -> np.ndarray:

@@ -931,6 +931,30 @@ def test_eval_leaves_numpy_ma_unloaded(small_data, trained_dir, tmp_path):
     assert "numpy.ma" not in loaded
 
 
+def test_serial_eval_leaves_concurrent_futures_unloaded(trained_dir, tmp_path):
+    """adagev eval with BLAS unpinned runs a multi-block target pool on one
+    worker, so it never opens a thread pool nor imports concurrent.futures."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        env.pop(var, None)
+    data = tmp_path / "blobs.csv"
+    assert run("gen-data", "--out", str(data), "--source-per-class", "30",
+               "--target-per-class", "1200") == 0
+    params, _ = md.load_checkpoint(trained_dir / "checkpoint.bin")
+    target = dt.apply_roles(*dt.load_blobs(data), dt.digits_split()).target_x
+    assert len(pl._row_blocks(target, params.spec_g.madds + params.spec_c.madds)) >= 2
+    modules_out = tmp_path / "modules.txt"
+    argv = ["eval", "--data", str(data), "--checkpoint", str(trained_dir / "checkpoint.bin"),
+            "--out", str(tmp_path / "report.json")]
+    done = subprocess.run([sys.executable, "-c", COLD_START, str(modules_out), *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = modules_out.read_text(encoding="utf-8").splitlines()
+    assert "adagev.pipeline" in loaded
+    assert "concurrent.futures" not in loaded
+
+
 class TestIdx:
     @pytest.fixture(scope="class")
     def idx_files(self, tmp_path_factory):

@@ -92,6 +92,45 @@ class TestBlobGeneration:
         with invalid_setting():
             dt.BlobShiftConfig(**setting)
 
+    @pytest.mark.parametrize("cfg", [dt.BlobShiftConfig(seed=77, target_per_class=20000),
+                                     dt.BlobShiftConfig(),
+                                     dt.BlobShiftConfig(class_count=3, dim=5, seed=4),
+                                     dt.BlobShiftConfig(cluster_std=1e308)],
+                             ids=["large-target", "default", "dim-5", "overflow"])
+    def test_matches_concatenated_classes(self, cfg):
+        got = dt.gen_shifted_blobs(cfg)
+        want = reference_blobs(cfg)
+        assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    def test_overflow_is_reported_by_the_finite_check(self, tmp_path):
+        """A cluster_std near the float64 limit draws infinities without a
+        numpy warning (warnings fail the test), and save_blobs refuses them."""
+        sx, sy, tx, ty = dt.gen_shifted_blobs(dt.BlobShiftConfig(cluster_std=1e308))
+        assert np.isinf(sx).any() and np.isinf(tx).any()
+        with pytest.raises(ValueError, match="source features must be finite"):
+            dt.save_blobs(tmp_path / "blobs.csv", sx, sy, tx, ty)
+
+
+def reference_blobs(cfg):
+    """``gen_shifted_blobs`` as each domain's classes drawn one by one into a
+    list and joined by ``np.concatenate``."""
+    rng = np.random.default_rng(cfg.seed)
+    means = dt._class_means(cfg)
+    cos, sin = np.cos(cfg.rotation), np.sin(cfg.rotation)
+    shifted = means.copy()
+    shifted[:, 0] = cos * means[:, 0] - sin * means[:, 1] + cfg.translation[0]
+    shifted[:, 1] = sin * means[:, 0] + cos * means[:, 1] + cfg.translation[1]
+    out = []
+    with np.errstate(over="ignore"):
+        for centers, per_class in ((means, cfg.source_per_class), (shifted, cfg.target_per_class)):
+            out.append(np.concatenate([centers[c] + cfg.cluster_std
+                                       * rng.standard_normal((per_class, cfg.dim))
+                                       for c in range(cfg.class_count)]))
+            out.append(np.concatenate([np.full(per_class, c, dtype=np.int64)
+                                       for c in range(cfg.class_count)]))
+    return tuple(out)
+
 
 class TestBlobCsv:
     def test_round_trip(self, tmp_path):

@@ -259,6 +259,70 @@ class TestParallelInfer:
         after = threading.enumerate()
         assert threading.active_count() == len(before) and set(after) == set(before)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_caller_runs_blocks_beside_a_pool_of_one_thread_fewer(self, uneven, workers,
+                                                                  pools_opened, monkeypatch, n):
+        x, res = uneven
+        workers(1)
+        serial = pl._forward_blocks(res.params, x, lambda _, probs: probs)
+        ran, forward_features = [], md.forward_features
+        all_in = threading.Barrier(n, timeout=30)
+
+        def recorded(params, block):
+            ran.append(threading.get_ident())
+            if len(ran) <= n:  # the first n blocks run on n threads at once
+                all_in.wait()
+            return forward_features(params, block)
+        monkeypatch.setattr(md, "forward_features", recorded)
+        workers(n)
+        got = pl._forward_blocks(res.params, x, lambda _, probs: probs)
+        assert pools_opened == [(n - 1,)]
+        assert len(ran) == 3 and len(set(ran)) == n and threading.get_ident() in ran
+        assert got.tobytes() == serial.tobytes()
+
+    @pytest.mark.parametrize("caller_first", [True, False], ids=["caller-first", "pool-first"])
+    @pytest.mark.parametrize("nan_block", [0, 1])
+    def test_first_failing_block_raises_on_either_thread(self, workers, monkeypatch,
+                                                         caller_first, nan_block):
+        """Two blocks fail with different errors, one on the calling thread
+        and one on the pool's; the earlier block's error is raised."""
+        import concurrent.futures
+
+        workers(2)
+        x = np.full((2 * pl.INFER_BLOCK_ROWS, 2), 0.1)
+        x[nan_block * pl.INFER_BLOCK_ROWS + 5] = np.nan
+        x[(1 - nan_block) * pl.INFER_BLOCK_ROWS + 9] = 1.0
+        # the first block started sets it; both blocks start before either runs
+        started, both = threading.Event(), threading.Barrier(2, timeout=30)
+        ran, forward_features = {}, md.forward_features
+
+        def gated(params, block):
+            ran[threading.get_ident()] = np.isnan(block).any()
+            started.set()
+            both.wait()
+            return forward_features(params, block)
+        monkeypatch.setattr(md, "forward_features", gated)
+
+        class Ordered(concurrent.futures.ThreadPoolExecutor):
+            """Lets the calling thread or the pool take block 0."""
+            def submit(self, fn, /, *args, **kwargs):
+                if caller_first:
+                    return super().submit(lambda: started.wait(30) and fn(*args, **kwargs))
+                future = super().submit(fn, *args, **kwargs)
+                started.wait(30)
+                return future
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Ordered)
+        before = threading.enumerate()
+        with pytest.raises(ad.NonFiniteError) as got:
+            pl.infer_batch(overflowing_params(), evt.GevParams(0.5, 0.1, 0.0), x)
+        after = threading.enumerate()
+        assert str(got.value) == ("forward input has non-finite values" if nan_block == 0
+                                  else "forward produced non-finite values")
+        caller = threading.get_ident()
+        assert len(ran) == 2 and caller in ran
+        assert ran[caller] == (caller_first == (nan_block == 0))
+        assert threading.active_count() == len(before) and set(after) == set(before)
+
 
 WIDE_MADDS = 784 * 512 + 512 * 256 + 256 * 4  # a row of the 784-wide nets below
 
